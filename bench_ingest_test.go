@@ -288,9 +288,8 @@ func runSpoolRecord(b *testing.B, codecName string) {
 	reportSpoolFootprint(b, lastDir, uint64(len(datagrams)))
 }
 
-func BenchmarkSpoolRecord(b *testing.B)     { runSpoolRecord(b, "none") }
-func BenchmarkSpoolRecordLZ4(b *testing.B)  { runSpoolRecord(b, "lz4") }
-func BenchmarkSpoolRecordZstd(b *testing.B) { runSpoolRecord(b, "zstd") }
+func BenchmarkSpoolRecord(b *testing.B)    { runSpoolRecord(b, "none") }
+func BenchmarkSpoolRecordLZ4(b *testing.B) { runSpoolRecord(b, "lz4") }
 
 // runSpoolRead measures raw replay off disk — decode only, no pipeline
 // behind it — at the given reader count.
@@ -315,12 +314,10 @@ func runSpoolRead(b *testing.B, codecName string, workers int) {
 	reportSpoolFootprint(b, dir, want)
 }
 
-func BenchmarkSpoolRead(b *testing.B)             { runSpoolRead(b, "none", 1) }
-func BenchmarkSpoolRead4Readers(b *testing.B)     { runSpoolRead(b, "none", 4) }
-func BenchmarkSpoolReadLZ4(b *testing.B)          { runSpoolRead(b, "lz4", 1) }
-func BenchmarkSpoolReadLZ44Readers(b *testing.B)  { runSpoolRead(b, "lz4", 4) }
-func BenchmarkSpoolReadZstd(b *testing.B)         { runSpoolRead(b, "zstd", 1) }
-func BenchmarkSpoolReadZstd4Readers(b *testing.B) { runSpoolRead(b, "zstd", 4) }
+func BenchmarkSpoolRead(b *testing.B)            { runSpoolRead(b, "none", 1) }
+func BenchmarkSpoolRead4Readers(b *testing.B)    { runSpoolRead(b, "none", 4) }
+func BenchmarkSpoolReadLZ4(b *testing.B)         { runSpoolRead(b, "lz4", 1) }
+func BenchmarkSpoolReadLZ44Readers(b *testing.B) { runSpoolRead(b, "lz4", 4) }
 
 // runSpoolReplay measures the full record-once-replay-many path: the
 // spooled capture streamed from disk — sequentially or via parallel
@@ -355,12 +352,10 @@ func runSpoolReplay(b *testing.B, codecName string, workers int) {
 	b.ReportMetric(float64(total), "packets/op")
 }
 
-func BenchmarkSpoolReplay(b *testing.B)             { runSpoolReplay(b, "none", 1) }
-func BenchmarkSpoolReplay4Readers(b *testing.B)     { runSpoolReplay(b, "none", 4) }
-func BenchmarkSpoolReplayLZ4(b *testing.B)          { runSpoolReplay(b, "lz4", 1) }
-func BenchmarkSpoolReplayLZ44Readers(b *testing.B)  { runSpoolReplay(b, "lz4", 4) }
-func BenchmarkSpoolReplayZstd(b *testing.B)         { runSpoolReplay(b, "zstd", 1) }
-func BenchmarkSpoolReplayZstd4Readers(b *testing.B) { runSpoolReplay(b, "zstd", 4) }
+func BenchmarkSpoolReplay(b *testing.B)            { runSpoolReplay(b, "none", 1) }
+func BenchmarkSpoolReplay4Readers(b *testing.B)    { runSpoolReplay(b, "none", 4) }
+func BenchmarkSpoolReplayLZ4(b *testing.B)         { runSpoolReplay(b, "lz4", 1) }
+func BenchmarkSpoolReplayLZ44Readers(b *testing.B) { runSpoolReplay(b, "lz4", 4) }
 
 // runSpoolReplayUnordered measures the order-tolerant replay path over
 // the same spool: readers hand whole segments to an unordered pipeline

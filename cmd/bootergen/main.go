@@ -6,7 +6,7 @@
 // manifest.
 //
 // With -record DIR the scenario's wire-format datagrams are spooled to
-// disk instead (optionally compressed with -compress lz4 or zstd) for the
+// disk instead (optionally compressed with -compress lz4) for the
 // record-once-replay-many workflow: replay the spool with
 // booteringest -replay and verify against the manifest.json written next
 // to the segments.
@@ -48,8 +48,8 @@ are then populated from the scenario's streaming scrape source, when the
 scenario carries one. -scenario list prints the catalog.
 
 -record DIR spools the scenario's wire-format datagrams to disk instead
-of replaying them (-compress picks the spool block codec: none, lz4 or
-zstd), with the ground-truth manifest.json written next to the segments —
+of replaying them (-compress picks the spool block codec: none or lz4),
+with the ground-truth manifest.json written next to the segments —
 replay the spool with booteringest -replay DIR.
 
 Usage:
@@ -72,7 +72,7 @@ func main() {
 	out := flag.String("out", ".", "output directory")
 	scenarioFlag := flag.String("scenario", "", "generate a scenario workload: catalog name, config file, or list")
 	recordDir := flag.String("record", "", "spool the scenario's wire-format datagrams to this directory and exit (requires -scenario)")
-	compress := flag.String("compress", "none", "spool block codec for -record: none, lz4 or zstd")
+	compress := flag.String("compress", "none", "spool block codec for -record: none or lz4")
 	flag.Parse()
 
 	if *scenarioFlag == "list" {

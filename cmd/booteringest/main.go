@@ -14,7 +14,7 @@
 //	             [-shed POLICY] [-queue N] [-pprof ADDR] [-progress DUR]
 //
 // -record DIR generates the synthetic stream, spools it to DIR as
-// wire-format datagrams and exits; -compress lz4 (or zstd) stores the spool's
+// wire-format datagrams and exits; -compress lz4 stores the spool's
 // blocks compressed. -replay DIR streams a previously recorded spool
 // from disk through the pipeline instead of generating; -from/-to bound
 // the replay to a time window (whole segments outside it are skipped via
@@ -61,7 +61,7 @@ const usageText = `booteringest replays a reflected-UDP packet stream through th
 streaming ingestion pipeline and reports throughput, the weekly attack
 series and any attached sinks. The stream is either generated from the
 booter-market simulator (default), recorded once to an on-disk spool
-(-record DIR, optionally compressed with -compress lz4 or zstd), or replayed
+(-record DIR, optionally compressed with -compress lz4), or replayed
 from such a spool at disk speed (-replay DIR), whole or bounded to a
 time window (-from/-to, pruning segments via the spool index) with
 -replay-workers concurrent segment readers — in recorded order by
@@ -97,7 +97,7 @@ func main() {
 	attacks := flag.Float64("attacks", 1000, "mean attack flows per week")
 	wire := flag.Bool("wire", false, "replay wire-format datagrams (exercise protocol decode)")
 	recordDir := flag.String("record", "", "spool the generated stream to this directory and exit")
-	compress := flag.String("compress", "none", "spool block codec for -record: none, lz4 or zstd")
+	compress := flag.String("compress", "none", "spool block codec for -record: none or lz4")
 	replayDir := flag.String("replay", "", "replay a recorded spool from this directory (implies -wire)")
 	spoolInfo := flag.String("spool-info", "", "print a spool directory's segment index and exit (no replay)")
 	fromFlag := flag.String("from", "", "replay only datagrams at or after this time")
@@ -120,6 +120,11 @@ func main() {
 			log.Fatalf("-pprof: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "pprof on http://%s/debug/pprof/\n", bound)
+	}
+
+	logs, err := obs.NewLog(os.Stderr, "")
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *scenarioFlag == "list" {
@@ -223,7 +228,7 @@ func main() {
 			log.Fatal(err)
 		}
 		var recorded atomic.Uint64
-		stopProgress := startProgress(*progressEvery, func() []obs.Field {
+		stopProgress := logs.StartProgress(*progressEvery, func() []obs.Field {
 			return []obs.Field{obs.F("datagrams", recorded.Load())}
 		})
 		for _, d := range ingest.Datagrams(packets) {
@@ -314,7 +319,7 @@ func main() {
 	// Feed the pipeline: from the spool, or from a generated stream.
 	var fedCount atomic.Uint64
 	fed := func() uint64 { return fedCount.Load() }
-	stopProgress := startProgress(*progressEvery, func() []obs.Field {
+	stopProgress := logs.StartProgress(*progressEvery, func() []obs.Field {
 		return pipelineFields(in, fed)
 	})
 	var spoolStats *spool.ReplayStats
@@ -590,17 +595,6 @@ func printSpoolInfo(dir string) {
 	for _, w := range idx.Warnings {
 		fmt.Printf("warning: %s\n", w)
 	}
-}
-
-// startProgress starts a stderr progress logger when -progress is set and
-// returns its stop function; a zero interval returns a no-op.
-func startProgress(every time.Duration, snapshot func() []obs.Field) func() {
-	if every <= 0 {
-		return func() {}
-	}
-	p := obs.NewProgress(os.Stderr, every, snapshot)
-	p.Start()
-	return p.Stop
 }
 
 // pipelineFields builds one progress line's fields from the live

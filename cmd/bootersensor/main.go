@@ -165,7 +165,7 @@ func main() {
 	}
 
 	reg := obs.Default()
-	stopProgress := startProgress(logs, *progressEvery, func() []obs.Field {
+	stopProgress := logs.StartProgress(*progressEvery, func() []obs.Field {
 		fields := []obs.Field{}
 		if n, ok := reg.Sum("booters_wire_sensor_records_total"); ok {
 			fields = append(fields, obs.F("records", uint64(n)))
@@ -204,15 +204,4 @@ func main() {
 		"bytes", rep.Bytes, "elapsed", elapsed.Round(time.Millisecond),
 		"rate", fmt.Sprintf("%.0f/s", float64(rep.Records)/elapsed.Seconds()),
 		"dials", rep.Dials, "resumes", rep.Resumes, "acked", rep.Acked)
-}
-
-// startProgress starts a slog progress logger when -progress is set and
-// returns its stop function; a zero interval returns a no-op.
-func startProgress(logs *obs.Log, every time.Duration, snapshot func() []obs.Field) func() {
-	if every <= 0 {
-		return func() {}
-	}
-	p := obs.NewProgressLogger(logs.Logger("progress"), every, snapshot)
-	p.Start()
-	return p.Stop
 }

@@ -134,7 +134,7 @@ func main() {
 	weeks := flag.Int("weeks", 52, "generated stream length in weeks")
 	attacks := flag.Float64("attacks", 500, "mean attack flows per week")
 	recordDir := flag.String("record", "", "spool the generated stream to this directory, then replay it from disk")
-	compress := flag.String("compress", "none", "spool block codec for -record: none, lz4 or zstd")
+	compress := flag.String("compress", "none", "spool block codec for -record: none or lz4")
 	replayDir := flag.String("replay", "", "replay an existing spool from this directory")
 	listen := flag.String("listen", "", "collector mode: accept networked sensor sessions on this address")
 	wireToken := flag.String("wire-token", "", "shared secret sensors must present (collector mode)")
@@ -255,7 +255,7 @@ func main() {
 	// Feed the pipeline while the server answers queries.
 	feedStart := time.Now()
 	var fedCount atomic.Uint64
-	stopProgress := startProgress(logs, *progressEvery, func() []obs.Field {
+	stopProgress := logs.StartProgress(*progressEvery, func() []obs.Field {
 		fields := []obs.Field{obs.F("packets", fedCount.Load()), obs.F("late", in.Late())}
 		reg := in.Metrics()
 		if seq, ok := reg.Sum("booters_snapshot_seq"); ok {
@@ -399,7 +399,7 @@ func collectorMode(listenAddr, token, addr string, shards, weeks, wmEvery int, p
 		"endpoints", "/v1/status /v1/panel /v1/metrics /v1/trace /v1/healthz /v1/readyz")
 
 	reg := in.Metrics()
-	stopProgress := startProgress(logs, progressEvery, func() []obs.Field {
+	stopProgress := logs.StartProgress(progressEvery, func() []obs.Field {
 		fields := []obs.Field{
 			obs.F("packets", in.Packets()),
 			obs.F("sessions", col.Sessions()),
@@ -582,17 +582,6 @@ func (p *pacer) tick() {
 	if ahead > time.Millisecond {
 		time.Sleep(ahead)
 	}
-}
-
-// startProgress starts a slog progress logger when -progress is set and
-// returns its stop function; a zero interval returns a no-op.
-func startProgress(logs *obs.Log, every time.Duration, snapshot func() []obs.Field) func() {
-	if every <= 0 {
-		return func() {}
-	}
-	p := obs.NewProgressLogger(logs.Logger("progress"), every, snapshot)
-	p.Start()
-	return p.Stop
 }
 
 // generate builds the synthetic market-driven packet stream.

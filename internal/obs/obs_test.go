@@ -234,8 +234,12 @@ func TestProgressEmitsLines(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(p)
 	})
+	logs, err := NewLog(w, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var n uint64
-	p := NewProgress(w, 5*time.Millisecond, func() []Field {
+	p := NewProgressLogger(logs.Logger("progress"), 5*time.Millisecond, func() []Field {
 		n += 1000
 		return []Field{F("packets", n), F("stage", "replay")}
 	})
@@ -247,12 +251,19 @@ func TestProgressEmitsLines(t *testing.T) {
 	mu.Lock()
 	out := buf.String()
 	mu.Unlock()
-	if !strings.Contains(out, "msg=progress") || !strings.Contains(out, "packets=") || !strings.Contains(out, "stage=replay") {
+	if !strings.Contains(out, "msg=progress") || !strings.Contains(out, "sub=progress") ||
+		!strings.Contains(out, "packets=") || !strings.Contains(out, "stage=replay") {
 		t.Fatalf("progress line malformed:\n%s", out)
 	}
 	if !strings.Contains(out, "rate=") {
 		t.Fatalf("no derived rate in:\n%s", out)
 	}
+
+	// StartProgress with -progress off never snapshots.
+	logs.StartProgress(0, func() []Field {
+		t.Error("snapshot called with progress off")
+		return nil
+	})()
 }
 
 func TestLogSpecLevels(t *testing.T) {

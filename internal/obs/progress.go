@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -41,25 +40,31 @@ type Field struct {
 // F is shorthand for building a Field.
 func F(key string, value any) Field { return Field{Key: key, Value: value} }
 
-// NewProgress builds a progress logger writing slog text lines to w
-// every interval. The snapshot function is called from the logger's own
-// goroutine and must be safe to call concurrently with the instrumented
-// work; its first field should be a monotone count (used for the
-// derived rate field). Call Start to begin and Stop to emit a final
-// line and halt. Use NewProgressLogger to route the records through an
-// existing per-subsystem logger instead.
-func NewProgress(w io.Writer, interval time.Duration, snapshot func() []Field) *Progress {
-	return NewProgressLogger(slog.New(slog.NewTextHandler(w, nil)), interval, snapshot)
-}
-
-// NewProgressLogger is NewProgress emitting through an existing slog
-// logger (at Info), so progress lines share the CLI's handler, format
-// and level gate.
+// NewProgressLogger builds a progress reporter emitting through lg (at
+// Info) every interval, so progress lines share the CLI's handler,
+// format and level gate. The snapshot function is called from the
+// reporter's own goroutine and must be safe to call concurrently with
+// the instrumented work; its first field should be a monotone count
+// (used for the derived rate field). Call Start to begin and Stop to
+// emit a final line and halt.
 func NewProgressLogger(lg *slog.Logger, interval time.Duration, snapshot func() []Field) *Progress {
 	if interval <= 0 {
 		interval = 10 * time.Second
 	}
 	return &Progress{lg: lg, interval: interval, snapshot: snapshot}
+}
+
+// StartProgress is the CLIs' "-progress DUR" flag: it starts a progress
+// reporter on the "progress" subsystem logger when every is positive
+// and returns its stop function. A zero or negative interval returns a
+// no-op.
+func (l *Log) StartProgress(every time.Duration, snapshot func() []Field) (stop func()) {
+	if every <= 0 {
+		return func() {}
+	}
+	p := NewProgressLogger(l.Logger("progress"), every, snapshot)
+	p.Start()
+	return p.Stop
 }
 
 // Start launches the ticker goroutine. Starting a started logger is a

@@ -19,7 +19,7 @@ import (
 // goroutines.
 type Codec interface {
 	// Name is the codec's spelling in MANIFEST files and in
-	// booteringest's -compress flag: "none", "lz4" or "zstd".
+	// booteringest's -compress flag: "none" or "lz4".
 	Name() string
 	// Encode appends the compressed form of src to dst and returns the
 	// extended slice. The writer discards the result and stores src raw
@@ -33,29 +33,27 @@ type Codec interface {
 }
 
 // Codec IDs as stored in the v2 segment header. IDs are append-only: a
-// released ID is never reused for a different format.
+// released ID is never reused for a different format. ID 2 (zstd) is
+// retired: readers reject it as corrupt, and it must never be reused.
 const (
 	codecIDNone byte = 0
 	codecIDLZ4  byte = 1
-	codecIDZstd byte = 2
 )
 
 // CodecByName returns a fresh codec instance for a MANIFEST / flag
-// spelling: "none" (or ""), "lz4" and "zstd".
+// spelling: "none" (or "") and "lz4".
 func CodecByName(name string) (Codec, error) {
 	switch name {
 	case "", "none":
 		return noneCodec{}, nil
 	case "lz4":
 		return newLZ4Codec(), nil
-	case "zstd":
-		return newZstdCodec(), nil
 	}
-	return nil, fmt.Errorf("spool: unknown codec %q (want none, lz4 or zstd)", name)
+	return nil, fmt.Errorf("spool: unknown codec %q (want none or lz4)", name)
 }
 
 // Codecs lists the codec names CodecByName accepts, in ID order.
-func Codecs() []string { return []string{"none", "lz4", "zstd"} }
+func Codecs() []string { return []string{"none", "lz4"} }
 
 // codecID returns the on-disk ID for a codec instance.
 func codecID(c Codec) (byte, error) {
@@ -64,8 +62,6 @@ func codecID(c Codec) (byte, error) {
 		return codecIDNone, nil
 	case *lz4Codec:
 		return codecIDLZ4, nil
-	case *zstdCodec:
-		return codecIDZstd, nil
 	}
 	return 0, fmt.Errorf("spool: codec %q has no registered ID", c.Name())
 }
@@ -79,14 +75,13 @@ func codecByID(id byte) (Codec, error) {
 		return noneCodec{}, nil
 	case codecIDLZ4:
 		return newLZ4Codec(), nil
-	case codecIDZstd:
-		return newZstdCodec(), nil
 	}
 	return nil, fmt.Errorf("spool: unknown codec ID %d", id)
 }
 
 // noneCodec is the identity codec: blocks are stored raw. It is the
-// default, so v2 spools cost nothing over v1 when compression is off.
+// default, so a spool costs nothing over its raw records when
+// compression is off.
 type noneCodec struct{}
 
 // Name returns "none".

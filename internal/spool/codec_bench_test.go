@@ -74,7 +74,5 @@ func runCodecDecode(b *testing.B, name string) {
 	}
 }
 
-func BenchmarkCodecEncodeLZ4(b *testing.B)  { runCodecEncode(b, "lz4") }
-func BenchmarkCodecEncodeZstd(b *testing.B) { runCodecEncode(b, "zstd") }
-func BenchmarkCodecDecodeLZ4(b *testing.B)  { runCodecDecode(b, "lz4") }
-func BenchmarkCodecDecodeZstd(b *testing.B) { runCodecDecode(b, "zstd") }
+func BenchmarkCodecEncodeLZ4(b *testing.B) { runCodecEncode(b, "lz4") }
+func BenchmarkCodecDecodeLZ4(b *testing.B) { runCodecDecode(b, "lz4") }

@@ -13,14 +13,16 @@ import (
 
 // SegmentInfo describes one segment file as recorded by its trailer or
 // the spool MANIFEST. Min, Max, Records, RawBytes and CRC are only
-// trustworthy when Indexed is true; an unindexed segment (a v1 segment,
-// or a v2 segment with a torn trailer) must be scanned in full.
+// trustworthy when Indexed is true; an unindexed segment (one with a
+// torn or corrupt trailer) must be scanned in full.
 type SegmentInfo struct {
 	// Name is the segment's file name within the spool directory.
 	Name string
-	// Version is the detected on-disk format version, 1 or 2.
+	// Version is the on-disk format version: always 2, the only format
+	// there is (0 only for a segment whose magic is unrecognised).
 	Version int
-	// Codec is the block codec name; empty for v1 segments.
+	// Codec is the block codec name; empty when the segment header is
+	// unreadable.
 	Codec string
 	// Records is the number of records in the segment.
 	Records uint64
@@ -31,8 +33,7 @@ type SegmentInfo struct {
 	// RawBytes is the decoded record-stream size in bytes.
 	RawBytes uint64
 	// StoredBytes is the on-disk block-byte size (including block
-	// headers, excluding the segment header and trailer). For v1
-	// segments it is the file size minus the 8-byte magic.
+	// headers, excluding the segment header and trailer).
 	StoredBytes uint64
 	// CRC is the IEEE CRC-32 over the segment's block bytes.
 	CRC uint32
@@ -84,7 +85,6 @@ func LoadIndex(dir string) (*Index, error) {
 		idx.Warnings = append(idx.Warnings, manWarn)
 	}
 	matched := 0
-	anyV2 := false
 	for _, path := range segs {
 		name := filepath.Base(path)
 		st, err := os.Stat(path)
@@ -95,7 +95,6 @@ func LoadIndex(dir string) (*Index, error) {
 			matched++
 			if int64(e.StoredBytes)+segHeaderSize+trailerSize == st.Size() {
 				idx.Segments = append(idx.Segments, e)
-				anyV2 = true
 				continue
 			}
 			idx.Warnings = append(idx.Warnings,
@@ -111,16 +110,13 @@ func LoadIndex(dir string) (*Index, error) {
 		if warn != "" {
 			idx.Warnings = append(idx.Warnings, warn)
 		}
-		if info.Version == 2 {
-			anyV2 = true
-		}
 		idx.Segments = append(idx.Segments, info)
 	}
 	if man != nil && matched < len(man) {
 		idx.Warnings = append(idx.Warnings,
 			fmt.Sprintf("MANIFEST lists %d segment(s) not present on disk", len(man)-matched))
 	}
-	if !manFound && manWarn == "" && anyV2 {
+	if !manFound && manWarn == "" && len(idx.Segments) > 0 {
 		idx.Warnings = append(idx.Warnings, "MANIFEST missing; index read from segment trailers")
 	}
 	return idx, nil
@@ -213,10 +209,10 @@ func readManifest(dir string) (map[string]SegmentInfo, bool, string) {
 }
 
 // readTrailerInfo summarises one segment from its header and trailer
-// without reading its blocks. A v1 segment is returned unindexed with no
-// warning (the format has no trailer to read); a v2 segment whose
-// trailer is missing or fails its checksum is returned unindexed with a
-// warning, and replay will scan it sequentially instead.
+// without reading its blocks. A segment whose magic is unrecognised, or
+// whose trailer is missing or fails its checksum, is returned unindexed
+// with a warning, and replay will scan it sequentially instead (where a
+// bad magic then fails as corrupt).
 func readTrailerInfo(path string, size int64) (SegmentInfo, string, error) {
 	info := SegmentInfo{Name: filepath.Base(path)}
 	f, err := os.Open(path)
@@ -231,16 +227,10 @@ func readTrailerInfo(path string, size int64) (SegmentInfo, string, error) {
 	if _, err := f.ReadAt(head[:8], 0); err != nil {
 		return info, "", fmt.Errorf("spool: %w", err)
 	}
-	switch string(head[:8]) {
-	case magicV1:
-		info.Version = 1
-		info.StoredBytes = uint64(size - 8)
-		return info, "", nil
-	case magicV2:
-		info.Version = 2
-	default:
+	if string(head[:8]) != magicV2 {
 		return info, fmt.Sprintf("segment %s has an unrecognised magic; will attempt a scan", info.Name), nil
 	}
+	info.Version = 2
 	degraded := fmt.Sprintf("segment %s: trailer missing or corrupt; replay will scan it without an index", info.Name)
 	if size < segHeaderSize+trailerSize {
 		return info, degraded, nil

@@ -134,21 +134,6 @@ func TestMmapMatchesBufferedTornTail(t *testing.T) {
 	}
 }
 
-// TestMmapMatchesBufferedV1 covers the legacy path: v1 segments replay
-// identically mapped and buffered, including payload bytes, which on
-// the mapped path are slices of the file itself.
-func TestMmapMatchesBufferedV1(t *testing.T) {
-	datagrams := testDatagrams(t, 2, 40)
-	dir := filepath.Join(t.TempDir(), "v1spool")
-	writeV1Spool(t, dir, datagrams, 500)
-
-	mseq := readSequential(t, dir)
-	var bseq []ingest.Datagram
-	withBufferedReaders(t, func() { bseq = readSequential(t, dir) })
-	sameDatagrams(t, mseq, bseq)
-	sameDatagrams(t, mseq, datagrams)
-}
-
 // TestOpenAtMatchesAcrossModes pins the resume primitive on both
 // reader paths: OpenAt at every whole-segment boundary and a few
 // mid-segment offsets returns the same suffix mapped and buffered.

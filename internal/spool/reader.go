@@ -21,11 +21,11 @@ import (
 // and must only be flipped while no reader is open.
 var disableMmap bool
 
-// segmentReader streams one segment file, v1 or v2, detected from the
-// magic. next returns io.EOF at a clean end — for v2, only after the
-// trailer has been read, its checksums verified and its record count
-// matched against the records actually decoded — and an error wrapping
-// ErrCorrupt for anything torn or inconsistent.
+// segmentReader streams one v2 segment file. next returns io.EOF at a
+// clean end — only after the trailer has been read, its checksums
+// verified and its record count matched against the records actually
+// decoded — and an error wrapping ErrCorrupt for anything torn or
+// inconsistent, including a magic other than "BOOTSPL2".
 //
 // The segment is memory-mapped when the platform allows it: codec-none
 // blocks (and raw-stored blocks inside compressed segments) are then
@@ -37,24 +37,20 @@ var disableMmap bool
 // the reused decode buffer and is only valid until the following next
 // or close call.
 type segmentReader struct {
-	path    string
-	f       *os.File
-	mm      []byte        // whole segment, memory-mapped; nil on the fallback path
-	pos     int           // read cursor into mm
-	br      *bufio.Reader // buffered fallback; nil when mm is live
-	version int
-	codec   Codec
+	path  string
+	f     *os.File
+	mm    []byte        // whole segment, memory-mapped; nil on the fallback path
+	pos   int           // read cursor into mm
+	br    *bufio.Reader // buffered fallback; nil when mm is live
+	codec Codec
 
-	crc     uint32 // running CRC over v2 block bytes
+	crc     uint32 // running CRC over block bytes
 	raw     []byte // current block: a mapping slice or rawBuf
 	off     int
 	rawBuf  []byte // reused block decode buffer
 	stored  []byte // compressed-block scratch, reused (fallback path)
-	v1Buf   []byte // reused v1 payload buffer (fallback path)
 	records uint64
 	done    bool
-
-	hdr [recordHeaderSize]byte // header scratch (fallback path)
 }
 
 // openSegmentReader opens one segment and parses its header.
@@ -78,23 +74,18 @@ func openSegmentReader(path string) (*segmentReader, error) {
 		sr.close()
 		return nil, sr.corrupt("segment header cut off")
 	}
-	switch string(head) {
-	case magicV1:
-		sr.version = 1
-	case magicV2:
-		sr.version = 2
-		rest, err := sr.read(segHeaderSize-8, headBuf[8:])
-		if err != nil {
-			sr.close()
-			return nil, sr.corrupt("segment header cut off")
-		}
-		if sr.codec, err = codecByID(rest[0]); err != nil {
-			sr.close()
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-		}
-	default:
+	if string(head) != magicV2 {
 		sr.close()
 		return nil, sr.corrupt("bad magic")
+	}
+	rest, err := sr.read(segHeaderSize-8, headBuf[8:])
+	if err != nil {
+		sr.close()
+		return nil, sr.corrupt("segment header cut off")
+	}
+	if sr.codec, err = codecByID(rest[0]); err != nil {
+		sr.close()
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
 	}
 	return sr, nil
 }
@@ -179,9 +170,6 @@ func (sr *segmentReader) next() (ingest.Datagram, error) {
 	if sr.done {
 		return ingest.Datagram{}, io.EOF
 	}
-	if sr.version == 1 {
-		return sr.nextV1()
-	}
 	for sr.off >= len(sr.raw) {
 		if err := sr.readBlock(); err != nil {
 			return ingest.Datagram{}, err
@@ -205,7 +193,7 @@ func (sr *segmentReader) next() (ingest.Datagram, error) {
 	return d, nil
 }
 
-// readBlock reads the next v2 block frame into sr.raw, or verifies the
+// readBlock reads the next block frame into sr.raw, or verifies the
 // trailer and returns io.EOF at the segment's end.
 func (sr *segmentReader) readBlock() error {
 	var hbuf [blockHeaderSize]byte
@@ -300,40 +288,6 @@ func (sr *segmentReader) readTrailer(lead []byte) error {
 	return io.EOF
 }
 
-// nextV1 reads one bare v1 record straight off the file. Mapped
-// segments slice the payload out of the mapping; the fallback reuses
-// one payload buffer — borrowed either way.
-func (sr *segmentReader) nextV1() (ingest.Datagram, error) {
-	b, err := sr.read(recordHeaderSize, sr.hdr[:])
-	if err != nil {
-		if err == io.EOF {
-			// Clean record boundary: a v1 segment has no trailer, so
-			// this is the best "end" the format can attest.
-			sr.done = true
-			return ingest.Datagram{}, io.EOF
-		}
-		return ingest.Datagram{}, sr.corrupt("record header cut off")
-	}
-	d, plen := decodeRecordHeader(b)
-	if plen > 0 {
-		if sr.mm != nil {
-			if d.Payload, err = sr.read(plen, nil); err != nil {
-				return ingest.Datagram{}, sr.corrupt("record payload cut off")
-			}
-		} else {
-			if cap(sr.v1Buf) < plen {
-				sr.v1Buf = make([]byte, plen)
-			}
-			d.Payload = sr.v1Buf[:plen:plen]
-			if _, err := io.ReadFull(sr.br, d.Payload); err != nil {
-				return ingest.Datagram{}, sr.corrupt("record payload cut off")
-			}
-		}
-	}
-	sr.records++
-	return d, nil
-}
-
 // close releases the segment file and its mapping. Any payload borrowed
 // from this segment is invalid afterwards.
 func (sr *segmentReader) close() error {
@@ -353,8 +307,7 @@ func (sr *segmentReader) close() error {
 	return err
 }
 
-// decodeRecordHeader parses the fixed 32-byte record header shared by v1
-// and v2, returning the datagram (payload not yet attached) and the
+// decodeRecordHeader parses the fixed 32-byte record header, returning the datagram (payload not yet attached) and the
 // payload length.
 func decodeRecordHeader(b []byte) (ingest.Datagram, int) {
 	var d ingest.Datagram

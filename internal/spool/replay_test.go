@@ -2,7 +2,6 @@ package spool
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -334,6 +333,37 @@ func TestTornTailSurfacedNotSilent(t *testing.T) {
 			}
 		})
 	}
+
+	// Retired formats are corruption too: a segment behind the v1 magic
+	// "BOOTSPL1", and a v2 header naming the retired codec ID 2.
+	for _, retired := range []struct {
+		name string
+		at   int
+		with []byte
+	}{
+		{"v1 magic", 0, []byte("BOOTSPL1")},
+		{"codec ID 2", 8, []byte{2}},
+	} {
+		t.Run(retired.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "spool")
+			record(t, dir, datagrams, Options{SegmentBytes: 16 << 10, BlockBytes: 4 << 10})
+			segs, _ := segments(dir)
+			data, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(data[retired.at:], retired.with)
+			if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReplayWindow(dir, ReplayOptions{Strict: true}, func(ingest.Datagram) error { return nil }); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("strict replay: got %v, want ErrCorrupt", err)
+			}
+			if err := Replay(dir, func(ingest.Datagram) error { return nil }); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Replay: got %v, want ErrCorrupt", err)
+			}
+		})
+	}
 }
 
 // TestCorruptIndexDegradesToScan covers the manifest/trailer corruption
@@ -422,6 +452,30 @@ func TestCorruptIndexDegradesToScan(t *testing.T) {
 		if len(stats.Torn) != 1 || stats.Torn[0].Segment != filepath.Base(mid) {
 			t.Errorf("unverifiable segment not surfaced: %+v", stats.Torn)
 		}
+
+		// A windowed replay cannot prune the unindexed segment: it is
+		// scanned in full, with a warning, and only the indexed segments
+		// wholly outside the window are skipped.
+		idx, err := LoadIndex(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx.Segments[0].Indexed {
+			t.Fatal("segment with a corrupt trailer is still indexed")
+		}
+		prunable := 0
+		for _, s := range idx.Segments {
+			if s.Indexed && (s.Records == 0 || s.Max.Before(from) || !s.Min.Before(to)) {
+				prunable++
+			}
+		}
+		got, stats = collectReplay(t, dir, ReplayOptions{From: from, To: to, Workers: 4})
+		sameDatagrams(t, got, want)
+		wantWarning(t, stats, "unindexed")
+		if stats.SegmentsSkipped != prunable || stats.SegmentsRead != len(segs)-prunable {
+			t.Errorf("windowed replay read %d and skipped %d of %d segments, want %d skipped (the unindexed one scanned)",
+				stats.SegmentsRead, stats.SegmentsSkipped, len(segs), prunable)
+		}
 	})
 
 	t.Run("stale manifest size", func(t *testing.T) {
@@ -439,85 +493,6 @@ func TestCorruptIndexDegradesToScan(t *testing.T) {
 		wantWarning(t, stats, "does not match its file size")
 		sameDatagrams(t, got, datagrams)
 	})
-}
-
-// writeV1Spool hand-encodes datagrams into the legacy v1 format: bare
-// records behind an 8-byte magic, split across segsOf-record segments,
-// no trailer and no manifest.
-func writeV1Spool(t *testing.T, dir string, datagrams []ingest.Datagram, segsOf int) {
-	t.Helper()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for seg := 0; seg*segsOf < len(datagrams); seg++ {
-		buf := []byte(magicV1)
-		for _, d := range datagrams[seg*segsOf : min((seg+1)*segsOf, len(datagrams))] {
-			var hdr [recordHeaderSize]byte
-			binary.BigEndian.PutUint64(hdr[0:8], uint64(d.Time.UnixNano()))
-			v16 := d.Victim.As16()
-			copy(hdr[8:24], v16[:])
-			binary.BigEndian.PutUint16(hdr[24:26], uint16(d.Port))
-			binary.BigEndian.PutUint32(hdr[26:30], uint32(d.Sensor))
-			binary.BigEndian.PutUint16(hdr[30:32], uint16(len(d.Payload)))
-			buf = append(buf, hdr[:]...)
-			buf = append(buf, d.Payload...)
-		}
-		name := filepath.Join(dir, fmt.Sprintf("%08d%s", seg, segmentExt))
-		if err := os.WriteFile(name, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestV1SpoolStillReadable pins backward compatibility: a legacy v1
-// spool replays in full through both the sequential Reader and
-// ReplayWindow (windowed and parallel), with a warning that windowing
-// had no index to prune with.
-func TestV1SpoolStillReadable(t *testing.T) {
-	datagrams := testDatagrams(t, 2, 40)
-	dir := filepath.Join(t.TempDir(), "v1spool")
-	writeV1Spool(t, dir, datagrams, 500)
-
-	var got []ingest.Datagram
-	if err := Replay(dir, func(d ingest.Datagram) error {
-		d.Payload = append([]byte(nil), d.Payload...) // borrowed; collection outlives the call
-		got = append(got, d)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sameDatagrams(t, got, datagrams)
-
-	from := testStart.AddDate(0, 0, 3)
-	var want []ingest.Datagram
-	for _, d := range datagrams {
-		if !d.Time.Before(from) {
-			want = append(want, d)
-		}
-	}
-	got, stats := collectReplay(t, dir, ReplayOptions{From: from, Workers: 4})
-	sameDatagrams(t, got, want)
-	if stats.SegmentsSkipped != 0 {
-		t.Errorf("v1 segments have no index yet %d were skipped", stats.SegmentsSkipped)
-	}
-	found := false
-	for _, w := range stats.Warnings {
-		if strings.Contains(w, "unindexed") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("windowed v1 replay did not warn about unindexed segments: %v", stats.Warnings)
-	}
-
-	// A v1 torn tail is contained and surfaced, not fatal, in tolerant
-	// mode.
-	tornLastSegment(t, dir, 11)
-	got, stats = collectReplay(t, dir, ReplayOptions{})
-	if !stats.DataLost() {
-		t.Error("v1 torn tail not surfaced in stats")
-	}
-	sameDatagrams(t, got, datagrams[:len(got)])
 }
 
 // TestLoadIndex checks the index a fresh writer leaves behind: every

@@ -13,14 +13,13 @@
 // record timestamps, raw byte count and a whole-segment checksum. The
 // MANIFEST mirrors every trailer, so replay can prune segments outside a
 // requested time window and assign segments to concurrent readers without
-// touching the files it skips. Records inside a block use the v1 fixed
+// touching the files it skips. Records inside a block use a fixed
 // 32-byte header (receive time, victim address, port, sensor, payload
 // length) followed by the raw payload.
 //
-// Spools written by the v1 format (segments of bare records behind an
-// 8-byte "BOOTSPL1" magic, no index) remain fully readable: the version
-// is detected per segment from the magic, and v1 segments are simply
-// never prunable or verifiable, exactly as before.
+// Two codecs exist: "none" (blocks stored raw) and "lz4". The v2 segment
+// is the only format read: the retired v1 magic "BOOTSPL1" and the
+// retired codec ID 2 are both rejected as corrupt.
 //
 // The complete normative format, including truncation and corruption
 // recovery rules, is specified in docs/SPOOL_FORMAT.md.
@@ -48,7 +47,6 @@ import (
 var ErrCorrupt = errors.New("spool: corrupt segment")
 
 const (
-	magicV1       = "BOOTSPL1"
 	magicV2       = "BOOTSPL2"
 	trailerMagic  = "BOOTTRL2"
 	manifestName  = "MANIFEST"

@@ -39,10 +39,10 @@ type CollectorConfig struct {
 	Metrics *obs.Registry
 
 	// Trace, when non-nil, records wire.batch receive spans. Batches
-	// whose v2 header carries a sampled sensor-side trace context are
+	// whose header carries a sampled sensor-side trace context are
 	// recorded as children of it, stitching the cross-process
-	// sensor→snapshot chain together; v1 batches make their own local
-	// sampling decision. Nil disables tracing at one pointer test.
+	// sensor→snapshot chain together; unsampled batches make their own
+	// local sampling decision. Nil disables tracing at one pointer test.
 	Trace *trace.Tracer
 
 	// Logf, when non-nil, receives one line per session event.
@@ -208,9 +208,9 @@ func (c *Collector) handle(conn net.Conn) {
 		c.reject(s, CodeBadFrame, "malformed hello")
 		return
 	}
-	if h.Version < MinProtocolVersion || h.Version > ProtocolVersion {
+	if h.Version != ProtocolVersion {
 		c.m.authFailure()
-		c.reject(s, CodeVersion, fmt.Sprintf("version %d unsupported, speak %d..%d", h.Version, MinProtocolVersion, ProtocolVersion))
+		c.reject(s, CodeVersion, fmt.Sprintf("version %d unsupported, speak %d", h.Version, ProtocolVersion))
 		return
 	}
 	if subtle.ConstantTimeCompare([]byte(c.cfg.Token), h.Token) != 1 {
@@ -256,17 +256,14 @@ func (c *Collector) handle(conn net.Conn) {
 		close(s.done)
 	}()
 
-	// The Welcome echoes the sensor's version: the whole session —
-	// batch-header layout included — runs at the version the sensor
-	// asked for, so v1 sensors keep working unchanged.
 	resume := st.offset.Load()
-	if err := c.write(s, FrameWelcome, AppendWelcome(nil, Welcome{Version: h.Version, Resume: resume})); err != nil {
+	if err := c.write(s, FrameWelcome, AppendWelcome(nil, Welcome{Version: ProtocolVersion, Resume: resume})); err != nil {
 		return
 	}
 	st.opened.Store(time.Now().UnixNano())
 	c.m.sessionOpen(resume > 0)
 	c.m.sessionGauges(h.Sensor, st)
-	c.logf("wire: sensor %d session open at offset %d (resume=%v, v%d)", h.Sensor, resume, resume > 0, h.Version)
+	c.logf("wire: sensor %d session open at offset %d (resume=%v)", h.Sensor, resume, resume > 0)
 
 	// Each session is one low-watermark source; the stream time already
 	// promised by earlier sessions carries over.
@@ -300,7 +297,7 @@ func (c *Collector) handle(conn net.Conn) {
 
 		switch t {
 		case FrameBatch:
-			ok, err := c.ingestBatch(s, src, st, h.Sensor, h.Version, p)
+			ok, err := c.ingestBatch(s, src, st, h.Sensor, p)
 			if err != nil || !ok {
 				return
 			}
@@ -343,13 +340,13 @@ func (c *Collector) handle(conn net.Conn) {
 // is ingested before the offset advances and the ack goes out — the ack
 // is the promise that these records are never needed again. Returns
 // ok=false when the session must end.
-func (c *Collector) ingestBatch(s *session, src *ingest.Source, st *sensorState, sensor uint32, version uint16, p []byte) (bool, error) {
-	h, rest, err := DecodeBatchHeader(p, version)
+func (c *Collector) ingestBatch(s *session, src *ingest.Source, st *sensorState, sensor uint32, p []byte) (bool, error) {
+	h, rest, err := DecodeBatchHeader(p, ProtocolVersion)
 	if err != nil {
 		c.reject(s, CodeBadFrame, err.Error())
 		return false, nil
 	}
-	// Receive span: a child of the sensor's batch span when the v2
+	// Receive span: a child of the sensor's batch span when the
 	// header carries a sampled context, else a local sampling decision.
 	// SetTraceParent before the records go in so the shard flushes this
 	// batch causes are parented under the receive span.

@@ -244,31 +244,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchHeaderV1Layout(t *testing.T) {
-	// A v1 session encodes the 12-byte header and drops the trace
-	// fields; decoding at v1 must neither read past the header nor
-	// invent trace context.
-	b := AppendBatchHeader(nil, BatchHeader{Base: 9, Count: 4, TraceID: 1, SpanID: 2, SendUnixNanos: 3}, 1)
-	if len(b) != 12 {
-		t.Fatalf("v1 header is %d bytes, want 12", len(b))
-	}
-	h, rest, err := DecodeBatchHeader(b, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Base != 9 || h.Count != 4 || h.TraceID != 0 || h.SpanID != 0 || h.SendUnixNanos != 0 {
-		t.Fatalf("v1 decode: %+v", h)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("v1 decode left %d bytes", len(rest))
-	}
-	// A v2 decoder refuses a bare v1 header — the session version gates
-	// the layout, so this only happens to corrupt streams.
-	if _, _, err := DecodeBatchHeader(b, 2); err == nil {
-		t.Fatal("v2 decode accepted a 12-byte header")
-	}
-}
-
 func TestRejectErrorPermanence(t *testing.T) {
 	for code, want := range map[uint16]bool{
 		CodeAuth:     true,

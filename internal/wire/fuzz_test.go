@@ -67,12 +67,8 @@ func decodeTyped(t FrameType, p []byte) {
 	case FrameWelcome:
 		DecodeWelcome(p)
 	case FrameBatch:
-		// Decode at both header layouts — a mutated stream is as likely
-		// to land on a v1 session as a v2 one.
-		for _, ver := range []uint16{1, 2} {
-			if h, rest, err := DecodeBatchHeader(p, ver); err == nil {
-				DecodeBatchRecords(h, rest, func(uint32, ingest.Datagram) error { return nil })
-			}
+		if h, rest, err := DecodeBatchHeader(p, ProtocolVersion); err == nil {
+			DecodeBatchRecords(h, rest, func(uint32, ingest.Datagram) error { return nil })
 		}
 	case FrameAck:
 		DecodeAck(p)
@@ -149,10 +145,8 @@ func FuzzHandshake(f *testing.F) {
 		DecodeHeartbeat(data)
 		DecodeGoodbye(data)
 		DecodeReject(data)
-		for _, ver := range []uint16{1, 2} {
-			if h, rest, err := DecodeBatchHeader(data, ver); err == nil {
-				DecodeBatchRecords(h, rest, func(uint32, ingest.Datagram) error { return nil })
-			}
+		if h, rest, err := DecodeBatchHeader(data, ProtocolVersion); err == nil {
+			DecodeBatchRecords(h, rest, func(uint32, ingest.Datagram) error { return nil })
 		}
 	})
 }

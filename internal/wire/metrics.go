@@ -43,7 +43,7 @@ func newCollectorMetrics(r *obs.Registry) *collectorMetrics {
 		bytesIn:      r.Counter("booters_wire_bytes_total", "Frame bytes by direction.", obs.L("dir", "in")),
 		bytesOut:     r.Counter("booters_wire_bytes_total", "Frame bytes by direction.", obs.L("dir", "out")),
 		fresh: r.Histogram("booters_freshness_wire_to_apply_seconds",
-			"Wall latency from a sensor stamping a batch frame at send to the collector finishing its apply (v2 sessions only; assumes loosely synchronised clocks)."),
+			"Wall latency from a sensor stamping a batch frame at send to the collector finishing its apply (assumes loosely synchronised clocks)."),
 		framesIn:  make(map[FrameType]*obs.Counter, len(frameTypes)),
 		framesOut: make(map[FrameType]*obs.Counter, len(frameTypes)),
 		reg:       r,

@@ -13,17 +13,11 @@ import (
 // mis-directed client before trusting a single field.
 const Magic = "BOOTWIR1"
 
-// ProtocolVersion is the newest protocol revision this package speaks.
-// Version 2 added the trace-context fields to the Batch header; the
-// rest of the protocol is unchanged. A collector accepts any version in
-// [MinProtocolVersion, ProtocolVersion] and echoes the sensor's version
-// in its Welcome, so old sensors keep working; anything outside the
-// range is rejected with CodeVersion.
+// ProtocolVersion is the one protocol revision this package speaks.
+// Sensor and collector ship together, so each requires the other's
+// Hello or Welcome to carry exactly this version; anything else is
+// rejected with CodeVersion.
 const ProtocolVersion uint16 = 2
-
-// MinProtocolVersion is the oldest protocol revision a collector still
-// accepts.
-const MinProtocolVersion uint16 = 1
 
 // MaxTokenLen caps the Hello auth token.
 const MaxTokenLen = 256
@@ -265,75 +259,58 @@ func DecodeReject(b []byte) (Reject, error) {
 // BatchHeader prefixes a Batch payload: the cumulative offset of the
 // batch's first record and how many records follow. Records use the
 // spool record encoding (spool.AppendRecord / spool.DecodeRecord).
-// Version 2 appended the trace-context fields; under version 1 they
-// are neither encoded nor decoded and stay zero.
 type BatchHeader struct {
 	// Base is the cumulative offset of the batch's first record.
 	Base uint64
 	// Count is the number of records that follow the header.
 	Count uint32
 	// TraceID and SpanID carry the sensor-side trace context of this
-	// batch (v2 only; zero means the batch is unsampled). The collector
+	// batch (zero means the batch is unsampled). The collector
 	// parents its own receive span under them, which is what stitches a
 	// cross-process sensor→snapshot trace together.
 	TraceID, SpanID uint64
-	// SendUnixNanos is the sensor's wall clock at frame send (v2 only;
-	// 0 means unknown), the start of the wire-send→ingest-apply
+	// SendUnixNanos is the sensor's wall clock at frame send (0 means
+	// unknown), the start of the wire-send→ingest-apply
 	// freshness measurement. Sensor and collector clocks are assumed
 	// loosely synchronised; the histogram absorbs modest skew.
 	SendUnixNanos int64
 }
 
-// Encoded BatchHeader lengths by protocol version.
-const (
-	batchHeaderSizeV1 = 12
-	batchHeaderSizeV2 = 36
-)
+// batchHeaderLen is the encoded BatchHeader length.
+const batchHeaderLen = 36
 
-// batchHeaderSize returns the encoded header length for a negotiated
-// protocol version.
-func batchHeaderSize(version uint16) int {
-	if version >= 2 {
-		return batchHeaderSizeV2
-	}
-	return batchHeaderSizeV1
-}
-
-// AppendBatchHeader encodes h after dst at the negotiated protocol
-// version. The caller appends Count records with spool.AppendRecord
-// and frames the result as FrameBatch. Under version 1 the trace
-// fields are dropped (the v1 layout has no room for them).
+// AppendBatchHeader encodes h after dst. The caller appends Count
+// records with spool.AppendRecord and frames the result as FrameBatch.
+// version is the session's protocol version, which is always
+// ProtocolVersion: the header has a single layout.
 func AppendBatchHeader(dst []byte, h BatchHeader, version uint16) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, h.Base)
 	dst = binary.BigEndian.AppendUint32(dst, h.Count)
-	if version >= 2 {
-		dst = binary.BigEndian.AppendUint64(dst, h.TraceID)
-		dst = binary.BigEndian.AppendUint64(dst, h.SpanID)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(h.SendUnixNanos))
-	}
-	return dst
+	dst = binary.BigEndian.AppendUint64(dst, h.TraceID)
+	dst = binary.BigEndian.AppendUint64(dst, h.SpanID)
+	return binary.BigEndian.AppendUint64(dst, uint64(h.SendUnixNanos))
 }
 
-// DecodeBatchHeader decodes a Batch payload's header at the session's
-// negotiated protocol version and returns the record bytes that follow
-// it. The declared count is not yet verified against those bytes —
-// DecodeBatchRecords does that incrementally, so a hostile count can
-// never force an allocation.
+// DecodeBatchHeader decodes a Batch payload's header and returns the
+// record bytes that follow it. Any version other than ProtocolVersion
+// fails with ErrProtocol. The declared count is not yet verified
+// against the record bytes — DecodeBatchRecords does that
+// incrementally, so a hostile count can never force an allocation.
 func DecodeBatchHeader(b []byte, version uint16) (BatchHeader, []byte, error) {
-	size := batchHeaderSize(version)
-	if len(b) < size {
-		return BatchHeader{}, nil, fmt.Errorf("%w: batch header needs %d bytes, have %d", ErrProtocol, size, len(b))
+	if version != ProtocolVersion {
+		return BatchHeader{}, nil, fmt.Errorf("%w: batch header at version %d, speak %d", ErrProtocol, version, ProtocolVersion)
+	}
+	if len(b) < batchHeaderLen {
+		return BatchHeader{}, nil, fmt.Errorf("%w: batch header needs %d bytes, have %d", ErrProtocol, batchHeaderLen, len(b))
 	}
 	h := BatchHeader{
-		Base:  binary.BigEndian.Uint64(b[0:8]),
-		Count: binary.BigEndian.Uint32(b[8:12]),
+		Base:          binary.BigEndian.Uint64(b[0:8]),
+		Count:         binary.BigEndian.Uint32(b[8:12]),
+		TraceID:       binary.BigEndian.Uint64(b[12:20]),
+		SpanID:        binary.BigEndian.Uint64(b[20:28]),
+		SendUnixNanos: int64(binary.BigEndian.Uint64(b[28:36])),
 	}
-	if version >= 2 {
-		h.TraceID = binary.BigEndian.Uint64(b[12:20])
-		h.SpanID = binary.BigEndian.Uint64(b[20:28])
-		h.SendUnixNanos = int64(binary.BigEndian.Uint64(b[28:36]))
-	}
-	return h, b[size:], nil
+	return h, b[batchHeaderLen:], nil
 }
 
 // DecodeBatchRecords walks the record bytes of a batch, calling fn with

@@ -182,10 +182,9 @@ type SensorConfig struct {
 	Metrics *obs.Registry
 
 	// Trace, when non-nil, samples sensor.batch spans — the roots of
-	// cross-process traces. On a v2 session the sampled context rides in
-	// the batch header so the collector can parent its receive span
-	// under it; on a v1 session the span stays local. Nil disables
-	// tracing at one pointer test.
+	// cross-process traces. The sampled context rides in the batch
+	// header so the collector can parent its receive span under it. Nil
+	// disables tracing at one pointer test.
 	Trace *trace.Tracer
 
 	// Logf, when non-nil, receives one line per connection event.
@@ -323,12 +322,9 @@ func shipSession(cfg *SensorConfig, conn net.Conn, rep *ShipReport, m *sensorMet
 	if err != nil {
 		return false, err
 	}
-	if w.Version < MinProtocolVersion || w.Version > ProtocolVersion {
+	if w.Version != ProtocolVersion {
 		return false, &RejectError{Code: CodeVersion, Msg: fmt.Sprintf("collector speaks version %d", w.Version)}
 	}
-	// The Welcome's version is the session version: it decides the batch
-	// header layout for everything this session ships.
-	ver := w.Version
 	resume := w.Resume
 	if rep.Batches > 0 && resume > 0 {
 		rep.Resumes++
@@ -411,8 +407,8 @@ func shipSession(cfg *SensorConfig, conn net.Conn, rep *ShipReport, m *sensorMet
 	}
 	for {
 		// One sampling decision per batch: the sampled context becomes
-		// the trace root and, on a v2 session, rides in the header so the
-		// collector's receive span is its child.
+		// the trace root and rides in the header so the collector's
+		// receive span is its child.
 		btc := cfg.Trace.Root()
 		buildStart := int64(0)
 		if btc.Sampled() {
@@ -422,7 +418,7 @@ func shipSession(cfg *SensorConfig, conn net.Conn, rep *ShipReport, m *sensorMet
 			Base:    cfg.Feed.Offset(),
 			TraceID: btc.Trace,
 			SpanID:  btc.Span,
-		}, ver)
+		}, ProtocolVersion)
 		count := uint32(0)
 		var ferr error
 		for int(count) < cfg.BatchRecords && len(payload) < sizeCap {
@@ -444,11 +440,9 @@ func shipSession(cfg *SensorConfig, conn net.Conn, rep *ShipReport, m *sensorMet
 		}
 		if count > 0 {
 			binary.BigEndian.PutUint32(payload[8:12], count)
-			if ver >= 2 {
-				// Stamp the send time as late as possible — it is the
-				// start of the wire-send→ingest-apply freshness clock.
-				binary.BigEndian.PutUint64(payload[28:36], uint64(time.Now().UnixNano()))
-			}
+			// Stamp the send time as late as possible — it is the
+			// start of the wire-send→ingest-apply freshness clock.
+			binary.BigEndian.PutUint64(payload[28:36], uint64(time.Now().UnixNano()))
 			if err := write(FrameBatch, payload); err != nil {
 				return fail(err)
 			}

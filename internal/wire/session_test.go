@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"net"
-	"net/netip"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,7 +10,6 @@ import (
 
 	"booters/internal/ingest"
 	"booters/internal/obs"
-	"booters/internal/spool"
 )
 
 // rawClient drives the protocol frame by frame, for tests that need to
@@ -180,53 +178,17 @@ func TestBatchGapRejected(t *testing.T) {
 func TestVersionNegotiation(t *testing.T) {
 	_, col := newTestCollector(t, CollectorConfig{Token: "tok"})
 
-	// A v1 sensor is welcomed at its own version and ships the 12-byte
-	// batch header layout for the whole session.
-	c := dialRaw(t, col.Addr().String())
-	hb, err := AppendHello(nil, Hello{Version: 1, Sensor: 4, Token: []byte("tok")})
-	if err != nil {
-		t.Fatal(err)
+	// Any version other than ProtocolVersion is rejected permanently:
+	// the retired v1 as much as a future one.
+	for i, v := range []uint16{1, ProtocolVersion + 1} {
+		c := dialRaw(t, col.Addr().String())
+		hb, err := AppendHello(nil, Hello{Version: v, Sensor: uint32(4 + i), Token: []byte("tok")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.send(FrameHello, hb)
+		c.expectReject(CodeVersion)
 	}
-	c.send(FrameHello, hb)
-	ft, p, err := c.recv()
-	if err != nil || ft != FrameWelcome {
-		t.Fatalf("v1 hello answered with %v, %v", ft, err)
-	}
-	w, err := DecodeWelcome(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Version != 1 {
-		t.Fatalf("welcome echoes version %d, want 1", w.Version)
-	}
-	payload := AppendBatchHeader(nil, BatchHeader{Base: 0, Count: 1}, 1)
-	if payload, err = spool.AppendRecord(payload, ingest.Datagram{
-		Time:    testStart.Add(time.Hour),
-		Victim:  netip.MustParseAddr("192.0.2.9"),
-		Port:    123,
-		Sensor:  4,
-		Payload: []byte{0x17, 0x00, 0x03, 0x2a},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c.send(FrameBatch, payload)
-	ft, p, err = c.recv()
-	if err != nil || ft != FrameAck {
-		t.Fatalf("v1 batch answered with %v, %v", ft, err)
-	}
-	if a, err := DecodeAck(p); err != nil || a.Offset != 1 {
-		t.Fatalf("v1 batch acked at %+v, %v", a, err)
-	}
-
-	// A version outside [MinProtocolVersion, ProtocolVersion] is
-	// rejected permanently.
-	c2 := dialRaw(t, col.Addr().String())
-	hb2, err := AppendHello(nil, Hello{Version: ProtocolVersion + 1, Sensor: 5, Token: []byte("tok")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.send(FrameHello, hb2)
-	c2.expectReject(CodeVersion)
 }
 
 func TestDuplicateSensorKicksOlderSession(t *testing.T) {
