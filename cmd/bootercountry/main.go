@@ -14,6 +14,7 @@ import (
 	"log"
 	"sort"
 
+	"booters/internal/cli"
 	"booters/internal/core"
 	"booters/internal/report"
 )
@@ -32,13 +33,8 @@ Flags:
 `
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bootercountry: ")
-	flag.Usage = func() {
-		fmt.Fprint(flag.CommandLine.Output(), usageText)
-		flag.PrintDefaults()
-	}
-	seed := flag.Int64("seed", 20191021, "generator seed")
+	cli.Init("bootercountry", usageText)
+	seed := cli.Seed(flag.CommandLine)
 	detail := flag.Bool("detail", false, "also print per-country model coefficient tables (the paper omits these for space)")
 	flag.Parse()
 

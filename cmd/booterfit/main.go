@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 
+	"booters/internal/cli"
 	"booters/internal/core"
 	"booters/internal/dataset"
 	"booters/internal/glm"
@@ -34,15 +35,12 @@ Flags:
 `
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("booterfit: ")
-	flag.Usage = func() {
-		fmt.Fprint(flag.CommandLine.Output(), usageText)
-		flag.PrintDefaults()
-	}
-	seed := flag.Int64("seed", 20191021, "generator seed")
-	family := flag.String("family", "nb", "model family: nb or poisson")
+	cli.Init("booterfit", usageText)
+	seed := cli.Seed(flag.CommandLine)
+	familyFlag := flag.String("family", "nb", "model family: nb or poisson")
 	flag.Parse()
+	family, err := parseFamily(*familyFlag)
+	cli.Check(err)
 
 	panel, err := dataset.Generate(dataset.DefaultConfig(*seed))
 	if err != nil {
@@ -53,12 +51,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *family == "poisson" {
+	if family == glm.Poisson {
 		// Ablation: refit the chosen windows under Poisson.
 		from := timeseries.WeekOf(dataset.ModelStart)
 		to := timeseries.WeekOf(dataset.SpanEnd)
 		spec := env.Global.Spec
-		spec.Family = glm.Poisson
+		spec.Family = family
 		m, err := its.Fit(panel.Global.Slice(from, to), spec)
 		if err != nil {
 			log.Fatal(err)
@@ -81,4 +79,17 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// parseFamily resolves -family: nb is the paper's NB2 model, poisson the
+// overdispersion ablation. Anything else is an error rather than a
+// silent NB2 fit.
+func parseFamily(name string) (glm.Family, error) {
+	switch name {
+	case "nb":
+		return glm.NegativeBinomial, nil
+	case "poisson":
+		return glm.Poisson, nil
+	}
+	return 0, fmt.Errorf("-family %q: want nb or poisson", name)
 }

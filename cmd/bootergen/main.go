@@ -20,16 +20,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
-	"time"
 
 	"booters"
+	"booters/internal/cli"
 	"booters/internal/dataset"
 	"booters/internal/ingest"
+	"booters/internal/obs"
 	"booters/internal/scenario"
-	"booters/internal/spool"
 )
 
 const usageText = `bootergen generates the reproduction's synthetic datasets and writes them
@@ -62,47 +61,41 @@ Flags:
 `
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bootergen: ")
-	flag.Usage = func() {
-		fmt.Fprint(flag.CommandLine.Output(), usageText)
-		flag.PrintDefaults()
-	}
-	seed := flag.Int64("seed", 20191021, "generator seed")
+	cli.Init("bootergen", usageText)
+	fs := flag.CommandLine
+	seed := cli.Seed(fs)
 	out := flag.String("out", ".", "output directory")
-	scenarioFlag := flag.String("scenario", "", "generate a scenario workload: catalog name, config file, or list")
-	recordDir := flag.String("record", "", "spool the scenario's wire-format datagrams to this directory and exit (requires -scenario)")
-	compress := flag.String("compress", "none", "spool block codec for -record: none or lz4")
+	sc := cli.ScenarioFlag(fs, "generate a scenario workload: catalog name, config file, or list")
+	rec := cli.RecordFlags(fs, "spool the scenario's wire-format datagrams to this directory and exit (requires -scenario)")
 	flag.Parse()
 
-	if *scenarioFlag == "list" {
-		for _, name := range scenario.Names() {
-			fmt.Printf("%-20s %s\n", name, scenario.Describe(name))
+	if sc.List(os.Stdout) {
+		return
+	}
+	cli.Check(
+		cli.Only(fs, sc.Spec != "", "-scenario (the CSV datasets carry no packet stream)", "record"),
+		cli.Only(fs, sc.Spec == "", "the paper-calibrated dataset (the scenario config fixes the workload)", "seed"),
+		cli.Only(fs, rec.Dir == "", "the CSV outputs (not -record)", "out"),
+		cli.Only(fs, rec.Dir != "", "-record", "compress"),
+	)
+	logs, err := obs.NewLog(os.Stderr, "")
+	cli.Check(err)
+	if sc.Spec != "" {
+		run, err := sc.Generate(logs.Logger("gen"))
+		cli.Check(err)
+		if rec.Dir != "" {
+			cli.Check(rec.Write(logs, 0, run.Packets, run.Manifest))
+			fmt.Printf("wrote %s; replay with: booteringest -replay %s\n", filepath.Join(rec.Dir, cli.ManifestFile), rec.Dir)
+			return
 		}
-		return
-	}
-	if *recordDir != "" && *scenarioFlag == "" {
-		log.Fatal("-record requires -scenario (the CSV datasets carry no packet stream)")
-	}
-	if *recordDir == "" && *compress != "none" {
-		log.Fatal("-compress only applies to -record")
-	}
-	if *recordDir != "" {
-		recordScenario(*scenarioFlag, *recordDir, *compress)
-		return
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	if *scenarioFlag != "" {
-		runScenario(*scenarioFlag, *out)
+		cli.Check(os.MkdirAll(*out, 0o755))
+		runScenario(run, *out)
 		return
 	}
 
+	cli.Check(os.MkdirAll(*out, 0o755))
 	p, err := dataset.Generate(dataset.DefaultConfig(*seed))
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	writeCSVs(p, *out)
 	fmt.Printf("wrote %s (%d weeks), %s (%d booters), %s\n",
 		filepath.Join(*out, "weekly_panel.csv"), p.Weeks,
@@ -110,112 +103,30 @@ func main() {
 		filepath.Join(*out, "market_churn.csv"))
 }
 
-// recordScenario generates the named scenario and spools its wire-format
-// datagrams to dir under the chosen codec, with the ground-truth manifest
-// written next to the segments (segment discovery filters on the .seg
-// extension, so the extra file is inert to replay).
-func recordScenario(spec, dir, compress string) {
-	codec, err := spool.CodecByName(compress)
-	if err != nil {
-		log.Fatal(err)
-	}
-	run, err := booters.GenerateScenario(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := run.Manifest
-	fmt.Printf("scenario %s: %d packets (%d attacks, %d scans) over %d weeks\n",
-		m.Name, m.Packets, m.Attacks, m.Scans, m.Weeks)
-
-	w, err := spool.Create(dir, spool.Options{Codec: codec})
-	if err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	for _, d := range ingest.Datagrams(run.Packets) {
-		if err := w.Append(d); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		log.Fatal(err)
-	}
-	manifestPath := filepath.Join(dir, "manifest.json")
-	if err := m.WriteFile(manifestPath); err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	fmt.Printf("recorded %d datagrams to %s in %v (%.0f datagrams/sec, codec %s)\n",
-		w.Count(), dir, elapsed.Round(time.Millisecond),
-		float64(w.Count())/elapsed.Seconds(), codec.Name())
-	fmt.Printf("wrote %s; replay with: booteringest -replay %s\n", manifestPath, dir)
-}
-
-// runScenario generates the named scenario, replays it through the batch
-// pipeline, verifies the panel against the plan, and writes the CSVs and
-// the ground-truth manifest.
-func runScenario(spec, out string) {
-	run, err := booters.GenerateScenario(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := run.Manifest
-	fmt.Printf("scenario %s: %d packets (%d attacks, %d scans) over %d weeks\n",
-		m.Name, m.Packets, m.Attacks, m.Scans, m.Weeks)
-
+// runScenario replays the scenario's clean stream through the batch
+// pipeline, verifies the panel and the intervention fit against the
+// manifest, and writes the CSVs and the ground-truth manifest.
+func runScenario(run *scenario.Run, out string) {
 	res, err := ingest.Batch(ingest.Config{
 		Shards: 1,
 		Start:  run.Config.Start,
 		End:    run.Config.End(),
 	}, run.Packets)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := m.VerifyPanel(res.Global); err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
+	m := run.Manifest
+	cli.Check(cli.Verify(os.Stdout, m, res.Global))
 	p, err := booters.ScenarioPanel(run, res)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 
 	writeCSVs(p, out)
-	manifestPath := filepath.Join(out, "manifest.json")
-	if err := m.WriteFile(manifestPath); err != nil {
-		log.Fatal(err)
-	}
+	manifestPath := filepath.Join(out, cli.ManifestFile)
+	cli.Check(m.WriteFile(manifestPath))
 	fmt.Printf("wrote %s (%d weeks), %s\n",
 		filepath.Join(out, "weekly_panel.csv"), p.Weeks, manifestPath)
 	if p.SelfReport != nil {
 		fmt.Printf("wrote %s (%d booters from %d scrape events), %s\n",
 			filepath.Join(out, "self_report.csv"), len(p.SelfReport.Sites), len(run.Scrape),
 			filepath.Join(out, "market_churn.csv"))
-	}
-
-	// Report recovery for every effect the manifest asserts, so a
-	// scenario run is a visible end-to-end check, not just files.
-	assert := false
-	for _, e := range m.Effects {
-		if e.CoefTolerance > 0 {
-			assert = true
-		}
-	}
-	if assert {
-		model, err := m.Fit(res.Global)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := m.VerifyFit(model); err != nil {
-			log.Fatal(err)
-		}
-		for _, e := range m.Effects {
-			got, err := model.Effect(e.Name)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("effect %s: fitted %.4f vs injected %.4f (tolerance %.3f) — recovered\n",
-				e.Name, got.Coef.Estimate, e.ExpectedCoef, e.CoefTolerance)
-		}
 	}
 }
 
@@ -239,14 +150,10 @@ func writeCSVs(p *dataset.Panel, out string) {
 // writeFile creates path, runs the writer, and fails the run on any error.
 func writeFile(path string, write func(*os.File) error) {
 	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	if err := write(f); err != nil {
 		f.Close()
-		log.Fatal(err)
+		cli.Check(err)
 	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(f.Close())
 }

@@ -13,10 +13,12 @@
 //	             [-sinks topk,ndjson] [-topk K] [-ndjson FILE]
 //	             [-shed POLICY] [-queue N] [-pprof ADDR] [-progress DUR]
 //
-// -record DIR generates the synthetic stream, spools it to DIR as
-// wire-format datagrams and exits; -compress lz4 stores the spool's
-// blocks compressed. -replay DIR streams a previously recorded spool
-// from disk through the pipeline instead of generating; -from/-to bound
+// -record DIR generates the synthetic stream (or the -scenario stream,
+// with its manifest.json), spools it to DIR as wire-format datagrams and
+// exits; -compress lz4 stores the spool's blocks compressed. -replay DIR
+// streams a previously recorded spool from disk through the pipeline
+// instead of generating, over the span its index attests, and verifies
+// the panel and fit against a recorded manifest.json; -from/-to bound
 // the replay to a time window (whole segments outside it are skipped via
 // the spool index) and -replay-workers decodes segments with N
 // concurrent readers. By default delivery order is preserved; -unordered
@@ -43,13 +45,13 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
+	"booters"
+	"booters/internal/cli"
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
 	"booters/internal/obs"
@@ -62,7 +64,9 @@ streaming ingestion pipeline and reports throughput, the weekly attack
 series and any attached sinks. The stream is either generated from the
 booter-market simulator (default), recorded once to an on-disk spool
 (-record DIR, optionally compressed with -compress lz4), or replayed
-from such a spool at disk speed (-replay DIR), whole or bounded to a
+from such a spool at disk speed (-replay DIR, panel span sized from the
+spool index, verified against the manifest.json a -scenario recording
+leaves next to the segments), whole or bounded to a
 time window (-from/-to, pruning segments via the spool index) with
 -replay-workers concurrent segment readers — in recorded order by
 default, or with -unordered delivering whole segments as readers finish
@@ -85,92 +89,48 @@ Flags:
 `
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("booteringest: ")
-	flag.Usage = func() {
-		fmt.Fprint(flag.CommandLine.Output(), usageText)
-		flag.PrintDefaults()
-	}
-	seed := flag.Int64("seed", 20191021, "stream generator seed")
-	shards := flag.Int("shards", 0, "pipeline shards (0 = GOMAXPROCS)")
-	weeks := flag.Int("weeks", 12, "stream length in weeks")
-	attacks := flag.Float64("attacks", 1000, "mean attack flows per week")
+	cli.Init("booteringest", usageText)
+	fs := flag.CommandLine
+	stream := cli.StreamFlags(fs, 12, 1000)
+	shards := cli.Shards(fs)
 	wire := flag.Bool("wire", false, "replay wire-format datagrams (exercise protocol decode)")
-	recordDir := flag.String("record", "", "spool the generated stream to this directory and exit")
-	compress := flag.String("compress", "none", "spool block codec for -record: none or lz4")
-	replayDir := flag.String("replay", "", "replay a recorded spool from this directory (implies -wire)")
+	rec := cli.RecordFlags(fs, "spool the generated stream to this directory and exit")
+	rep := cli.ReplayFlags(fs, "replay a recorded spool from this directory (implies -wire)")
 	spoolInfo := flag.String("spool-info", "", "print a spool directory's segment index and exit (no replay)")
 	fromFlag := flag.String("from", "", "replay only datagrams at or after this time")
 	toFlag := flag.String("to", "", "replay only datagrams before this time")
-	replayWorkers := flag.Int("replay-workers", 1, "concurrent spool segment readers for -replay")
 	unordered := flag.Bool("unordered", false, "deliver segments as readers finish them through an order-tolerant pipeline (for -replay)")
-	scenarioFlag := flag.String("scenario", "", "replay a scenario workload: catalog name, config file, or list")
+	sc := cli.ScenarioFlag(fs, "replay a scenario workload: catalog name, config file, or list")
 	sinksFlag := flag.String("sinks", "", "extra sinks, comma-separated: topk, ndjson")
 	topKFlag := flag.Int("topk", 5, "rows kept by the topk sink")
 	ndjsonPath := flag.String("ndjson", "flows.ndjson", "output file for the ndjson sink")
 	shedFlag := flag.String("shed", "block", "overload policy: block, drop-newest or drop-oldest")
 	queue := flag.Int("queue", 0, "per-shard queue depth in batches (0 = default)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof profiles on this address (empty = off)")
-	progressEvery := flag.Duration("progress", 0, "emit a structured progress line to stderr this often (0 = off)")
+	prof := cli.ProfileFlags(fs)
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		_, bound, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			log.Fatalf("-pprof: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "pprof on http://%s/debug/pprof/\n", bound)
-	}
-
-	logs, err := obs.NewLog(os.Stderr, "")
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *scenarioFlag == "list" {
-		for _, name := range scenario.Names() {
-			fmt.Printf("%-20s %s\n", name, scenario.Describe(name))
-		}
+	if sc.List(os.Stdout) {
 		return
 	}
-
-	modes := 0
-	for _, dir := range []string{*recordDir, *replayDir, *spoolInfo} {
-		if dir != "" {
-			modes++
-		}
-	}
-	if modes > 1 {
-		log.Fatal("-record, -replay and -spool-info are mutually exclusive")
-	}
-	// Reject flag combinations that would otherwise be silently ignored:
-	// running the wrong workload is worse than an error.
-	if *replayDir == "" {
-		if *fromFlag != "" || *toFlag != "" {
-			log.Fatal("-from/-to only apply to -replay (the generated stream is not windowed)")
-		}
-		if *replayWorkers != 1 {
-			log.Fatal("-replay-workers only applies to -replay")
-		}
-		if *unordered && *scenarioFlag == "" {
-			log.Fatal("-unordered only applies to -replay (scenarios pick it themselves when their stream is reordered)")
-		}
-	}
-	if *scenarioFlag != "" {
-		if *replayDir != "" || *spoolInfo != "" {
-			log.Fatal("-scenario generates its own stream; it excludes -replay and -spool-info (record it with -record, then replay the spool)")
-		}
-		if *seed != 20191021 || *weeks != 12 || *attacks != 1000 {
-			log.Fatal("-seed/-weeks/-attacks only apply to the market-driven stream (the scenario config fixes the workload)")
-		}
-	}
-	if *recordDir == "" && *compress != "none" {
-		log.Fatal("-compress only applies to -record")
-	}
+	pipeline := rec.Dir == "" && *spoolInfo == ""
+	cli.Check(
+		cli.Exclusive(fs, "record", "replay", "spool-info"),
+		cli.Exclusive(fs, "scenario", "replay", "spool-info"),
+		cli.Only(fs, sc.Spec == "" && rep.Dir == "" && *spoolInfo == "",
+			"the market-driven stream (a scenario or a spool fixes the workload)", "seed", "weeks", "attacks"),
+		cli.Only(fs, rep.Dir != "", "-replay (the generated stream is not windowed)", "from", "to", "replay-workers"),
+		cli.Only(fs, rep.Dir != "" || sc.Spec != "",
+			"-replay (scenarios pick it themselves when their stream is reordered)", "unordered"),
+		cli.Only(fs, pipeline, "a pipeline run (not -record or -spool-info)",
+			"shards", "wire", "unordered", "sinks", "topk", "ndjson", "shed", "queue"),
+		cli.Only(fs, rec.Dir != "", "-record", "compress"),
+	)
+	logs, err := obs.NewLog(os.Stderr, "")
+	cli.Check(err)
+	lg := logs.Logger("ingest")
+	cli.Check(prof.ServePprof(lg))
 	shed, err := ingest.ParseShedPolicy(*shedFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	from, err := parseTimeFlag(*fromFlag)
 	if err != nil {
 		log.Fatalf("-from: %v", err)
@@ -180,94 +140,50 @@ func main() {
 		log.Fatalf("-to: %v", err)
 	}
 
-	start := time.Date(2018, time.July, 2, 0, 0, 0, 0, time.UTC)
-	end := start.AddDate(0, 0, 7**weeks-1)
-
-	// Scenario mode: the config fixes the workload, span and ordering
-	// discipline; the run's manifest is verified after the pipeline
-	// closes.
-	var run *scenario.Run
-	if *scenarioFlag != "" {
-		cfg, err := scenario.Load(*scenarioFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if run, err = scenario.Generate(cfg); err != nil {
-			log.Fatal(err)
-		}
-		start, end = run.Config.Start, run.Config.End()
-		if run.RequiresUnordered() {
-			*unordered = true
-		}
-		m := run.Manifest
-		fmt.Printf("scenario %s: %d packets (%d attacks, %d scans) over %d weeks\n",
-			m.Name, len(run.Stream()), m.Attacks, m.Scans, m.Weeks)
-	}
-
 	// Info mode: print the spool's index without touching its blocks.
 	if *spoolInfo != "" {
 		printSpoolInfo(*spoolInfo)
 		return
 	}
 
-	// Record mode: generate once, spool to disk, report, done.
-	if *recordDir != "" {
-		codec, err := spool.CodecByName(*compress)
-		if err != nil {
-			log.Fatal(err)
+	// Pick the workload and its panel span. A scenario fixes the span and
+	// ordering discipline; a replayed spool's index fixes the span, and a
+	// scenario manifest recorded next to it is the ground truth the run
+	// is verified against after the pipeline closes.
+	start := time.Date(2018, time.July, 2, 0, 0, 0, 0, time.UTC)
+	end := start.AddDate(0, 0, 7*stream.Weeks-1)
+	var (
+		packets []honeypot.Packet
+		m       *scenario.Manifest
+		lag     time.Duration
+	)
+	switch {
+	case sc.Spec != "":
+		run, err := sc.Generate(lg)
+		cli.Check(err)
+		start, end, packets, m, lag = run.Config.Start, run.Config.End(), run.Stream(), run.Manifest, run.WatermarkLag()
+		*unordered = *unordered || run.RequiresUnordered()
+	case rep.Dir != "":
+		start, end, err = rep.Span()
+		cli.Check(err)
+		m, err = rep.Manifest()
+		cli.Check(err)
+		// A reordered recording needs the order-tolerant path, exactly
+		// as the scenario run that recorded it did.
+		*unordered = *unordered || (m != nil && m.Hostile != nil && m.Hostile.ReorderSeconds > 0)
+		if m != nil && (!from.IsZero() || !to.IsZero()) {
+			fmt.Printf("spool manifest %s: verification skipped (a -from/-to window covers part of the scenario)\n", m.Name)
+			m = nil
 		}
-		var packets []honeypot.Packet
-		if run != nil {
-			packets = run.Stream()
-		} else {
-			packets = generate(*seed, start, *weeks, *attacks)
-		}
-		recordStart := time.Now()
-		w, err := spool.Create(*recordDir, spool.Options{Codec: codec, Metrics: obs.Default()})
-		if err != nil {
-			log.Fatal(err)
-		}
-		var recorded atomic.Uint64
-		stopProgress := logs.StartProgress(*progressEvery, func() []obs.Field {
-			return []obs.Field{obs.F("datagrams", recorded.Load())}
-		})
-		for _, d := range ingest.Datagrams(packets) {
-			if err := w.Append(d); err != nil {
-				log.Fatal(err)
-			}
-			recorded.Add(1)
-		}
-		if err := w.Close(); err != nil {
-			log.Fatal(err)
-		}
-		stopProgress()
-		elapsed := time.Since(recordStart)
-		fmt.Printf("recorded %d datagrams to %s in %v (%.0f datagrams/sec, codec %s)\n",
-			w.Count(), *recordDir, elapsed.Round(time.Millisecond),
-			float64(w.Count())/elapsed.Seconds(), codec.Name())
-		if idx, err := spool.LoadIndex(*recordDir); err == nil && w.Count() > 0 {
-			var raw, stored uint64
-			for _, s := range idx.Segments {
-				raw += s.RawBytes
-				stored += s.StoredBytes
-			}
-			// bytes/packet is numerically MB per million packets.
-			fmt.Printf("on disk: %.1f bytes/packet stored (%.1f raw) = %.1f MB per million packets\n",
-				float64(stored)/float64(w.Count()), float64(raw)/float64(w.Count()),
-				float64(stored)/float64(w.Count()))
-		}
-		if run != nil {
-			// scenario.json sits next to the spool's own MANIFEST so a
-			// later replay can re-verify the recorded ground truth.
-			if err := run.Manifest.WriteFile(filepath.Join(*recordDir, "scenario.json")); err != nil {
-				log.Fatal(err)
-			}
-			if run.RequiresUnordered() {
-				fmt.Println("replay with: booteringest -replay", *recordDir, "-unordered  (the recorded stream is reordered)")
-				return
-			}
-		}
-		fmt.Println("replay with: booteringest -replay", *recordDir)
+	default:
+		packets, err = stream.Generate(lg, start)
+		cli.Check(err)
+	}
+
+	// Record mode: spool to disk, report, done.
+	if rec.Dir != "" {
+		cli.Check(rec.Write(logs, prof.Progress, packets, m))
+		fmt.Println("replay with: booteringest -replay", rec.Dir)
 		return
 	}
 
@@ -284,9 +200,7 @@ func main() {
 			sinks = append(sinks, topk)
 		case "ndjson":
 			f, err := os.Create(*ndjsonPath)
-			if err != nil {
-				log.Fatal(err)
-			}
+			cli.Check(err)
 			ndjsonFile = f
 			ndjson = ingest.NewNDJSONSink(f)
 			sinks = append(sinks, ndjson)
@@ -297,8 +211,8 @@ func main() {
 	// Mitigation scenarios carry a per-victim cap; attach the what-if
 	// sink so the run answers it and the manifest can check the answer.
 	var mitigation *scenario.MitigationSink
-	if run != nil && run.Config.Mitigation != nil {
-		mitigation = scenario.NewMitigationSink(run.Config.Mitigation.PerVictimWeekly)
+	if m != nil && m.Mitigation != nil {
+		mitigation = scenario.NewMitigationSink(m.Mitigation.PerVictimWeekly)
 		sinks = append(sinks, mitigation)
 	}
 
@@ -312,121 +226,53 @@ func main() {
 		Unordered:  *unordered,
 		Metrics:    obs.Default(),
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 
-	// Feed the pipeline: from the spool, or from a generated stream.
-	var fedCount atomic.Uint64
-	fed := func() uint64 { return fedCount.Load() }
-	stopProgress := logs.StartProgress(*progressEvery, func() []obs.Field {
-		return pipelineFields(in, fed)
-	})
-	var spoolStats *spool.ReplayStats
+	// Feed the pipeline: from the spool, or from the generated stream.
 	mode := "pre-decoded"
-	replayStart := time.Now()
-	if *replayDir != "" {
+	switch {
+	case rep.Dir != "":
 		mode = "spooled wire-format"
-		opts := spool.ReplayOptions{
-			From:      from,
-			To:        to,
-			Workers:   *replayWorkers,
-			Unordered: *unordered,
-			Metrics:   obs.Default(),
-		}
-		if *unordered {
-			mode = "spooled wire-format, unordered"
-			src := in.RegisterSource()
-			defer src.Close()
-			opts.OnWatermark = src.Advance
-		}
-		spoolStats, err = spool.ReplayWindow(*replayDir, opts, func(d ingest.Datagram) error {
-			fedCount.Add(1)
-			in.IngestDatagram(d) // decode drops are counted in Stats
-			return nil
+	case sc.Spec != "":
+		mode = "scenario"
+	case *wire:
+		mode = "wire-format"
+	}
+	if *unordered {
+		mode += ", unordered"
+	}
+	stopProgress := logs.StartProgress(prof.Progress, func() []obs.Field { return pipelineFields(in) })
+	feedStart := time.Now()
+	fed := uint64(len(packets))
+	var spoolRep *booters.SpoolReplayReport
+	if rep.Dir != "" {
+		spoolRep, err = booters.ReplaySpoolWindow(in, rep.Dir, booters.SpoolReplayOptions{
+			From: from, To: to, Workers: rep.Workers, Unordered: *unordered,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
+		cli.Check(err)
+		fed = spoolRep.Datagrams
 	} else {
-		var packets []honeypot.Packet
-		if run != nil {
-			packets = run.Stream()
-			if run.RequiresUnordered() {
-				mode = "scenario, unordered"
-			} else {
-				mode = "scenario"
-			}
-		} else {
-			packets = generate(*seed, start, *weeks, *attacks)
-		}
-		// A reordered scenario stream is a live out-of-order feed: its
-		// bounded displacement makes head-minus-lag a valid watermark.
-		var src *ingest.Source
-		var lag time.Duration
-		head := start
-		if run != nil && run.RequiresUnordered() {
-			src = in.RegisterSource()
-			lag = run.WatermarkLag()
-		}
-		advance := func(i int, t time.Time) {
-			if src == nil {
-				return
-			}
-			if t.After(head) {
-				head = t
-			}
-			if i&1023 == 1023 {
-				src.Advance(head.Add(-lag))
-			}
-		}
-		replayStart = time.Now()
-		if *wire {
-			if mode == "pre-decoded" {
-				mode = "wire-format"
-			}
-			for i, d := range ingest.Datagrams(packets) {
-				fedCount.Add(1)
-				in.IngestDatagram(d)
-				advance(i, d.Time)
-			}
-		} else {
-			for i, p := range packets {
-				fedCount.Add(1)
-				if err := in.Ingest(p); err != nil {
-					log.Fatal(err)
-				}
-				advance(i, p.Time)
-			}
-		}
-		if src != nil {
-			src.Close()
-		}
+		cli.Check(in.Feed(packets, *wire, lag))
 	}
 	res, err := in.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	stopProgress()
-	elapsed := time.Since(replayStart)
+	elapsed := time.Since(feedStart)
 	if ndjsonFile != nil {
-		if err := ndjsonFile.Close(); err != nil {
-			log.Fatal(err)
-		}
+		cli.Check(ndjsonFile.Close())
 	}
 
 	fmt.Printf("\ningested %d of %d %s packets through %d shard(s) in %v (%.0f packets/sec, GOMAXPROCS=%d, shed=%v)\n",
-		res.Stats.Packets, fed(), mode, in.Shards(), elapsed.Round(time.Millisecond),
+		res.Stats.Packets, fed, mode, in.Shards(), elapsed.Round(time.Millisecond),
 		float64(res.Stats.Packets)/elapsed.Seconds(), runtime.GOMAXPROCS(0), shed)
-	if spoolStats != nil {
+	if spoolRep != nil {
 		fmt.Printf("spool: %d segment(s) read, %d skipped via index, %d record(s) outside window, %d reader(s)\n",
-			spoolStats.SegmentsRead, spoolStats.SegmentsSkipped, spoolStats.Filtered, *replayWorkers)
-		for _, w := range spoolStats.Warnings {
+			spoolRep.SegmentsRead, spoolRep.SegmentsSkipped, spoolRep.Filtered, rep.Workers)
+		for _, w := range spoolRep.Warnings {
 			fmt.Printf("spool: warning: %s\n", w)
 		}
-		for _, torn := range spoolStats.Torn {
-			fmt.Printf("spool: DATA LOSS: %s: %s (%d complete records recovered)\n",
-				torn.Segment, torn.Reason, torn.Records)
+		for _, loss := range spoolRep.DataLoss {
+			fmt.Printf("spool: DATA LOSS: %s\n", loss)
 		}
 	}
 	fmt.Printf("flows: %d closed, %d attacks, %d scans, %d late, %d unattributed, %d out-of-span\n",
@@ -436,38 +282,11 @@ func main() {
 	// equal the manifest's planned counts, the NB2 fit must recover every
 	// injected effect inside its tolerance, and a mitigation cap's
 	// admitted/mitigated split must match the recorded ground truth.
-	if run != nil {
-		m := run.Manifest
-		if err := m.VerifyPanel(res.Global); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nscenario %s: panel equals the planned weekly counts (%d weeks)\n", m.Name, m.Weeks)
-		assert := false
-		for _, e := range m.Effects {
-			if e.CoefTolerance > 0 {
-				assert = true
-			}
-		}
-		if assert {
-			model, err := m.Fit(res.Global)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := m.VerifyFit(model); err != nil {
-				log.Fatal(err)
-			}
-			for _, e := range m.Effects {
-				got, err := model.Effect(e.Name)
-				if err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("effect %s: fitted %.4f vs injected %.4f (tolerance %.3f) — recovered\n",
-					e.Name, got.Coef.Estimate, e.ExpectedCoef, e.CoefTolerance)
-			}
-		}
+	if m != nil {
+		fmt.Println()
+		cli.Check(cli.Verify(os.Stdout, m, res.Global))
 		if mitigation != nil {
-			mres := mitigation.Result()
-			mt := m.Mitigation
+			mres, mt := mitigation.Result(), m.Mitigation
 			if mres.AttacksAdmitted != mt.ExpectedAdmitted || mres.AttacksMitigated != mt.ExpectedMitigated {
 				log.Fatalf("mitigation cap %d: admitted %d / mitigated %d, manifest says %d / %d",
 					mt.PerVictimWeekly, mres.AttacksAdmitted, mres.AttacksMitigated,
@@ -598,11 +417,12 @@ func printSpoolInfo(dir string) {
 }
 
 // pipelineFields builds one progress line's fields from the live
-// pipeline: the fed count first (it drives the derived rate), then the
-// late-packet count and whatever scrape-time state the registry carries —
-// total queued batches, watermark lag, shed packets once any were shed.
-func pipelineFields(in *ingest.Ingestor, fed func() uint64) []obs.Field {
-	fields := []obs.Field{obs.F("packets", fed()), obs.F("late", in.Late())}
+// pipeline: the accepted-packet count first (it drives the derived rate),
+// then the late-packet count and whatever scrape-time state the registry
+// carries — total queued batches, watermark lag, shed packets once any
+// were shed.
+func pipelineFields(in *ingest.Ingestor) []obs.Field {
+	fields := []obs.Field{obs.F("packets", in.Packets()), obs.F("late", in.Late())}
 	reg := in.Metrics()
 	if reg == nil {
 		return fields
@@ -633,20 +453,4 @@ func parseTimeFlag(s string) (time.Time, error) {
 		return time.Time{}, fmt.Errorf("%q is neither RFC 3339 nor YYYY-MM-DD", s)
 	}
 	return t, nil
-}
-
-// generate builds the synthetic market-driven packet stream.
-func generate(seed int64, start time.Time, weeks int, attacks float64) []honeypot.Packet {
-	genStart := time.Now()
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           seed,
-		Start:          start,
-		Weeks:          weeks,
-		AttacksPerWeek: attacks,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("generated %d packets over %d weeks in %v\n", len(packets), weeks, time.Since(genStart).Round(time.Millisecond))
-	return packets
 }

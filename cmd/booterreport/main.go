@@ -12,6 +12,7 @@ import (
 	"log"
 	"os"
 
+	"booters/internal/cli"
 	"booters/internal/core"
 )
 
@@ -28,13 +29,8 @@ Flags:
 `
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("booterreport: ")
-	flag.Usage = func() {
-		fmt.Fprint(flag.CommandLine.Output(), usageText)
-		flag.PrintDefaults()
-	}
-	seed := flag.Int64("seed", 20191021, "generator seed")
+	cli.Init("booterreport", usageText)
+	seed := cli.Seed(flag.CommandLine)
 	out := flag.String("o", "EXPERIMENTS.md", "output file (empty for stdout only)")
 	print := flag.Bool("print", false, "also print rendered exhibits to stdout")
 	flag.Parse()

@@ -31,14 +31,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"time"
 
+	"booters/internal/cli"
 	"booters/internal/ingest"
 	"booters/internal/obs"
-	"booters/internal/obs/trace"
-	"booters/internal/scenario"
 	"booters/internal/wire"
 )
 
@@ -65,107 +63,57 @@ Flags:
 `
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bootersensor: ")
-	flag.Usage = func() {
-		fmt.Fprint(flag.CommandLine.Output(), usageText)
-		flag.PrintDefaults()
-	}
-	collector := flag.String("collector", "", "collector address (required; booterserve -listen)")
-	token := flag.String("token", "", "shared secret presented in the handshake")
+	cli.Init("bootersensor", usageText)
+	fs := flag.CommandLine
+	collector := cli.WireFlags(fs, "collector", "collector address (required; booterserve -listen)", "token")
 	sensorID := flag.Uint("sensor", 1, "sensor ID; the collector keys resume offsets by it")
 	spoolDir := flag.String("spool", "", "ship this recorded spool directory instead of a generated stream")
-	scenarioFlag := flag.String("scenario", "", "ship a scenario workload: catalog name, config file, or list")
-	seed := flag.Int64("seed", 20191021, "stream generator seed")
-	weeks := flag.Int("weeks", 4, "generated stream length in weeks")
-	attacks := flag.Float64("attacks", 500, "mean attack flows per week")
+	sc := cli.ScenarioFlag(fs, "ship a scenario workload: catalog name, config file, or list")
+	stream := cli.StreamFlags(fs, 4, 500)
 	batch := flag.Int("batch", wire.DefaultBatchRecords, "records per batch frame")
 	heartbeat := flag.Duration("heartbeat", wire.DefaultHeartbeat, "idle interval between heartbeats (keep under the collector's dead-session deadline)")
 	linger := flag.Duration("linger", 0, "live-tail: keep the session open until the feed stays dry this long (0 = finish at end of feed)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof profiles on this address (empty = off)")
-	progressEvery := flag.Duration("progress", 0, "emit a structured progress line to stderr this often (0 = off)")
-	logSpec := flag.String("log", "info", "log level spec: LEVEL[,SUBSYSTEM=LEVEL]... (e.g. info,wire=debug)")
-	traceSample := flag.Int("trace-sample", 0, "trace one shipped batch in N; trace context rides the batch frames to the collector (0 = off)")
-	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "pin and log spans at least this slow regardless of sampling")
+	prof := cli.ProfileFlags(fs)
+	logFlags := cli.LogFlags(fs)
 	flag.Parse()
 
-	if *scenarioFlag == "list" {
-		for _, name := range scenario.Names() {
-			fmt.Printf("%-20s %s\n", name, scenario.Describe(name))
-		}
+	if sc.List(os.Stdout) {
 		return
 	}
-	if *collector == "" {
+	if collector.Addr == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	logs, err := obs.NewLog(os.Stderr, *logSpec)
-	if err != nil {
-		log.Fatalf("-log: %v", err)
-	}
+	cli.Check(
+		cli.Exclusive(fs, "spool", "scenario"),
+		cli.Only(fs, *spoolDir == "" && sc.Spec == "",
+			"generated streams (the spool or scenario fixes the workload)", "seed", "weeks", "attacks"),
+	)
+	logs, tr, err := logFlags.Open(os.Stderr)
+	cli.Check(err)
 	slg := logs.Logger("sensor")
-	var tr *trace.Tracer
-	if *traceSample > 0 {
-		tr = trace.New(trace.Config{
-			SampleEvery:   *traceSample,
-			SlowThreshold: *traceSlow,
-			Log:           logs.Logger("trace"),
-		})
-	}
-	if *pprofAddr != "" {
-		_, bound, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			log.Fatalf("-pprof: %v", err)
-		}
-		slg.Info("pprof serving", "url", "http://"+bound+"/debug/pprof/")
-	}
-	if (*spoolDir != "" || *scenarioFlag != "") && (*weeks != 4 || *attacks != 500) {
-		log.Fatal("-weeks/-attacks only apply to generated streams (the spool or scenario fixes the workload)")
-	}
-	if *spoolDir != "" && *scenarioFlag != "" {
-		log.Fatal("-spool and -scenario are mutually exclusive")
-	}
+	cli.Check(prof.ServePprof(slg))
 
 	var feed wire.Feed
-	if *spoolDir != "" {
+	switch {
+	case *spoolDir != "":
 		sf := wire.NewSpoolFeed(*spoolDir)
 		defer sf.Close()
 		feed = sf
-	} else if *scenarioFlag != "" {
-		cfg, err := scenario.Load(*scenarioFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		genStart := time.Now()
-		run, err := scenario.Generate(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m := run.Manifest
-		slg.Info("scenario generated", "name", m.Name, "packets", len(run.Stream()),
-			"attacks", m.Attacks, "scans", m.Scans, "weeks", m.Weeks,
-			"elapsed", time.Since(genStart).Round(time.Millisecond))
+	case sc.Spec != "":
+		run, err := sc.Generate(slg)
+		cli.Check(err)
 		slg.Info("collector panel span", "start", run.Config.Start.Format("2006-01-02"),
-			"weeks", m.Weeks, "hint", "booterserve -listen ... -scenario "+*scenarioFlag)
+			"weeks", run.Manifest.Weeks, "hint", "booterserve -listen ... -scenario "+sc.Spec)
 		feed = wire.NewSliceFeed(ingest.Datagrams(run.Stream()))
-	} else {
-		genStart := time.Now()
-		packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-			Seed:           *seed,
-			Start:          time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC),
-			Weeks:          *weeks,
-			AttacksPerWeek: *attacks,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		slg.Info("generated stream", "packets", len(packets), "weeks", *weeks,
-			"elapsed", time.Since(genStart).Round(time.Millisecond))
+	default:
+		packets, err := stream.Generate(slg, time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC))
+		cli.Check(err)
 		feed = wire.NewSliceFeed(ingest.Datagrams(packets))
 	}
 
 	reg := obs.Default()
-	stopProgress := logs.StartProgress(*progressEvery, func() []obs.Field {
+	stopProgress := logs.StartProgress(prof.Progress, func() []obs.Field {
 		fields := []obs.Field{}
 		if n, ok := reg.Sum("booters_wire_sensor_records_total"); ok {
 			fields = append(fields, obs.F("records", uint64(n)))
@@ -179,26 +127,21 @@ func main() {
 		return fields
 	})
 
-	wlg := logs.Logger("wire")
 	shipStart := time.Now()
 	rep, err := wire.Ship(wire.SensorConfig{
-		Addr:         *collector,
+		Addr:         collector.Addr,
 		Sensor:       uint32(*sensorID),
-		Token:        *token,
+		Token:        collector.Token,
 		Feed:         feed,
 		BatchRecords: *batch,
 		Heartbeat:    *heartbeat,
 		Linger:       *linger,
 		Metrics:      reg,
 		Trace:        tr,
-		Logf: func(format string, args ...any) {
-			wlg.Info(fmt.Sprintf(format, args...))
-		},
+		Logf:         cli.Logf(logs.Logger("wire")),
 	})
 	stopProgress()
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	elapsed := time.Since(shipStart)
 	slg.Info("shipment finished", "records", rep.Records, "batches", rep.Batches,
 		"bytes", rep.Bytes, "elapsed", elapsed.Round(time.Millisecond),

@@ -70,11 +70,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"booters"
+	"booters/internal/cli"
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
 	"booters/internal/obs"
@@ -122,114 +122,60 @@ Flags:
 `
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("booterserve: ")
-	flag.Usage = func() {
-		fmt.Fprint(flag.CommandLine.Output(), usageText)
-		flag.PrintDefaults()
-	}
+	cli.Init("booterserve", usageText)
+	fs := flag.CommandLine
 	addr := flag.String("addr", "127.0.0.1:8190", "HTTP listen address (port 0 picks a free port)")
-	seed := flag.Int64("seed", 20191021, "stream generator seed")
-	shards := flag.Int("shards", 0, "pipeline shards (0 = GOMAXPROCS)")
-	weeks := flag.Int("weeks", 52, "generated stream length in weeks")
-	attacks := flag.Float64("attacks", 500, "mean attack flows per week")
-	recordDir := flag.String("record", "", "spool the generated stream to this directory, then replay it from disk")
-	compress := flag.String("compress", "none", "spool block codec for -record: none or lz4")
-	replayDir := flag.String("replay", "", "replay an existing spool from this directory")
-	listen := flag.String("listen", "", "collector mode: accept networked sensor sessions on this address")
-	wireToken := flag.String("wire-token", "", "shared secret sensors must present (collector mode)")
-	scenarioFlag := flag.String("scenario", "", "collector mode: expect this scenario workload and verify /v1/model recovers its injected effects")
-	replayWorkers := flag.Int("replay-workers", 1, "concurrent spool segment readers")
+	stream := cli.StreamFlags(fs, 52, 500)
+	shards := cli.Shards(fs)
+	rec := cli.RecordFlags(fs, "spool the generated stream to this directory, then replay it from disk")
+	rep := cli.ReplayFlags(fs, "replay an existing spool from this directory")
+	listen := cli.WireFlags(fs, "listen", "collector mode: accept networked sensor sessions on this address", "wire-token")
+	sc := cli.ScenarioFlag(fs, "collector mode: expect this scenario workload and verify /v1/model recovers its injected effects")
 	throttle := flag.Float64("throttle", 0, "pace ingestion to about this many packets/sec (0 = full speed)")
 	exitAfter := flag.Bool("exit-after-replay", false, "exit after the stream ends instead of serving until interrupt")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof profiles on this address (empty = off)")
-	progressEvery := flag.Duration("progress", 0, "emit a structured progress line to stderr this often (0 = off)")
-	logSpec := flag.String("log", "info", "log level spec: LEVEL[,SUBSYSTEM=LEVEL]... (e.g. info,wire=debug)")
-	traceSample := flag.Int("trace-sample", 0, "trace one batch in N through the pipeline, served at /v1/trace (0 = off)")
-	traceSlow := flag.Duration("trace-slow", 250*time.Millisecond, "pin and log spans at least this slow regardless of sampling")
+	prof := cli.ProfileFlags(fs)
+	logFlags := cli.LogFlags(fs)
 	wmEvery := flag.Int("watermark-every", 0, "broadcast the pipeline watermark every N packets; smaller N seals weeks sooner at more broadcast cost (0 = library default)")
 	flag.Parse()
 
-	logs, err := obs.NewLog(os.Stderr, *logSpec)
-	if err != nil {
-		log.Fatalf("-log: %v", err)
-	}
-	slg := logs.Logger("serve")
-	var tr *trace.Tracer
-	if *traceSample > 0 {
-		tr = trace.New(trace.Config{
-			SampleEvery:   *traceSample,
-			SlowThreshold: *traceSlow,
-			Log:           logs.Logger("trace"),
-		})
-	}
-
-	if *pprofAddr != "" {
-		_, bound, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			log.Fatalf("-pprof: %v", err)
-		}
-		slg.Info("pprof serving", "url", "http://"+bound+"/debug/pprof/")
-	}
-
-	if *recordDir != "" && *replayDir != "" {
-		log.Fatal("-record and -replay are mutually exclusive")
-	}
-	if *listen != "" && (*recordDir != "" || *replayDir != "") {
-		log.Fatal("-listen feeds from networked sensors; it excludes -record and -replay")
-	}
-	if *wireToken != "" && *listen == "" {
-		log.Fatal("-wire-token only applies to collector mode (-listen)")
-	}
-	if *scenarioFlag != "" && *listen == "" {
-		log.Fatal("-scenario only applies to collector mode (-listen); feed scenarios locally with booteringest -scenario")
-	}
-	if *listen != "" {
-		collectorMode(*listen, *wireToken, *addr, *shards, *weeks, *wmEvery, *progressEvery, *scenarioFlag, logs, tr)
+	if sc.List(os.Stdout) {
 		return
 	}
-	if *replayDir != "" && (*weeks != 52 || *attacks != 500) {
-		log.Fatal("-weeks/-attacks only apply to generated streams (the replayed spool fixes the workload)")
+	collector := listen.Addr != ""
+	cli.Check(
+		cli.Exclusive(fs, "record", "replay", "listen"),
+		cli.Only(fs, collector, "collector mode (-listen; feed scenarios locally with booteringest -scenario)", "wire-token", "scenario"),
+		cli.Only(fs, !collector, "a local feed (not -listen)", "throttle", "exit-after-replay"),
+		cli.Only(fs, rep.Dir == "" && !collector, "generated streams (a replayed spool or the sensor fleet fixes the workload)", "seed", "attacks"),
+		cli.Only(fs, rep.Dir == "" && sc.Spec == "", "generated streams and the collector's default span (a replayed spool or a scenario fixes the span)", "weeks"),
+		cli.Only(fs, rec.Dir != "" || rep.Dir != "", "spool replays (-record or -replay)", "replay-workers"),
+		cli.Only(fs, rec.Dir != "", "-record", "compress"),
+	)
+	logs, tr, err := logFlags.Open(os.Stderr)
+	cli.Check(err)
+	slg := logs.Logger("serve")
+	cli.Check(prof.ServePprof(slg))
+	if collector {
+		collectorMode(listen, sc, *addr, *shards, stream.Weeks, *wmEvery, prof.Progress, logs, tr)
+		return
 	}
 
+	// Pick the stream and the panel span: a generated stream covers its
+	// own weeks (recorded to disk first with -record, then replayed from
+	// there); a replayed spool's span comes from its index.
 	start := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
-	end := start.AddDate(0, 0, 7**weeks-1)
-	spoolDir := *replayDir
-
-	// Record mode: generate and spool first, then replay from disk below.
-	if *recordDir != "" {
-		codec, err := spool.CodecByName(*compress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		packets := generate(slg, *seed, start, *weeks, *attacks)
-		w, err := spool.Create(*recordDir, spool.Options{Codec: codec, Metrics: obs.Default()})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, d := range ingest.Datagrams(packets) {
-			if err := w.Append(d); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			log.Fatal(err)
-		}
-		slg.Info("recorded spool", "datagrams", w.Count(), "dir", *recordDir, "codec", codec.Name())
-		spoolDir = *recordDir
+	end := start.AddDate(0, 0, 7*stream.Weeks-1)
+	spoolDir := rep.Dir
+	var packets []honeypot.Packet
+	if rep.Dir != "" {
+		start, end, err = rep.Span()
+	} else {
+		packets, err = stream.Generate(slg, start)
 	}
-
-	// Replay mode: size the panel from the spool's own index.
-	if *replayDir != "" {
-		idx, err := spool.LoadIndex(*replayDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		min, max := indexSpan(idx)
-		if min.IsZero() {
-			log.Fatalf("spool %s has no indexed time range; record it with booterserve -record or booteringest -record", *replayDir)
-		}
-		start, end = min, max
+	cli.Check(err)
+	if rec.Dir != "" {
+		cli.Check(rec.Write(logs, prof.Progress, packets, nil))
+		spoolDir = rec.Dir
 	}
 
 	in, err := ingest.New(ingest.Config{
@@ -241,22 +187,16 @@ func main() {
 		Metrics:        obs.Default(),
 		Trace:          tr,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	srv, err := booters.ServeSpool(in, *addr, spoolDir)
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	defer srv.Close()
 	slg.Info("serving", "url", "http://"+srv.Addr(),
 		"endpoints", "/v1/status /v1/panel /v1/top /v1/model /v1/trace /v1/healthz /v1/readyz")
 
 	// Feed the pipeline while the server answers queries.
-	feedStart := time.Now()
-	var fedCount atomic.Uint64
-	stopProgress := logs.StartProgress(*progressEvery, func() []obs.Field {
-		fields := []obs.Field{obs.F("packets", fedCount.Load()), obs.F("late", in.Late())}
+	stopProgress := logs.StartProgress(prof.Progress, func() []obs.Field {
+		fields := []obs.Field{obs.F("packets", in.Packets()), obs.F("late", in.Late())}
 		reg := in.Metrics()
 		if seq, ok := reg.Sum("booters_snapshot_seq"); ok {
 			fields = append(fields, obs.F("seq", uint64(seq)))
@@ -266,17 +206,15 @@ func main() {
 		}
 		return fields
 	})
+	feedStart := time.Now()
+	pace := newPacer(*throttle)
 	if spoolDir != "" {
-		pace := newPacer(*throttle)
-		stats, err := spool.ReplayWindow(spoolDir, spool.ReplayOptions{Workers: *replayWorkers, Metrics: obs.Default(), Trace: tr}, func(d ingest.Datagram) error {
-			fedCount.Add(1)
+		stats, err := spool.ReplayWindow(spoolDir, spool.ReplayOptions{Workers: rep.Workers, Metrics: obs.Default(), Trace: tr}, func(d ingest.Datagram) error {
 			in.IngestDatagram(d) // decode drops are counted in Stats
 			pace.tick()
 			return nil
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
+		cli.Check(err)
 		splg := logs.Logger("spool")
 		for _, w := range stats.Warnings {
 			splg.Warn("replay warning", "detail", w)
@@ -285,24 +223,14 @@ func main() {
 			splg.Error("data loss", "segment", torn.Segment, "reason", torn.Reason, "recovered", torn.Records)
 		}
 	} else {
-		packets := generate(slg, *seed, start, *weeks, *attacks)
-		// The pacer's schedule starts here, after the generation work,
-		// so -throttle paces the feed itself from its first packet.
-		feedStart = time.Now()
-		pace := newPacer(*throttle)
 		for _, p := range packets {
-			if err := in.Ingest(p); err != nil {
-				log.Fatal(err)
-			}
-			fedCount.Add(1)
+			cli.Check(in.Ingest(p))
 			pace.tick()
 		}
 	}
-	fed := fedCount.Load()
+	fed := in.Packets()
 	res, err := in.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	stopProgress()
 	elapsed := time.Since(feedStart)
 	slg.Info("ingest finished",
@@ -310,18 +238,7 @@ func main() {
 		"rate", fmt.Sprintf("%.0f/s", float64(res.Stats.Packets)/elapsed.Seconds()),
 		"flows", res.Stats.Flows, "attacks", res.Stats.Attacks, "scans", res.Stats.Scans)
 	logFinalFreshness(slg, in)
-
-	// Self-check: the final panel must be queryable over real HTTP.
-	for _, path := range []string{"/v1/status", "/v1/panel"} {
-		body, err := get(srv.Addr(), path)
-		if err != nil {
-			log.Fatalf("self-check %s: %v", path, err)
-		}
-		if len(body) > 120 {
-			body = append(body[:120], "..."...)
-		}
-		slg.Info("self-check", "path", path, "body", string(body))
-	}
+	selfCheck(slg, srv.Addr())
 
 	if *exitAfter {
 		return
@@ -333,32 +250,25 @@ func main() {
 }
 
 // collectorMode runs the sensor-fed half of the reproduction: a wire
-// collector accepting bootersensor sessions on listenAddr, feeding an
-// order-tolerant rolling pipeline whose panel is served on addr until
-// interrupt. On interrupt the collector drains, the pipeline closes and
-// the final panel is published and self-checked. With a scenario spec
-// the panel span and the /v1/model intervention catalogue come from the
-// scenario's manifest, and the self-check additionally asserts over real
-// HTTP that the model fit recovers every injected effect inside its
-// tolerance — the networked end of the scenario regression loop.
-func collectorMode(listenAddr, token, addr string, shards, weeks, wmEvery int, progressEvery time.Duration, scenarioSpec string, logs *obs.Log, tr *trace.Tracer) {
+// collector accepting bootersensor sessions on the -listen address,
+// feeding an order-tolerant rolling pipeline whose panel is served on
+// addr until interrupt. On interrupt the collector drains, the pipeline
+// closes and the final panel is published and self-checked. With a
+// scenario the panel span and the /v1/model intervention catalogue come
+// from the scenario's manifest, and the self-check additionally asserts
+// over real HTTP that the model fit recovers every injected effect
+// inside its tolerance — the networked end of the scenario regression
+// loop.
+func collectorMode(listen *cli.Wire, sc *cli.Scenario, addr string, shards, weeks, wmEvery int, progressEvery time.Duration, logs *obs.Log, tr *trace.Tracer) {
 	slg := logs.Logger("collector")
 	start := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
 	var manifest *scenario.Manifest
-	if scenarioSpec != "" {
-		cfg, err := scenario.Load(scenarioSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		run, err := scenario.Generate(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if sc.Spec != "" {
+		run, err := sc.Generate(slg)
+		cli.Check(err)
 		manifest = run.Manifest
 		start = run.Config.Start
 		weeks = manifest.Weeks
-		slg.Info("scenario expected", "name", manifest.Name,
-			"packets", manifest.Packets, "attacks", manifest.Attacks, "weeks", weeks)
 	}
 	in, err := ingest.New(ingest.Config{
 		Shards:         shards,
@@ -370,29 +280,23 @@ func collectorMode(listenAddr, token, addr string, shards, weeks, wmEvery int, p
 		Metrics:        obs.Default(),
 		Trace:          tr,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	var srv *serve.Server
 	if manifest != nil {
 		srv, err = booters.ServeScenario(in, addr, manifest)
 	} else {
 		srv, err = booters.Serve(in, addr)
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	defer srv.Close()
-	col, err := wire.Listen(listenAddr, wire.CollectorConfig{
+	col, err := wire.Listen(listen.Addr, wire.CollectorConfig{
 		Ingest:  in,
-		Token:   token,
+		Token:   listen.Token,
 		Metrics: in.Metrics(),
 		Trace:   tr,
-		Logf:    wireLogf(logs.Logger("wire")),
+		Logf:    cli.Logf(logs.Logger("wire")),
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	slg.Info("collecting sensor sessions", "addr", col.Addr().String(),
 		"panel_start", start.Format("2006-01-02"), "weeks", weeks)
 	slg.Info("serving", "url", "http://"+srv.Addr(),
@@ -419,15 +323,24 @@ func collectorMode(listenAddr, token, addr string, shards, weeks, wmEvery int, p
 	slg.Info("interrupt: draining collector and sealing the panel")
 	col.Close()
 	res, err := in.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Check(err)
 	stopProgress()
 	slg.Info("collection finished", "packets", res.Stats.Packets,
 		"flows", res.Stats.Flows, "attacks", res.Stats.Attacks, "scans", res.Stats.Scans)
 	logFinalFreshness(slg, in)
+	selfCheck(slg, srv.Addr())
+	if manifest != nil {
+		cli.Check(manifest.VerifyPanel(res.Global))
+		slg.Info("scenario panel verified", "name", manifest.Name, "weeks", manifest.Weeks)
+		cli.Check(verifyModelHTTP(slg, srv.Addr(), manifest))
+	}
+}
+
+// selfCheck asserts that the final panel is queryable over real HTTP and
+// logs the head of each response.
+func selfCheck(slg *slog.Logger, addr string) {
 	for _, path := range []string{"/v1/status", "/v1/panel"} {
-		body, err := get(srv.Addr(), path)
+		body, err := get(addr, path)
 		if err != nil {
 			log.Fatalf("self-check %s: %v", path, err)
 		}
@@ -435,15 +348,6 @@ func collectorMode(listenAddr, token, addr string, shards, weeks, wmEvery int, p
 			body = append(body[:120], "..."...)
 		}
 		slg.Info("self-check", "path", path, "body", string(body))
-	}
-	if manifest != nil {
-		if err := manifest.VerifyPanel(res.Global); err != nil {
-			log.Fatal(err)
-		}
-		slg.Info("scenario panel verified", "name", manifest.Name, "weeks", manifest.Weeks)
-		if err := verifyModelHTTP(slg, srv.Addr(), manifest); err != nil {
-			log.Fatal(err)
-		}
 	}
 }
 
@@ -468,14 +372,6 @@ func logFinalFreshness(slg *slog.Logger, in *ingest.Ingestor) {
 		attrs = append(attrs, "watermark_lag_s", fmt.Sprintf("%.1f", lag))
 	}
 	slg.Info("final freshness", attrs...)
-}
-
-// wireLogf adapts the wire package's printf-style session log callback
-// to a subsystem slog logger.
-func wireLogf(lg *slog.Logger) func(format string, args ...any) {
-	return func(format string, args ...any) {
-		lg.Info(fmt.Sprintf(format, args...))
-	}
 }
 
 // verifyModelHTTP asserts over real HTTP that the served /v1/model fit
@@ -519,23 +415,6 @@ func verifyModelHTTP(slg *slog.Logger, addr string, m *scenario.Manifest) error 
 			"fitted_pct", fmt.Sprintf("%.1f", pct), "injected_pct", fmt.Sprintf("%.1f", want.ExpectedMeanPct))
 	}
 	return nil
-}
-
-// indexSpan returns the earliest and latest indexed record timestamps in
-// the spool, or zero times when nothing is indexed.
-func indexSpan(idx *spool.Index) (min, max time.Time) {
-	for _, s := range idx.Segments {
-		if !s.Indexed || s.Records == 0 {
-			continue
-		}
-		if min.IsZero() || s.Min.Before(min) {
-			min = s.Min
-		}
-		if s.Max.After(max) {
-			max = s.Max
-		}
-	}
-	return min, max
 }
 
 // get fetches one path from the server and returns the trimmed body.
@@ -582,21 +461,4 @@ func (p *pacer) tick() {
 	if ahead > time.Millisecond {
 		time.Sleep(ahead)
 	}
-}
-
-// generate builds the synthetic market-driven packet stream.
-func generate(slg *slog.Logger, seed int64, start time.Time, weeks int, attacks float64) []honeypot.Packet {
-	genStart := time.Now()
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           seed,
-		Start:          start,
-		Weeks:          weeks,
-		AttacksPerWeek: attacks,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	slg.Info("generated stream", "packets", len(packets), "weeks", weeks,
-		"elapsed", time.Since(genStart).Round(time.Millisecond))
-	return packets
 }

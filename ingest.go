@@ -242,9 +242,11 @@ func ReplaySpoolWindow(in *ingest.Ingestor, dir string, opts SpoolReplayOptions)
 		To:        opts.To,
 		Workers:   opts.Workers,
 		Unordered: opts.Unordered,
-		// Segment read spans land in the same flight recorder as the
-		// ingest spans the replay feeds (nil when tracing is off).
-		Trace: in.Trace(),
+		// Replay counters and segment read spans land in the same
+		// registry and flight recorder as the ingest families and spans
+		// the replay feeds (nil when metrics or tracing are off).
+		Metrics: in.Metrics(),
+		Trace:   in.Trace(),
 	}
 	if opts.Unordered {
 		if !in.Unordered() {

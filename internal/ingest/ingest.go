@@ -502,6 +502,50 @@ func (in *Ingestor) Ingest(p honeypot.Packet) error {
 	return nil
 }
 
+// Feed ingests packets in slice order — re-encoded as wire-format
+// datagrams through the protocol decode path when wire is set, decode
+// drops counted in Stats — and stops at the first error. A positive lag
+// declares the slice a live out-of-order feed whose displacement is
+// bounded by lag: Feed registers a low-watermark source and advances it
+// to the stream head minus lag every 1024 packets, which is how an
+// order-tolerant pipeline expires flows mid-stream.
+func (in *Ingestor) Feed(packets []honeypot.Packet, wire bool, lag time.Duration) error {
+	var src *Source
+	if lag > 0 {
+		src = in.RegisterSource()
+		defer src.Close()
+	}
+	var head time.Time
+	var dgrams []Datagram
+	if wire {
+		dgrams = Datagrams(packets)
+	}
+	for i, p := range packets {
+		var err error
+		if wire {
+			if err = in.IngestDatagram(dgrams[i]); !errors.Is(err, ErrClosed) {
+				err = nil
+			}
+		} else {
+			err = in.Ingest(p)
+		}
+		if err != nil {
+			return err
+		}
+		if src == nil {
+			continue
+		}
+		if p.Time.After(head) {
+			head = p.Time
+		}
+		// Advance in strides to keep the per-packet cost at a comparison.
+		if i&1023 == 1023 {
+			src.Advance(head.Add(-lag))
+		}
+	}
+	return nil
+}
+
 // observe raises the watermark to n (unix nanos) if it is the newest
 // timestamp flushed so far.
 func (in *Ingestor) observe(n int64) {

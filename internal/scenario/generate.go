@@ -59,9 +59,11 @@ func (r *Run) RequiresUnordered() bool {
 
 // WatermarkLag returns a safe low-watermark lag for feeding Stream to an
 // unordered pipeline: advancing the source to (packet time - lag) is a
-// valid promise because reordering is bounded to that window.
+// valid promise because reordering is bounded to that window. It is zero
+// when Stream is time-sorted (RequiresUnordered is false), so it can be
+// passed straight to ingest.Ingestor.Feed.
 func (r *Run) WatermarkLag() time.Duration {
-	if r.Config.Hostile == nil {
+	if !r.RequiresUnordered() {
 		return 0
 	}
 	return time.Duration(r.Config.Hostile.ReorderSeconds*float64(time.Second)) + time.Second

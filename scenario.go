@@ -50,33 +50,9 @@ func ReplayScenario(run *scenario.Run, shards int, sinks ...ingest.Sink) (*inges
 	if err != nil {
 		return nil, err
 	}
-	stream := run.Stream()
-	if run.RequiresUnordered() {
-		src := in.RegisterSource()
-		lag := run.WatermarkLag()
-		head := run.Config.Start
-		for i, p := range stream {
-			if err := in.Ingest(p); err != nil {
-				in.Close()
-				return nil, err
-			}
-			if p.Time.After(head) {
-				head = p.Time
-			}
-			// Bounded reordering makes head-lag a valid promise; advance
-			// in strides to keep the per-packet cost at a comparison.
-			if i&1023 == 1023 {
-				src.Advance(head.Add(-lag))
-			}
-		}
-		src.Close()
-	} else {
-		for _, p := range stream {
-			if err := in.Ingest(p); err != nil {
-				in.Close()
-				return nil, err
-			}
-		}
+	if err := in.Feed(run.Stream(), false, run.WatermarkLag()); err != nil {
+		in.Close()
+		return nil, err
 	}
 	return in.Close()
 }
