@@ -322,72 +322,38 @@ func BenchmarkSpoolReadLZ44Readers(b *testing.B) { runSpoolRead(b, "lz4", 4) }
 // runSpoolReplay measures the full record-once-replay-many path: the
 // spooled capture streamed from disk — sequentially or via parallel
 // segment readers, raw or compressed — through protocol decode and the
-// sharded pipeline into the weekly panel.
-func runSpoolReplay(b *testing.B, codecName string, workers int) {
-	dir := benchSpool(b, codecName)
-	total := uint64(len(benchIngestStream(b)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in, err := ingest.New(benchIngestConfig(runtime.GOMAXPROCS(0)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, err = spool.ReplayWindow(dir, spool.ReplayOptions{Workers: workers}, func(d ingest.Datagram) error {
-			in.IngestDatagram(d)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := in.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Stats.Packets != total {
-			b.Fatalf("replayed %d packets, want %d", res.Stats.Packets, total)
-		}
-	}
-	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
-	b.ReportMetric(float64(total), "packets/op")
-}
-
-func BenchmarkSpoolReplay(b *testing.B)            { runSpoolReplay(b, "none", 1) }
-func BenchmarkSpoolReplay4Readers(b *testing.B)    { runSpoolReplay(b, "none", 4) }
-func BenchmarkSpoolReplayLZ4(b *testing.B)         { runSpoolReplay(b, "lz4", 1) }
-func BenchmarkSpoolReplayLZ44Readers(b *testing.B) { runSpoolReplay(b, "lz4", 4) }
-
-// runSpoolReplayUnordered measures the order-tolerant replay path over
-// the same spool: readers hand whole segments to an unordered pipeline
-// as they finish them (no re-serialisation barrier), with the
-// cross-reader low-watermark wired into the pipeline as its expiry
-// source — the ordered-vs-unordered comparison the replay decision table
-// in ARCHITECTURE.md is based on.
-func runSpoolReplayUnordered(b *testing.B, codecName string, workers int) {
+// sharded pipeline into the weekly panel. With tolerant, the pipeline is
+// order-tolerant (interval-merge flow tables) and the replay's
+// OnWatermark drives its low-watermark source, the wiring
+// ReplaySpoolWindow uses for such a pipeline.
+func runSpoolReplay(b *testing.B, codecName string, workers int, tolerant bool) {
 	dir := benchSpool(b, codecName)
 	total := uint64(len(benchIngestStream(b)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := benchIngestConfig(runtime.GOMAXPROCS(0))
-		cfg.Unordered = true
+		cfg.Unordered = tolerant
 		in, err := ingest.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		src := in.RegisterSource()
-		_, err = spool.ReplayWindow(dir, spool.ReplayOptions{
-			Workers:     workers,
-			Unordered:   true,
-			OnWatermark: src.Advance,
-		}, func(d ingest.Datagram) error {
+		opts := spool.ReplayOptions{Workers: workers}
+		var src *ingest.Source
+		if tolerant {
+			src = in.RegisterSource()
+			opts.OnWatermark = src.Advance
+		}
+		_, err = spool.ReplayWindow(dir, opts, func(d ingest.Datagram) error {
 			in.IngestDatagram(d)
 			return nil
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		src.Close()
+		if src != nil {
+			src.Close()
+		}
 		res, err := in.Close()
 		if err != nil {
 			b.Fatal(err)
@@ -400,8 +366,12 @@ func runSpoolReplayUnordered(b *testing.B, codecName string, workers int) {
 	b.ReportMetric(float64(total), "packets/op")
 }
 
-func BenchmarkSpoolReplayUnordered(b *testing.B)         { runSpoolReplayUnordered(b, "none", 1) }
-func BenchmarkSpoolReplayUnordered4Readers(b *testing.B) { runSpoolReplayUnordered(b, "none", 4) }
+func BenchmarkSpoolReplay(b *testing.B)                 { runSpoolReplay(b, "none", 1, false) }
+func BenchmarkSpoolReplay4Readers(b *testing.B)         { runSpoolReplay(b, "none", 4, false) }
+func BenchmarkSpoolReplayLZ4(b *testing.B)              { runSpoolReplay(b, "lz4", 1, false) }
+func BenchmarkSpoolReplayLZ44Readers(b *testing.B)      { runSpoolReplay(b, "lz4", 4, false) }
+func BenchmarkSpoolReplayTolerant(b *testing.B)         { runSpoolReplay(b, "none", 1, true) }
+func BenchmarkSpoolReplayTolerant4Readers(b *testing.B) { runSpoolReplay(b, "none", 4, true) }
 
 // BenchmarkIngestSteadyState measures the per-packet cost of an
 // already-running pipeline: one Ingestor serves every iteration, so the

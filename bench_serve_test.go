@@ -54,7 +54,7 @@ func benchServeStart(b *testing.B) *benchServe {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := Serve(in, "127.0.0.1:0")
+	srv, err := Serve(in, "127.0.0.1:0", "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func BenchmarkIngestRolling4Shard(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		srv, err := Serve(in, "127.0.0.1:0")
+		srv, err := Serve(in, "127.0.0.1:0", "")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,7 +9,7 @@
 //
 //	booteringest [-seed N] [-shards N] [-weeks N] [-attacks N] [-wire]
 //	             [-record DIR [-compress CODEC] | -replay DIR | -spool-info DIR]
-//	             [-from T] [-to T] [-replay-workers N] [-unordered]
+//	             [-from T] [-to T] [-replay-workers N]
 //	             [-sinks topk,ndjson] [-topk K] [-ndjson FILE]
 //	             [-shed POLICY] [-queue N] [-pprof ADDR] [-progress DUR]
 //
@@ -21,10 +21,10 @@
 // the panel and fit against a recorded manifest.json; -from/-to bound
 // the replay to a time window (whole segments outside it are skipped via
 // the spool index) and -replay-workers decodes segments with N
-// concurrent readers. By default delivery order is preserved; -unordered
-// instead hands each decoded segment straight to an order-tolerant
-// pipeline as its reader finishes it, with the cross-reader
-// low-watermark driving flow expiry — the multi-core replay mode.
+// concurrent readers, delivered in recorded order. A scenario whose
+// stream is reordered, or a spool whose manifest.json records such a
+// scenario, runs through the order-tolerant pipeline, with the spool
+// trailers' low-watermark driving flow expiry during a replay.
 // -spool-info DIR prints a spool's MANIFEST/segment index (records, time
 // range, codec, bytes/packet, torn segments) without replaying it.
 // -sinks attaches extra consumers (a country/protocol top-K ranking, an
@@ -68,16 +68,16 @@ from such a spool at disk speed (-replay DIR, panel span sized from the
 spool index, verified against the manifest.json a -scenario recording
 leaves next to the segments), whole or bounded to a
 time window (-from/-to, pruning segments via the spool index) with
--replay-workers concurrent segment readers — in recorded order by
-default, or with -unordered delivering whole segments as readers finish
-them into an order-tolerant pipeline (true multi-core replay).
+-replay-workers concurrent segment readers, delivered in recorded order.
+Reordered scenario streams and recordings run through the order-tolerant
+pipeline.
 -spool-info DIR prints a spool's segment index without replaying.
 
 Usage:
 
   booteringest [-seed N] [-shards N] [-weeks N] [-attacks N] [-wire]
                [-record DIR [-compress CODEC] | -replay DIR | -spool-info DIR]
-               [-from T] [-to T] [-replay-workers N] [-unordered]
+               [-from T] [-to T] [-replay-workers N]
                [-sinks topk,ndjson] [-topk K] [-ndjson FILE]
                [-shed POLICY] [-queue N] [-pprof ADDR] [-progress DUR]
 
@@ -99,7 +99,6 @@ func main() {
 	spoolInfo := flag.String("spool-info", "", "print a spool directory's segment index and exit (no replay)")
 	fromFlag := flag.String("from", "", "replay only datagrams at or after this time")
 	toFlag := flag.String("to", "", "replay only datagrams before this time")
-	unordered := flag.Bool("unordered", false, "deliver segments as readers finish them through an order-tolerant pipeline (for -replay)")
 	sc := cli.ScenarioFlag(fs, "replay a scenario workload: catalog name, config file, or list")
 	sinksFlag := flag.String("sinks", "", "extra sinks, comma-separated: topk, ndjson")
 	topKFlag := flag.Int("topk", 5, "rows kept by the topk sink")
@@ -119,10 +118,8 @@ func main() {
 		cli.Only(fs, sc.Spec == "" && rep.Dir == "" && *spoolInfo == "",
 			"the market-driven stream (a scenario or a spool fixes the workload)", "seed", "weeks", "attacks"),
 		cli.Only(fs, rep.Dir != "", "-replay (the generated stream is not windowed)", "from", "to", "replay-workers"),
-		cli.Only(fs, rep.Dir != "" || sc.Spec != "",
-			"-replay (scenarios pick it themselves when their stream is reordered)", "unordered"),
 		cli.Only(fs, pipeline, "a pipeline run (not -record or -spool-info)",
-			"shards", "wire", "unordered", "sinks", "topk", "ndjson", "shed", "queue"),
+			"shards", "wire", "sinks", "topk", "ndjson", "shed", "queue"),
 		cli.Only(fs, rec.Dir != "", "-record", "compress"),
 	)
 	logs, err := obs.NewLog(os.Stderr, "")
@@ -153,16 +150,17 @@ func main() {
 	start := time.Date(2018, time.July, 2, 0, 0, 0, 0, time.UTC)
 	end := start.AddDate(0, 0, 7*stream.Weeks-1)
 	var (
-		packets []honeypot.Packet
-		m       *scenario.Manifest
-		lag     time.Duration
+		packets   []honeypot.Packet
+		m         *scenario.Manifest
+		lag       time.Duration
+		unordered bool
 	)
 	switch {
 	case sc.Spec != "":
 		run, err := sc.Generate(lg)
 		cli.Check(err)
 		start, end, packets, m, lag = run.Config.Start, run.Config.End(), run.Stream(), run.Manifest, run.WatermarkLag()
-		*unordered = *unordered || run.RequiresUnordered()
+		unordered = run.RequiresUnordered()
 	case rep.Dir != "":
 		start, end, err = rep.Span()
 		cli.Check(err)
@@ -170,7 +168,7 @@ func main() {
 		cli.Check(err)
 		// A reordered recording needs the order-tolerant path, exactly
 		// as the scenario run that recorded it did.
-		*unordered = *unordered || (m != nil && m.Hostile != nil && m.Hostile.ReorderSeconds > 0)
+		unordered = m != nil && m.Hostile != nil && m.Hostile.ReorderSeconds > 0
 		if m != nil && (!from.IsZero() || !to.IsZero()) {
 			fmt.Printf("spool manifest %s: verification skipped (a -from/-to window covers part of the scenario)\n", m.Name)
 			m = nil
@@ -223,7 +221,7 @@ func main() {
 		QueueDepth: *queue,
 		Shed:       shed,
 		Sinks:      sinks,
-		Unordered:  *unordered,
+		Unordered:  unordered,
 		Metrics:    obs.Default(),
 	})
 	cli.Check(err)
@@ -238,8 +236,8 @@ func main() {
 	case *wire:
 		mode = "wire-format"
 	}
-	if *unordered {
-		mode += ", unordered"
+	if unordered {
+		mode += ", order-tolerant"
 	}
 	stopProgress := logs.StartProgress(prof.Progress, func() []obs.Field { return pipelineFields(in) })
 	feedStart := time.Now()
@@ -247,7 +245,7 @@ func main() {
 	var spoolRep *booters.SpoolReplayReport
 	if rep.Dir != "" {
 		spoolRep, err = booters.ReplaySpoolWindow(in, rep.Dir, booters.SpoolReplayOptions{
-			From: from, To: to, Workers: rep.Workers, Unordered: *unordered,
+			From: from, To: to, Workers: rep.Workers,
 		})
 		cli.Check(err)
 		fed = spoolRep.Datagrams

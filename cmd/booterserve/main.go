@@ -188,7 +188,7 @@ func main() {
 		Trace:          tr,
 	})
 	cli.Check(err)
-	srv, err := booters.ServeSpool(in, *addr, spoolDir)
+	srv, err := booters.Serve(in, *addr, spoolDir)
 	cli.Check(err)
 	defer srv.Close()
 	slg.Info("serving", "url", "http://"+srv.Addr(),
@@ -285,7 +285,7 @@ func collectorMode(listen *cli.Wire, sc *cli.Scenario, addr string, shards, week
 	if manifest != nil {
 		srv, err = booters.ServeScenario(in, addr, manifest)
 	} else {
-		srv, err = booters.Serve(in, addr)
+		srv, err = booters.Serve(in, addr, "")
 	}
 	cli.Check(err)
 	defer srv.Close()

@@ -2,9 +2,11 @@ package booters
 
 import (
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"booters/internal/dataset"
 	"booters/internal/geo"
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
@@ -176,11 +178,26 @@ func TestSpoolRecordReplayFacade(t *testing.T) {
 	}
 }
 
+// newTolerantIngestor builds an order-tolerant pipeline over the
+// paper's panel span from an ingest.Config, the way facade callers do.
+func newTolerantIngestor(t *testing.T, shards int) *ingest.Ingestor {
+	t.Helper()
+	in, err := ingest.New(ingest.Config{
+		Shards:    shards,
+		Start:     dataset.SpanStart,
+		End:       dataset.SpanEnd,
+		Unordered: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 // TestUnorderedReplayFacade drives the order-tolerant replay path end to
-// end through the facade: record a spool, replay it unordered at 4
-// workers into a NewUnorderedIngestor, and check the panel is identical
-// to an ordered in-memory run. It also pins the guard: unordered replay
-// into an ordered ingestor must be refused, not silently corrupted.
+// end through the facade: record a spool, replay it at 4 workers into an
+// order-tolerant ingestor, and check the panel is identical to an
+// ordered in-memory run with nothing dropped as late.
 func TestUnorderedReplayFacade(t *testing.T) {
 	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
 		Seed:           DefaultSeed,
@@ -211,38 +228,82 @@ func TestUnorderedReplayFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ordered, err := NewIngestor(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReplaySpoolWindow(ordered, dir, SpoolReplayOptions{Workers: 4, Unordered: true}); err == nil {
-		t.Error("unordered replay into an ordered ingestor: want an error")
-	}
-	ordered.Close()
-
-	in, err := NewUnorderedIngestor(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in.Unordered() {
-		t.Fatal("NewUnorderedIngestor built an ordered pipeline")
-	}
-	rep, err := ReplaySpoolWindow(in, dir, SpoolReplayOptions{Workers: 4, Unordered: true})
+	in := newTolerantIngestor(t, 3)
+	rep, err := ReplaySpoolWindow(in, dir, SpoolReplayOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Datagrams != n {
-		t.Fatalf("unordered replay delivered %d datagrams, want %d", rep.Datagrams, n)
+		t.Fatalf("order-tolerant replay delivered %d datagrams, want %d", rep.Datagrams, n)
 	}
 	got, err := in.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats.Attacks != want.Stats.Attacks || got.Stats.Flows != want.Stats.Flows || got.Stats.Late != 0 {
-		t.Errorf("unordered stats: got %+v want %+v", got.Stats, want.Stats)
+		t.Errorf("order-tolerant stats: got %+v want %+v", got.Stats, want.Stats)
 	}
 	if gt, wt := got.Global.Total(), want.Global.Total(); gt != wt {
-		t.Errorf("unordered global total: got %v want %v", gt, wt)
+		t.Errorf("order-tolerant global total: got %v want %v", gt, wt)
+	}
+}
+
+// TestReplaySpoolWindowExpiresMidReplay pins the low-watermark wiring:
+// a parallel replay into a rolling order-tolerant ingestor must expire
+// flows while it runs, so the pipeline seals weeks and publishes
+// snapshots before Close instead of holding every flow of the capture
+// open until the end.
+func TestReplaySpoolWindowExpiresMidReplay(t *testing.T) {
+	start := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
+	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
+		Seed:           DefaultSeed,
+		Start:          start,
+		Weeks:          6,
+		AttacksPerWeek: 60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "capture")
+	if _, err := RecordSpoolWith(dir, packets, SpoolRecordOptions{SegmentBytes: 64 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	in, err := ingest.New(ingest.Config{
+		Shards:         2,
+		Start:          start,
+		End:            start.AddDate(0, 0, 7*6-1),
+		Rolling:        true,
+		Unordered:      true,
+		BatchSize:      32,
+		WatermarkEvery: 128,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sealed atomic.Int64
+	if err := in.OnSnapshot(func(s *ingest.Snapshot) {
+		if s.Sealed && !s.Final {
+			sealed.Add(1)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplaySpoolWindow(in, dir, SpoolReplayOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SegmentsRead < 3 {
+		t.Fatalf("only %d segments: mid-replay expiry coverage is vacuous", rep.SegmentsRead)
+	}
+	res, err := in.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sealed.Load() == 0 {
+		t.Error("no sealed snapshot published before Close: flows never expired mid-replay")
+	}
+	if res.Stats.Late != 0 {
+		t.Errorf("%d packets dropped as late", res.Stats.Late)
 	}
 }
 

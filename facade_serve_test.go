@@ -101,7 +101,7 @@ func TestServeLiveDuringReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeSpool(in, "127.0.0.1:0", dir)
+	srv, err := Serve(in, "127.0.0.1:0", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestServeRequiresRolling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	if _, err := Serve(in, "127.0.0.1:0"); err == nil {
+	if _, err := Serve(in, "127.0.0.1:0", ""); err == nil {
 		t.Fatal("Serve accepted a non-rolling ingestor")
 	}
 }
@@ -224,7 +224,7 @@ func TestServeModelOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(in, "127.0.0.1:0")
+	srv, err := Serve(in, "127.0.0.1:0", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,10 +45,7 @@ func TestWireFacade(t *testing.T) {
 		t.Fatal("degenerate reference run")
 	}
 
-	in, err := NewUnorderedIngestor(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := newTolerantIngestor(t, 3)
 	col, err := ListenWire(in, "127.0.0.1:0", "tok")
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +73,7 @@ func TestWireFacade(t *testing.T) {
 	}
 
 	// A wrong token is refused permanently, not retried into oblivion.
-	in2, err := NewUnorderedIngestor(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in2 := newTolerantIngestor(t, 1)
 	defer in2.Close()
 	col2, err := ListenWire(in2, "127.0.0.1:0", "right")
 	if err != nil {

@@ -23,7 +23,9 @@ import (
 //
 // Optional sinks (ingest.NewTopKSink, ingest.NewNDJSONSink, or your own
 // ingest.Sink) receive every closed flow alongside the built-in weekly
-// panel; each must be a fresh instance.
+// panel; each must be a fresh instance. For order-tolerant flow tables,
+// rolling snapshots (Serve), metrics or another span, build the
+// pipeline from an ingest.Config with ingest.New instead.
 func NewIngestor(shards int, sinks ...ingest.Sink) (*ingest.Ingestor, error) {
 	return ingest.New(ingest.Config{
 		Shards: shards,
@@ -33,57 +35,19 @@ func NewIngestor(shards int, sinks ...ingest.Sink) (*ingest.Ingestor, error) {
 	})
 }
 
-// NewUnorderedIngestor is NewIngestor with order-tolerant flow tables:
-// every shard aggregates with the interval-merge aggregator, so packets
-// may arrive in any order at or ahead of the pipeline's low-watermark.
-// It is the pipeline ReplaySpoolWindow's Unordered mode requires —
-// parallel spool readers hand whole segments over as they finish instead
-// of re-serialising into recorded order. The panel is byte-identical to
-// the ordered pipeline's by the merge aggregator's order-independence
-// (see ARCHITECTURE.md).
-func NewUnorderedIngestor(shards int, sinks ...ingest.Sink) (*ingest.Ingestor, error) {
-	return ingest.New(ingest.Config{
-		Shards:    shards,
-		Start:     dataset.SpanStart,
-		End:       dataset.SpanEnd,
-		Sinks:     sinks,
-		Unordered: true,
-	})
-}
-
-// NewRollingIngestor is NewIngestor with rolling emission: the pipeline
-// publishes an immutable weekly-panel snapshot each time its watermark
-// carries the expiry horizon across a week boundary, plus a final one at
-// Close — the feed Serve turns into a live HTTP query API. Snapshots can
-// also be consumed directly via the ingestor's Snapshot and OnSnapshot.
-func NewRollingIngestor(shards int, sinks ...ingest.Sink) (*ingest.Ingestor, error) {
-	return ingest.New(ingest.Config{
-		Shards:  shards,
-		Start:   dataset.SpanStart,
-		End:     dataset.SpanEnd,
-		Sinks:   sinks,
-		Rolling: true,
-	})
-}
-
-// Serve attaches a live analytics server to a rolling ingestor (one from
-// NewRollingIngestor, or any ingest.Config with Rolling set) and starts
-// answering HTTP JSON queries on addr (host:port; port 0 picks a free
-// one, reported by the returned server's Addr). Queries — current panel,
-// weekly series by country/protocol, top-K rankings, on-demand
-// intervention-model fits over any week window (memoized per snapshot,
-// using the paper's Table 1 catalogue) — are served lock-free from the
-// pipeline's latest snapshot while ingestion is still running; after the
-// ingestor's Close the server keeps answering from the final panel until
-// its own Close. See internal/serve for the endpoint reference.
-func Serve(in *ingest.Ingestor, addr string) (*serve.Server, error) {
-	return ServeSpool(in, addr, "")
-}
-
-// ServeSpool is Serve with a capture spool directory wired in, so the
-// server's /v1/spool endpoint reports the segment index of the capture
-// being recorded or replayed alongside the live panel ("" disables it).
-func ServeSpool(in *ingest.Ingestor, addr, spoolDir string) (*serve.Server, error) {
+// Serve attaches a live analytics server to a rolling ingestor (any
+// ingest.Config with Rolling set) and starts answering HTTP JSON queries
+// on addr (host:port; port 0 picks a free one, reported by the returned
+// server's Addr). Queries — current panel, weekly series by
+// country/protocol, top-K rankings, on-demand intervention-model fits
+// over any week window (memoized per snapshot, using the paper's Table 1
+// catalogue) — are served lock-free from the pipeline's latest snapshot
+// while ingestion is still running; after the ingestor's Close the
+// server keeps answering from the final panel until its own Close.
+// A non-empty spoolDir names the capture spool being recorded or
+// replayed; the server's /v1/spool endpoint reports its segment index.
+// See internal/serve for the endpoint reference.
+func Serve(in *ingest.Ingestor, addr, spoolDir string) (*serve.Server, error) {
 	return serveWith(in, addr, spoolDir, Table1Interventions())
 }
 
@@ -94,7 +58,7 @@ func ServeSpool(in *ingest.Ingestor, addr, spoolDir string) (*serve.Server, erro
 // scenario runs (ServeScenario).
 func serveWith(in *ingest.Ingestor, addr, spoolDir string, ivs []its.Intervention) (*serve.Server, error) {
 	if !in.Rolling() {
-		return nil, errors.New("booters: Serve requires a rolling ingestor (NewRollingIngestor or ingest.Config.Rolling)")
+		return nil, errors.New("booters: Serve requires a rolling ingestor (ingest.Config.Rolling)")
 	}
 	srv := serve.New(serve.Config{
 		Ingest:        in,
@@ -193,19 +157,11 @@ type SpoolReplayOptions struct {
 	// without being opened.
 	From, To time.Time
 	// Workers is the number of concurrent segment readers decoding the
-	// spool; <= 1 reads inline. Without Unordered, records are handed to
-	// the pipeline in recorded order regardless of Workers, which is
-	// what keeps replayed panels byte-identical to a sequential replay
-	// through an ordered pipeline (see ARCHITECTURE.md).
+	// spool; <= 1 reads inline. Records are handed to the pipeline in
+	// recorded order regardless of Workers, which is what keeps
+	// replayed panels byte-identical to a sequential replay (see
+	// ARCHITECTURE.md).
 	Workers int
-	// Unordered lets each reader hand its decoded segments straight to
-	// the pipeline as it finishes them — no re-serialisation barrier —
-	// with the cross-reader low-watermark (advanced from segment
-	// trailers) driving flow expiry instead of delivery order. It
-	// requires an order-tolerant ingestor (NewUnorderedIngestor or
-	// ingest.Config.Unordered); the replayed panel is still
-	// byte-identical to the ordered one.
-	Unordered bool
 }
 
 // SpoolReplayReport summarises a ReplaySpoolWindow run.
@@ -232,26 +188,22 @@ type SpoolReplayReport struct {
 // out to opts.Workers concurrent readers. Corruption never fails the
 // replay: complete records before a tear are delivered and the loss is
 // reported in the returned report, so one torn segment cannot cost the
-// rest of a capture. With opts.Unordered (which requires an ingestor
-// from NewUnorderedIngestor), readers feed the pipeline directly as
-// segments decode, registered as a low-watermark source so flows still
-// expire mid-replay — the multi-core replay path.
+// rest of a capture. An order-tolerant ingestor (ingest.Config.Unordered)
+// gets the replay registered as a low-watermark source, advanced from the
+// segment trailers as segments complete, so flows expire mid-replay even
+// when the recording is not time-sorted.
 func ReplaySpoolWindow(in *ingest.Ingestor, dir string, opts SpoolReplayOptions) (*SpoolReplayReport, error) {
 	replayOpts := spool.ReplayOptions{
-		From:      opts.From,
-		To:        opts.To,
-		Workers:   opts.Workers,
-		Unordered: opts.Unordered,
+		From:    opts.From,
+		To:      opts.To,
+		Workers: opts.Workers,
 		// Replay counters and segment read spans land in the same
 		// registry and flight recorder as the ingest families and spans
 		// the replay feeds (nil when metrics or tracing are off).
 		Metrics: in.Metrics(),
 		Trace:   in.Trace(),
 	}
-	if opts.Unordered {
-		if !in.Unordered() {
-			return nil, errors.New("booters: unordered spool replay requires an order-tolerant ingestor (NewUnorderedIngestor)")
-		}
+	if in.Unordered() {
 		src := in.RegisterSource()
 		defer src.Close()
 		replayOpts.OnWatermark = src.Advance

@@ -129,11 +129,12 @@ func TestMergeOrderIndependenceProperty(t *testing.T) {
 	}
 }
 
-// TestMergeSegmentDeliveryWithinHorizon models the unordered spool
-// replay: the sorted stream is cut into contiguous segments, segments are
-// delivered whole in a random order by a simulated reader pool, and the
-// watermark advances to the minimum timestamp of the undelivered
-// segments after each one — exactly the cross-reader low-watermark rule.
+// TestMergeSegmentDeliveryWithinHorizon models a spool replay whose
+// segments are not in time order: the sorted stream is cut into
+// contiguous segments, segments are delivered whole in a random order,
+// and the watermark advances to the minimum timestamp of the undelivered
+// segments after each one — the rule spool.ReplayWindow's OnWatermark
+// follows.
 // Flows (and mid-run closures) must match the ordered reference, and no
 // packet may be rejected as stale.
 func TestMergeSegmentDeliveryWithinHorizon(t *testing.T) {

@@ -13,9 +13,10 @@
 // registered Sources it is the maximum packet timestamp observed (ordered
 // producers), and with Sources it is the minimum across their promised
 // frontiers — a true low-watermark, which is what lets Config.Unordered
-// pipelines accept out-of-order delivery (parallel spool readers handing
-// over whole segments as they finish) and still expire flows safely via
-// the order-tolerant interval-merge aggregator.
+// pipelines accept out-of-order delivery (a sensor fleet's interleaved
+// sessions, a reordered recording replayed with its spool trailers'
+// low-watermark) and still expire flows safely via the order-tolerant
+// interval-merge aggregator.
 //
 // Closed flows fan out to any number of Sinks — the weekly-panel
 // accumulator is built in; TopKSink and NDJSONSink ship alongside — via
@@ -148,13 +149,15 @@ type Config struct {
 	// aggregator (honeypot.MergeAggregator) instead of the ordered fold,
 	// so producers may deliver packets in any order that stays at or
 	// ahead of the broadcast low-watermark. Register a Source per
-	// ordered producer (spool reader, live sensor) and Advance it as the
+	// producer (a spool replay, a live sensor) and Advance it as the
 	// producer's own frontier moves: the pipeline broadcasts the minimum
 	// across sources, which is what lets idle shards expire flows safely
-	// under out-of-order input. With no sources registered, an unordered
-	// pipeline never expires flows mid-run — everything closes at Close —
-	// so open-flow memory is bounded by the stream's victim spread, not
-	// by traffic recency.
+	// under out-of-order input. booters.ReplaySpoolWindow and the wire
+	// collector register theirs; a spool replay advances from
+	// spool.ReplayOptions.OnWatermark. With no sources registered, an
+	// unordered pipeline never expires flows mid-run — everything closes
+	// at Close — so open-flow memory is bounded by the stream's victim
+	// spread, not by traffic recency.
 	Unordered bool
 	// Rolling publishes an immutable panel Snapshot each time the
 	// broadcast low-watermark carries the expiry horizon across a week

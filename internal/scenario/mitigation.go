@@ -28,8 +28,8 @@ type MitigationResult struct {
 // ingests. Victim-hash sharding sends all of one victim's flows to one
 // shard, so each branch keeps its per-victim counters lock-free; the
 // admitted count per victim-week is min(count, cap) — independent of
-// arrival order, so the result is deterministic for unordered replays
-// too. Use one fresh sink per run.
+// arrival order, so the result is deterministic for order-tolerant
+// pipelines too. Use one fresh sink per run.
 type MitigationSink struct {
 	cap      int
 	branches []*mitigationBranch

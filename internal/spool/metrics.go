@@ -3,11 +3,10 @@ package spool
 // Spool instrumentation. Both Options (writer) and ReplayOptions carry an
 // optional *obs.Registry; nil keeps the package metrics-free. The write
 // path counts records, bytes and segments from the one goroutine that
-// owns the Writer; the replay path counts deliveries into per-worker
-// counter cells (merged at scrape) so unordered readers never share a
-// cache line, and books corruption — torn segments, unindexed scans — the
-// moment it is detected, not at end of run, which is what lets a serving
-// layer watch a live replay degrade.
+// owns the Writer; the replay path counts from the one goroutine that
+// delivers records, and books each segment — torn or not — as soon as
+// its records have been delivered, not at end of run, which is what lets
+// a serving layer watch a live replay degrade.
 
 import (
 	"booters/internal/obs"
@@ -35,10 +34,9 @@ func newWriterMetrics(reg *obs.Registry) *writerMetrics {
 	}
 }
 
-// replayMetrics holds the replay-path instrument handles; records is
-// sharded by reader worker.
+// replayMetrics holds the replay-path instrument handles.
 type replayMetrics struct {
-	records   *obs.ShardedCounter
+	records   *obs.Counter
 	filtered  *obs.Counter
 	segsRead  *obs.Counter
 	segsSkip  *obs.Counter
@@ -46,15 +44,11 @@ type replayMetrics struct {
 	unindexed *obs.Counter
 }
 
-// newReplayMetrics registers the replay-path families on reg with one
-// delivery cell per reader worker.
-func newReplayMetrics(reg *obs.Registry, workers int) *replayMetrics {
-	if workers < 1 {
-		workers = 1
-	}
+// newReplayMetrics registers the replay-path families on reg.
+func newReplayMetrics(reg *obs.Registry) *replayMetrics {
 	return &replayMetrics{
-		records: reg.ShardedCounter("booters_spool_replay_records_total",
-			"Records delivered by replay (per-reader cells, merged at scrape).", workers),
+		records: reg.Counter("booters_spool_replay_records_total",
+			"Records delivered by replay."),
 		filtered: reg.Counter("booters_spool_replay_filtered_total",
 			"Records read but outside the requested replay window."),
 		segsRead: reg.Counter("booters_spool_replay_segments_total",

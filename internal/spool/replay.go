@@ -23,10 +23,10 @@ type ReplayOptions struct {
 	From, To time.Time
 	// Workers is the number of concurrent segment readers; <= 1 reads
 	// segments inline on the calling goroutine. Readers decode segments
-	// in parallel; unless Unordered is set, records are always delivered
-	// to fn sequentially, in recorded spool order — the ordered flow
-	// aggregator's quiet-gap rule is order-sensitive, so delivery order
-	// is part of the ordered replay contract (see ARCHITECTURE.md).
+	// in parallel, but records are always delivered to fn sequentially,
+	// in recorded spool order: the ordered flow aggregator's quiet-gap
+	// rule is order-sensitive, so delivery order is part of the replay
+	// contract (see ARCHITECTURE.md).
 	Workers int
 	// Strict makes any corruption fail the whole replay with an error
 	// wrapping ErrCorrupt, matching Replay. The default (false) contains
@@ -34,32 +34,21 @@ type ReplayOptions struct {
 	// the tear are delivered, the loss is booked in ReplayStats.Torn,
 	// and the replay continues with the next segment.
 	Strict bool
-	// Unordered removes the delivery-order guarantee: each reader hands
-	// its segment's records straight to fn as it decodes them, with no
-	// re-serialisation barrier and no decode-ahead claim tokens, so N
-	// workers stream N segments concurrently at full speed. fn must be
-	// safe for concurrent use, and the consumer must tolerate
-	// out-of-order delivery — pair it with an order-tolerant pipeline
-	// (ingest.Config.Unordered) and feed OnWatermark into the pipeline's
-	// low-watermark source. Records within one segment still arrive in
-	// recorded order; segments interleave arbitrarily.
-	Unordered bool
-	// OnWatermark, with Unordered, receives the cross-reader
-	// low-watermark derived from the segment trailers' minimum
-	// timestamps: after a call reporting time T, every record still to
-	// be delivered is stamped at or after T. Calls are serialised and
-	// strictly increasing. Setting it without Unordered is a
-	// configuration error ReplayWindow rejects — an ordered replay has
-	// no cross-reader watermark to report. An unindexed segment (no
-	// trusted trailer) holds the watermark back until it finishes.
+	// OnWatermark, when non-nil, receives the spool's low-watermark each
+	// time a segment has been fully delivered: the minimum trailer Min
+	// over the segments still to come, so every record delivered after a
+	// call reporting time T is stamped at or after T. Calls come from the
+	// goroutine that calls fn, between fn calls, and are strictly
+	// increasing. An unindexed segment (no trusted trailer) holds the
+	// watermark back until it has been delivered. Feed it to an
+	// order-tolerant pipeline's Source.Advance so flows expire mid-replay.
 	OnWatermark func(time.Time)
 	// Metrics, when non-nil, registers the replay counters (records
 	// delivered, window-filtered, segments read/skipped, torn and
 	// unindexed segments — see docs/METRICS.md) on the given registry and
-	// keeps them live during the replay: corruption is booked the moment
-	// a tear is detected, not at end of run. Record deliveries go into
-	// per-reader counter cells merged only at scrape, so unordered
-	// workers never contend. nil disables instrumentation.
+	// keeps them live during the replay: each segment is booked as soon
+	// as its records have been delivered, not at end of run. nil
+	// disables instrumentation.
 	Metrics *obs.Registry
 
 	// Trace, when non-nil, records spool.segment spans — one sampling
@@ -67,11 +56,6 @@ type ReplayOptions struct {
 	// segment's whole decode-and-deliver wall time with the record count
 	// as the span payload. nil disables tracing at one pointer test.
 	Trace *trace.Tracer
-
-	// testClaimOrder, set only by tests, overrides the order unordered
-	// workers claim segments in: a permutation of the scanned segment
-	// indexes. Production replays always claim in recorded order.
-	testClaimOrder []int
 }
 
 // TornSegment records data loss met during a tolerant replay: a segment
@@ -133,8 +117,8 @@ const segTaskDepth = 4
 //
 // Payloads are borrowed for the duration of each fn call (see
 // Reader.Next): they alias a reader's mapped segment or reused decode
-// buffer — or, in the parallel ordered mode, a pooled batch arena — and
-// are recycled as soon as fn returns. fn must copy any payload it keeps.
+// buffer — or, with parallel readers, a pooled batch arena — and are
+// recycled as soon as fn returns. fn must copy any payload it keeps.
 func ReplayWindow(dir string, opts ReplayOptions, fn func(ingest.Datagram) error) (*ReplayStats, error) {
 	stats := &ReplayStats{}
 	idx, err := LoadIndex(dir)
@@ -145,56 +129,89 @@ func ReplayWindow(dir string, opts ReplayOptions, fn func(ingest.Datagram) error
 		return stats, fmt.Errorf("spool: no segments in %s", dir)
 	}
 	stats.Warnings = append(stats.Warnings, idx.Warnings...)
-	var m *replayMetrics
+	r := &replayRun{dir: dir, opts: opts, stats: stats, fn: fn,
+		from: math.MinInt64, to: math.MaxInt64, lastMark: math.MinInt64}
 	if opts.Metrics != nil {
-		m = newReplayMetrics(opts.Metrics, opts.Workers)
+		r.m = newReplayMetrics(opts.Metrics)
 	}
-
-	from, to := int64(math.MinInt64), int64(math.MaxInt64)
 	if !opts.From.IsZero() {
-		from = opts.From.UnixNano()
+		r.from = opts.From.UnixNano()
 	}
 	if !opts.To.IsZero() {
-		to = opts.To.UnixNano()
+		r.to = opts.To.UnixNano()
 	}
-	windowed := from != math.MinInt64 || to != math.MaxInt64
+	windowed := r.from != math.MinInt64 || r.to != math.MaxInt64
 
-	var scan []*SegmentInfo
 	unindexed := 0
 	for i := range idx.Segments {
 		info := &idx.Segments[i]
-		if !info.overlaps(from, to) {
+		if !info.overlaps(r.from, r.to) {
 			stats.SegmentsSkipped++
-			if m != nil {
-				m.segsSkip.Inc()
+			if r.m != nil {
+				r.m.segsSkip.Inc()
 			}
 			continue
 		}
 		if !info.Indexed {
 			unindexed++
-			if m != nil {
-				m.unindexed.Inc()
+			if r.m != nil {
+				r.m.unindexed.Inc()
 			}
 		}
-		scan = append(scan, info)
+		r.scan = append(r.scan, info)
 	}
 	if windowed && unindexed > 0 {
 		stats.Warnings = append(stats.Warnings,
 			fmt.Sprintf("%d unindexed segment(s) cannot be window-pruned and will be scanned in full", unindexed))
 	}
-	if opts.OnWatermark != nil && !opts.Unordered {
-		return stats, fmt.Errorf("spool: ReplayOptions.OnWatermark requires Unordered")
-	}
-	if len(scan) == 0 {
+	if len(r.scan) == 0 {
 		return stats, nil
 	}
-	if opts.Unordered {
-		return stats, replayUnordered(dir, scan, from, to, opts, stats, m, fn)
+	if opts.OnWatermark != nil {
+		r.marks = lowMarks(r.scan)
 	}
 	if opts.Workers <= 1 {
-		return stats, replaySequential(dir, scan, from, to, opts, stats, m, fn)
+		return stats, r.sequential()
 	}
-	return stats, replayParallel(dir, scan, from, to, opts, stats, m, fn)
+	return stats, r.parallel()
+}
+
+// replayRun is one ReplayWindow call's state: the segments selected for
+// scanning, the window bounds in Unix nanoseconds, and the outputs.
+type replayRun struct {
+	dir      string
+	scan     []*SegmentInfo
+	from, to int64
+	opts     ReplayOptions
+	stats    *ReplayStats
+	m        *replayMetrics
+	fn       func(ingest.Datagram) error
+	// marks[i] is the low-watermark once scan[:i+1] has been delivered
+	// (lowMarks); nil without OnWatermark. lastMark is the last one
+	// reported.
+	marks    []int64
+	lastMark int64
+}
+
+// lowMarks returns, for each scanned segment i, the low-watermark that
+// holds once segments 0..i have been delivered: the minimum trailer Min
+// over scan[i+1:], computed once as a suffix minimum. An unindexed
+// segment has no trusted Min, so it pins every mark before it to
+// math.MinInt64 (unknown); the last mark is math.MaxInt64 (nothing left
+// to come).
+func lowMarks(scan []*SegmentInfo) []int64 {
+	marks := make([]int64, len(scan))
+	low := int64(math.MaxInt64)
+	for i := len(scan) - 1; i >= 0; i-- {
+		marks[i] = low
+		switch info := scan[i]; {
+		case !info.Indexed:
+			low = math.MinInt64
+		case info.Records > 0:
+			low = min(low, info.Min.UnixNano())
+		}
+	}
+	return marks
 }
 
 // scanSegment streams one segment's in-window records through yield. It
@@ -226,27 +243,35 @@ func scanSegment(path string, from, to int64, yield func(ingest.Datagram) error)
 	}
 }
 
-// bookSegment folds one scanned segment's outcome into the stats,
-// applying the strictness policy to its corruption error, if any. m may
-// be nil — both when metrics are off and when the caller already counted
-// the segment live (the unordered workers do).
-func bookSegment(info *SegmentInfo, read, filtered uint64, scanErr error, strict bool, stats *ReplayStats, m *replayMetrics) error {
-	stats.SegmentsRead++
-	stats.Filtered += filtered
-	if m != nil {
-		m.segsRead.Inc()
-		m.filtered.Add(filtered)
+// delivered books scan[i] once all of its records have reached fn: its
+// outcome goes into the stats and metrics, the strictness policy is
+// applied to its corruption error, if any, and the low-watermark is
+// reported if it advanced.
+func (r *replayRun) delivered(i int, read, filtered uint64, scanErr error) error {
+	r.stats.SegmentsRead++
+	r.stats.Filtered += filtered
+	if r.m != nil {
+		r.m.segsRead.Inc()
+		r.m.filtered.Add(filtered)
 		if scanErr != nil {
-			m.torn.Inc()
+			r.m.torn.Inc()
 		}
 	}
-	if scanErr == nil {
-		return nil
+	if scanErr != nil {
+		if r.opts.Strict {
+			return scanErr
+		}
+		r.stats.Torn = append(r.stats.Torn, TornSegment{Segment: r.scan[i].Name, Records: read, Reason: corruptReason(scanErr)})
 	}
-	if strict {
-		return scanErr
+	// A mark of math.MinInt64 (unknown) never exceeds lastMark; the final
+	// math.MaxInt64 (replay over) is not reported: the consumer's flush
+	// closes everything.
+	if r.marks != nil {
+		if mark := r.marks[i]; mark > r.lastMark && mark != math.MaxInt64 {
+			r.lastMark = mark
+			r.opts.OnWatermark(time.Unix(0, mark).UTC())
+		}
 	}
-	stats.Torn = append(stats.Torn, TornSegment{Segment: info.Name, Records: read, Reason: corruptReason(scanErr)})
 	return nil
 }
 
@@ -264,17 +289,17 @@ func segmentSpan(tr *trace.Tracer, lane int) func(read uint64) {
 	}
 }
 
-// replaySequential scans the selected segments inline, in order.
-func replaySequential(dir string, scan []*SegmentInfo, from, to int64, opts ReplayOptions, stats *ReplayStats, m *replayMetrics, fn func(ingest.Datagram) error) error {
-	for _, info := range scan {
-		span := segmentSpan(opts.Trace, 0)
-		read, filtered, scanErr, yieldErr := scanSegment(idxPath(dir, info), from, to, func(d ingest.Datagram) error {
-			if err := fn(d); err != nil {
+// sequential scans the selected segments inline, in order.
+func (r *replayRun) sequential() error {
+	for i, info := range r.scan {
+		span := segmentSpan(r.opts.Trace, 0)
+		read, filtered, scanErr, yieldErr := scanSegment(idxPath(r.dir, info), r.from, r.to, func(d ingest.Datagram) error {
+			if err := r.fn(d); err != nil {
 				return err
 			}
-			stats.Records++
-			if m != nil {
-				m.records.Inc(0)
+			r.stats.Records++
+			if r.m != nil {
+				r.m.records.Inc()
 			}
 			return nil
 		})
@@ -282,7 +307,7 @@ func replaySequential(dir string, scan []*SegmentInfo, from, to int64, opts Repl
 			return yieldErr
 		}
 		span(read)
-		if err := bookSegment(info, read, filtered, scanErr, opts.Strict, stats, m); err != nil {
+		if err := r.delivered(i, read, filtered, scanErr); err != nil {
 			return err
 		}
 	}
@@ -325,7 +350,7 @@ type segTask struct {
 	scanErr        error
 }
 
-// replayParallel fans the selected segments out to opts.Workers reader
+// parallel fans the selected segments out to opts.Workers reader
 // goroutines and re-serialises their record batches so fn still observes
 // recorded spool order. A claim token is needed per in-flight segment
 // and is only returned once the sequencer has fully consumed it, so
@@ -333,15 +358,12 @@ type segTask struct {
 // segments of at most segTaskDepth batches each, even when segments are
 // tiny and a fast worker could otherwise sprint through the whole spool
 // ahead of a slow consumer.
-func replayParallel(dir string, scan []*SegmentInfo, from, to int64, opts ReplayOptions, stats *ReplayStats, m *replayMetrics, fn func(ingest.Datagram) error) error {
-	tasks := make([]*segTask, len(scan))
-	for i, info := range scan {
+func (r *replayRun) parallel() error {
+	tasks := make([]*segTask, len(r.scan))
+	for i, info := range r.scan {
 		tasks[i] = &segTask{info: info, ch: make(chan *replayBatch, segTaskDepth)}
 	}
-	workers := opts.Workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers := min(r.opts.Workers, len(tasks))
 	tokens := make(chan struct{}, 2*workers)
 	for i := 0; i < cap(tokens); i++ {
 		tokens <- struct{}{}
@@ -378,8 +400,8 @@ func replayParallel(dir string, scan []*SegmentInfo, from, to int64, opts Replay
 				t := tasks[i]
 				batch := getBatch()
 				aborted := false
-				span := segmentSpan(opts.Trace, lane)
-				t.read, t.filtered, t.scanErr, _ = scanSegment(idxPath(dir, t.info), from, to, func(d ingest.Datagram) error {
+				span := segmentSpan(r.opts.Trace, lane)
+				t.read, t.filtered, t.scanErr, _ = scanSegment(idxPath(r.dir, t.info), r.from, r.to, func(d ingest.Datagram) error {
 					batch.add(d)
 					if len(batch.recs) == replayBatchLen {
 						select {
@@ -415,22 +437,22 @@ func replayParallel(dir string, scan []*SegmentInfo, from, to int64, opts Replay
 		wg.Wait()
 		return err
 	}
-	for _, t := range tasks {
+	for i, t := range tasks {
 		for batch := range t.ch {
 			for _, d := range batch.recs {
-				if err := fn(d); err != nil {
+				if err := r.fn(d); err != nil {
 					return abort(err)
 				}
-				stats.Records++
+				r.stats.Records++
 			}
-			if m != nil {
-				m.records.Add(0, uint64(len(batch.recs)))
+			if r.m != nil {
+				r.m.records.Add(uint64(len(batch.recs)))
 			}
 			pool.Put(batch)
 		}
 		// The channel close happens after the worker's final field
 		// writes, so the outcome is safely visible here.
-		if err := bookSegment(t.info, t.read, t.filtered, t.scanErr, opts.Strict, stats, m); err != nil {
+		if err := r.delivered(i, t.read, t.filtered, t.scanErr); err != nil {
 			return abort(err)
 		}
 		// Segment fully consumed: return its claim token so a worker
@@ -439,191 +461,6 @@ func replayParallel(dir string, scan []*SegmentInfo, from, to int64, opts Replay
 	}
 	wg.Wait()
 	return nil
-}
-
-// unorderedTask tracks one segment through the unordered replay; its
-// fields are written by the one worker that claims it and read after the
-// WaitGroup barrier.
-type unorderedTask struct {
-	info      *SegmentInfo
-	claimed   bool
-	delivered uint64
-	read      uint64
-	filtered  uint64
-	scanErr   error
-}
-
-// markTracker maintains the cross-reader low-watermark: the minimum
-// trailer Min across segments not yet fully delivered. Completing a
-// segment may advance it; advances are reported serialised and strictly
-// increasing. A segment without a trusted trailer contributes an unknown
-// (minus-infinity) bound until it completes.
-type markTracker struct {
-	mu   sync.Mutex
-	mins []int64
-	done []bool
-	last int64
-	fn   func(time.Time)
-}
-
-// newMarkTracker indexes the scanned segments' minimum timestamps.
-func newMarkTracker(scan []*SegmentInfo, fn func(time.Time)) *markTracker {
-	m := &markTracker{mins: make([]int64, len(scan)), done: make([]bool, len(scan)), last: math.MinInt64, fn: fn}
-	for i, info := range scan {
-		if info.Indexed && info.Records > 0 {
-			m.mins[i] = info.Min.UnixNano()
-		} else {
-			m.mins[i] = math.MinInt64
-		}
-	}
-	return m
-}
-
-// complete marks segment i fully delivered and reports the watermark if
-// it advanced.
-func (m *markTracker) complete(i int) {
-	if m == nil || m.fn == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.done[i] = true
-	low := int64(math.MaxInt64)
-	for j, done := range m.done {
-		if !done && m.mins[j] < low {
-			low = m.mins[j]
-		}
-	}
-	// All segments done (MaxInt64) reports nothing: the replay is over
-	// and the consumer's flush closes everything. An unknown bound
-	// (MinInt64) reports nothing either.
-	if low > m.last && low != math.MaxInt64 && low != math.MinInt64 {
-		m.last = low
-		m.fn(time.Unix(0, low).UTC())
-	}
-}
-
-// replayUnordered fans the selected segments out to opts.Workers reader
-// goroutines that hand records straight to fn as they decode — no
-// re-serialisation barrier, no claim tokens, no buffered batches: each
-// worker's in-flight state is exactly one segment, which both bounds
-// memory and bounds the disorder horizon the consumer observes to
-// Workers segments. Segments are claimed in recorded order, and the
-// cross-reader low-watermark (min trailer Min over unfinished segments)
-// is advanced through opts.OnWatermark as segments complete, which is
-// what lets an order-tolerant pipeline expire flows mid-replay.
-func replayUnordered(dir string, scan []*SegmentInfo, from, to int64, opts ReplayOptions, stats *ReplayStats, m *replayMetrics, fn func(ingest.Datagram) error) error {
-	tasks := make([]*unorderedTask, len(scan))
-	for i, info := range scan {
-		tasks[i] = &unorderedTask{info: info}
-	}
-	claim := opts.testClaimOrder
-	if claim == nil {
-		claim = make([]int, len(tasks))
-		for i := range claim {
-			claim[i] = i
-		}
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	marks := newMarkTracker(scan, opts.OnWatermark)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var consumerErr error
-	// terminate stops all workers; a nil err (strict-mode corruption)
-	// leaves the terminal error to the deterministic booking pass below.
-	terminate := func(err error) {
-		stopOnce.Do(func() {
-			consumerErr = err
-			close(stop)
-		})
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(cell int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				n := int(next.Add(1)) - 1
-				if n >= len(tasks) {
-					return
-				}
-				i := claim[n]
-				t := tasks[i]
-				t.claimed = true
-				span := segmentSpan(opts.Trace, cell)
-				var yieldErr error
-				t.read, t.filtered, t.scanErr, yieldErr = scanSegment(idxPath(dir, t.info), from, to, func(d ingest.Datagram) error {
-					select {
-					case <-stop:
-						return errReplayStopped
-					default:
-					}
-					if err := fn(d); err != nil {
-						terminate(err)
-						return errReplayStopped
-					}
-					t.delivered++
-					if m != nil {
-						// The worker's own cell: no cross-reader line sharing.
-						m.records.Inc(cell)
-					}
-					return nil
-				})
-				if yieldErr != nil {
-					// The consumer (or a concurrent terminal error)
-					// aborted mid-segment; the segment is not complete,
-					// so it never advances the watermark.
-					return
-				}
-				span(t.read)
-				if m != nil {
-					// Book the segment live — a collector watching the
-					// scrape sees a tear when it happens, not at end of
-					// run. The deterministic booking pass below therefore
-					// runs metrics-blind (nil) to avoid double counting.
-					m.segsRead.Inc()
-					m.filtered.Add(t.filtered)
-					if t.scanErr != nil {
-						m.torn.Inc()
-					}
-				}
-				if t.scanErr != nil && opts.Strict {
-					terminate(nil)
-					return
-				}
-				marks.complete(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Book outcomes in recorded segment order so stats (and the Torn
-	// list) are deterministic whatever the interleaving was.
-	var bookErr error
-	for _, t := range tasks {
-		if !t.claimed {
-			continue
-		}
-		stats.Records += t.delivered
-		if err := bookSegment(t.info, t.read, t.filtered, t.scanErr, opts.Strict, stats, nil); err != nil && bookErr == nil {
-			bookErr = err
-		}
-	}
-	if consumerErr != nil {
-		return consumerErr
-	}
-	return bookErr
 }
 
 // errReplayStopped aborts a worker's scan after the sequencer hit a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"booters/internal/ingest"
+	"booters/internal/obs"
 )
 
 // testCodecs enumerates the codec matrix every replay property is pinned
@@ -32,10 +34,27 @@ func testCodecs(t *testing.T) []Codec {
 
 // collectReplay runs ReplayWindow and gathers the delivered datagrams,
 // copying each borrowed payload since the collection outlives the call.
+// It also checks the OnWatermark trail on every replay, passing each mark
+// on to opts.OnWatermark when the caller set one: marks must be strictly
+// increasing, and no record may be delivered behind the last mark.
 func collectReplay(t *testing.T, dir string, opts ReplayOptions) ([]ingest.Datagram, *ReplayStats) {
 	t.Helper()
 	var got []ingest.Datagram
+	var mark time.Time // zero until the first report
+	onMark := opts.OnWatermark
+	opts.OnWatermark = func(w time.Time) {
+		if !mark.IsZero() && !w.After(mark) {
+			t.Errorf("watermark trail not strictly increasing: %v then %v", mark, w)
+		}
+		mark = w
+		if onMark != nil {
+			onMark(w)
+		}
+	}
 	stats, err := ReplayWindow(dir, opts, func(d ingest.Datagram) error {
+		if d.Time.Before(mark) {
+			t.Errorf("datagram at %v delivered behind the watermark %v", d.Time, mark)
+		}
 		d.Payload = append([]byte(nil), d.Payload...)
 		got = append(got, d)
 		return nil
@@ -68,8 +87,9 @@ func sameDatagrams(t *testing.T, got, want []ingest.Datagram) {
 // TestWindowedReplaySkipsSegments records a multi-week stream across
 // many small segments and checks that a [from,to) replay prunes whole
 // segments via the index, filters boundary records, and still delivers
-// exactly the window's datagrams in order — for every codec and for 1
-// and 4 readers.
+// exactly the window's datagrams in order, with a watermark trail that
+// advances as segments complete — for every codec and for 1 and 4
+// readers.
 func TestWindowedReplaySkipsSegments(t *testing.T) {
 	datagrams := testDatagrams(t, 4, 60)
 	from := testStart.AddDate(0, 0, 10)
@@ -88,10 +108,15 @@ func TestWindowedReplaySkipsSegments(t *testing.T) {
 			t.Run(fmt.Sprintf("codec=%s/workers=%d", codec.Name(), workers), func(t *testing.T) {
 				dir := filepath.Join(t.TempDir(), "spool")
 				record(t, dir, datagrams, Options{SegmentBytes: 16 << 10, BlockBytes: 4 << 10, Codec: codec})
-				got, stats := collectReplay(t, dir, ReplayOptions{From: from, To: to, Workers: workers})
+				var marks int
+				got, stats := collectReplay(t, dir, ReplayOptions{From: from, To: to, Workers: workers,
+					OnWatermark: func(time.Time) { marks++ }})
 				sameDatagrams(t, got, want)
 				if stats.SegmentsSkipped == 0 {
 					t.Error("no segments skipped: index pruning did not engage")
+				}
+				if marks == 0 && stats.SegmentsRead > 1 {
+					t.Errorf("%d segments delivered without a watermark report", stats.SegmentsRead)
 				}
 				if stats.Filtered == 0 {
 					t.Error("no boundary records filtered")
@@ -109,7 +134,9 @@ func TestWindowedReplaySkipsSegments(t *testing.T) {
 // and 4 readers, compressed and raw, must produce weekly panels
 // byte-identical to the batch reference over the original packets — and
 // a windowed replay must match the batch reference over the manually
-// filtered packet subset.
+// filtered packet subset. It runs on both pipelines: the ordered one,
+// and the order-tolerant one with OnWatermark driving a registered
+// low-watermark source, wired exactly as production does it.
 func TestParallelReplayPanelEquivalence(t *testing.T) {
 	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
 		Seed:           13,
@@ -121,13 +148,14 @@ func TestParallelReplayPanelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := func(shards int) ingest.Config {
+	cfg := func(shards int, unordered bool) ingest.Config {
 		return ingest.Config{
 			Shards:         shards,
 			Start:          testStart,
 			End:            testStart.AddDate(0, 0, 7*3-1),
 			BatchSize:      32,
 			WatermarkEvery: 128,
+			Unordered:      unordered,
 		}
 	}
 	from := testStart.AddDate(0, 0, 7)
@@ -149,7 +177,7 @@ func TestParallelReplayPanelEquivalence(t *testing.T) {
 				}
 			}
 		}
-		want, err := ingest.Batch(cfg(1), sub)
+		want, err := ingest.Batch(cfg(1, false), sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,41 +188,56 @@ func TestParallelReplayPanelEquivalence(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "spool")
 			record(t, dir, ingest.Datagrams(packets), Options{SegmentBytes: 64 << 10, Codec: codec})
 			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/codec=%s/workers=%d", win.name, codec.Name(), workers), func(t *testing.T) {
-					in, err := ingest.New(cfg(4))
-					if err != nil {
-						t.Fatal(err)
+				for _, unordered := range []bool{false, true} {
+					name := fmt.Sprintf("%s/codec=%s/workers=%d", win.name, codec.Name(), workers)
+					if unordered {
+						name += "/order-tolerant"
 					}
-					stats, err := ReplayWindow(dir, ReplayOptions{From: win.from, To: win.to, Workers: workers}, func(d ingest.Datagram) error {
-						return in.IngestDatagram(d)
+					t.Run(name, func(t *testing.T) {
+						in, err := ingest.New(cfg(4, unordered))
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts := ReplayOptions{From: win.from, To: win.to, Workers: workers}
+						var src *ingest.Source
+						if unordered {
+							src = in.RegisterSource()
+							opts.OnWatermark = src.Advance
+						}
+						stats, err := ReplayWindow(dir, opts, func(d ingest.Datagram) error {
+							return in.IngestDatagram(d)
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if stats.Records != uint64(len(sub)) {
+							t.Fatalf("replayed %d datagrams, want %d", stats.Records, len(sub))
+						}
+						if src != nil {
+							src.Close()
+						}
+						got, err := in.Close()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got.Stats, want.Stats) {
+							t.Errorf("stats: got %+v want %+v", got.Stats, want.Stats)
+						}
+						if !reflect.DeepEqual(got.Global.Values, want.Global.Values) {
+							t.Errorf("global series diverged from batch reference")
+						}
+						for c, ws := range want.ByCountry {
+							if !reflect.DeepEqual(got.ByCountry[c].Values, ws.Values) {
+								t.Errorf("country %s series diverged", c)
+							}
+						}
+						for p, ws := range want.ByProtocol {
+							if !reflect.DeepEqual(got.ByProtocol[p].Values, ws.Values) {
+								t.Errorf("protocol %v series diverged", p)
+							}
+						}
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if stats.Records != uint64(len(sub)) {
-						t.Fatalf("replayed %d datagrams, want %d", stats.Records, len(sub))
-					}
-					got, err := in.Close()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got.Stats, want.Stats) {
-						t.Errorf("stats: got %+v want %+v", got.Stats, want.Stats)
-					}
-					if !reflect.DeepEqual(got.Global.Values, want.Global.Values) {
-						t.Errorf("global series diverged from batch reference")
-					}
-					for c, ws := range want.ByCountry {
-						if !reflect.DeepEqual(got.ByCountry[c].Values, ws.Values) {
-							t.Errorf("country %s series diverged", c)
-						}
-					}
-					for p, ws := range want.ByProtocol {
-						if !reflect.DeepEqual(got.ByProtocol[p].Values, ws.Values) {
-							t.Errorf("protocol %v series diverged", p)
-						}
-					}
-				})
+				}
 			}
 		}
 	}
@@ -270,6 +313,87 @@ func TestAbortedParallelReplayLeaksNothing(t *testing.T) {
 	}
 }
 
+// TestLowMarks pins the suffix minimum behind OnWatermark on a
+// reordered scan list: after each segment the mark is the smallest
+// trailer Min still to come, an unindexed segment holds every mark before
+// it back (MinInt64, never reported), empty segments constrain nothing,
+// and nothing is left to come after the last segment (MaxInt64).
+func TestLowMarks(t *testing.T) {
+	at := func(s int64) time.Time { return time.Unix(s, 0) }
+	scan := []*SegmentInfo{
+		{Indexed: true, Records: 5, Min: at(10)},
+		{Indexed: true, Records: 5, Min: at(40)},
+		{Indexed: false},
+		{Indexed: true, Records: 5, Min: at(30)},
+		{Indexed: true, Records: 0},
+		{Indexed: true, Records: 5, Min: at(20)},
+	}
+	want := []int64{math.MinInt64, math.MinInt64, 20e9, 20e9, 20e9, math.MaxInt64}
+	if got := lowMarks(scan); !reflect.DeepEqual(got, want) {
+		t.Errorf("lowMarks = %v, want %v", got, want)
+	}
+}
+
+// TestConcurrentScrapeDuringReplay races Prometheus scrapes against a
+// live 4-worker replay of a torn spool: the delivering goroutine books
+// deliveries and each segment — the torn one included — as soon as its
+// records are delivered, so a scraper must see a monotone records
+// counter and, eventually, the torn segment, without a data race (run
+// under -race) and with final counts equal to the end-of-run ReplayStats.
+func TestConcurrentScrapeDuringReplay(t *testing.T) {
+	datagrams := testDatagrams(t, 2, 80)
+	dir := filepath.Join(t.TempDir(), "spool")
+	record(t, dir, datagrams, Options{SegmentBytes: 8 << 10, Codec: newLZ4Codec()})
+	tornLastSegment(t, dir, 11)
+
+	reg := obs.NewRegistry()
+	stop := make(chan struct{})
+	scraperDone := make(chan struct{})
+	go func() {
+		defer close(scraperDone)
+		var buf []byte
+		var last float64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			buf = reg.AppendText(buf[:0])
+			if v, ok := reg.Sum("booters_spool_replay_records_total"); ok {
+				if v < last {
+					t.Errorf("replay records counter went backwards: %v after %v", v, last)
+					return
+				}
+				last = v
+			}
+		}
+	}()
+	var n uint64
+	stats, err := ReplayWindow(dir, ReplayOptions{Workers: 4, Metrics: reg}, func(ingest.Datagram) error {
+		n++
+		return nil
+	})
+	close(stop)
+	<-scraperDone
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := reg.Sum("booters_spool_replay_records_total"); got != float64(stats.Records) {
+		t.Errorf("scraped records: got %v want %d", got, stats.Records)
+	}
+	if n != stats.Records {
+		t.Errorf("delivered %d, stats.Records %d", n, stats.Records)
+	}
+	if got, _ := reg.Sum("booters_spool_replay_torn_total"); got != float64(len(stats.Torn)) || got != 1 {
+		t.Errorf("scraped torn: got %v want %d (1)", got, len(stats.Torn))
+	}
+	read, _ := reg.Sum("booters_spool_replay_segments_total")
+	if want := float64(stats.SegmentsRead + stats.SegmentsSkipped); read != want {
+		t.Errorf("scraped segments (read+skipped): got %v want %v", read, want)
+	}
+}
+
 // tornLastSegment truncates the highest-numbered segment by n bytes.
 func tornLastSegment(t *testing.T, dir string, n int64) string {
 	t.Helper()
@@ -323,6 +447,21 @@ func TestTornTailSurfacedNotSilent(t *testing.T) {
 			}
 			// Everything that was delivered must be an exact prefix.
 			sameDatagrams(t, got, datagrams[:len(got)])
+
+			// The torn segment has no trusted trailer Min, so it holds
+			// the watermark back until it has been delivered; as the
+			// last segment it holds it back for the whole replay.
+			for _, workers := range []int{1, 4} {
+				var marks []time.Time
+				_, stats := collectReplay(t, dir, ReplayOptions{Workers: workers,
+					OnWatermark: func(w time.Time) { marks = append(marks, w) }})
+				if stats.SegmentsRead < 2 {
+					t.Fatalf("only %d segments: the hold-back is vacuous", stats.SegmentsRead)
+				}
+				if len(marks) > 0 {
+					t.Errorf("workers=%d: watermark %v reported ahead of the torn segment", workers, marks)
+				}
+			}
 
 			// Strict mode (and the legacy Replay entry point) still fail.
 			if _, err := ReplayWindow(dir, ReplayOptions{Strict: true}, func(ingest.Datagram) error { return nil }); !errors.Is(err, ErrCorrupt) {

@@ -1,9 +1,9 @@
 // Package spool implements an indexed, optionally compressed, append-only
 // on-disk datagram store: record a packet capture (or a synthetic market
 // run) once, then replay it repeatedly — whole, time-windowed, or fanned
-// out to parallel segment readers, in recorded order or unordered with a
-// cross-reader low-watermark — through any shard/sink configuration of
-// the streaming pipeline.
+// out to parallel segment readers, always delivered in recorded order
+// with an optional low-watermark derived from the segment trailers —
+// through any shard/sink configuration of the streaming pipeline.
 //
 // A spool is a directory of numbered segment files plus a MANIFEST. Each
 // v2 segment starts with a 16-byte header (8-byte magic "BOOTSPL2", a

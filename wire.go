@@ -13,7 +13,7 @@ import (
 // source closed — when they go silent. A fleet of sensors delivers
 // records in per-sensor time order but interleaved arbitrarily across
 // sensors, so the ingestor should be order-tolerant
-// (NewUnorderedIngestor) unless a single sensor is the only feed. The
+// (ingest.Config.Unordered) unless a single sensor is the only feed. The
 // collector's booters_wire_* metric families land in the ingestor's
 // registry, alongside the pipeline's own. Close the collector before
 // closing the ingestor. See docs/WIRE_PROTOCOL.md for the protocol.
