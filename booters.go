@@ -53,6 +53,7 @@ import (
 	"booters/internal/glm"
 	"booters/internal/interventions"
 	"booters/internal/its"
+	"booters/internal/stats"
 	"booters/internal/timeseries"
 )
 
@@ -243,9 +244,9 @@ func AnalyzeNCA(p *dataset.Panel) (*NCAComparison, error) {
 	campTo := timeseries.WeekOf(mustDate(2018, 4, 23))
 
 	out := &NCAComparison{UK: ukIdx, US: usIdx}
-	_, out.PreUKSlope = linearTrend(slice(ukIdx, preFrom, preTo))
-	_, out.PreUSSlope = linearTrend(slice(usIdx, preFrom, preTo))
-	_, out.CampaignUKSlope = linearTrend(slice(ukIdx, campFrom, campTo))
-	_, out.CampaignUSSlope = linearTrend(slice(usIdx, campFrom, campTo))
+	_, out.PreUKSlope = stats.LinearTrend(slice(ukIdx, preFrom, preTo))
+	_, out.PreUSSlope = stats.LinearTrend(slice(usIdx, preFrom, preTo))
+	_, out.CampaignUKSlope = stats.LinearTrend(slice(ukIdx, campFrom, campTo))
+	_, out.CampaignUSSlope = stats.LinearTrend(slice(usIdx, campFrom, campTo))
 	return out, nil
 }

@@ -1,18 +1,8 @@
 package booters
 
-import (
-	"time"
-
-	"booters/internal/stats"
-)
+import "time"
 
 // mustDate builds a UTC midnight date.
 func mustDate(y, m, d int) time.Time {
 	return time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC)
-}
-
-// linearTrend is a thin alias over the stats implementation so facade code
-// reads clearly.
-func linearTrend(y []float64) (intercept, slope float64) {
-	return stats.LinearTrend(y)
 }

@@ -9,10 +9,8 @@ import (
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
 	"booters/internal/its"
-	"booters/internal/protocols"
 	"booters/internal/serve"
 	"booters/internal/spool"
-	"booters/internal/timeseries"
 )
 
 // NewIngestor starts a streaming honeypot-ingestion pipeline covering the
@@ -236,26 +234,5 @@ func ReplaySpoolWindow(in *ingest.Ingestor, dir string, opts SpoolReplayOptions)
 // stream cannot know — the booter self-report panel (Figure 7/8) — is left
 // empty and still requires the generated dataset.
 func PanelFromIngest(res *ingest.Result) *dataset.Panel {
-	p := &dataset.Panel{
-		Start:           res.Start,
-		Weeks:           res.Weeks,
-		Global:          res.Global.Clone(),
-		ByCountry:       make(map[string]*timeseries.Series, len(res.ByCountry)),
-		ByProtocol:      make(map[protocols.Protocol]*timeseries.Series, len(res.ByProtocol)),
-		CountryProtocol: make(map[string]map[protocols.Protocol]*timeseries.Series, len(res.CountryProtocol)),
-	}
-	for c, s := range res.ByCountry {
-		p.ByCountry[c] = s.Clone()
-	}
-	for proto, s := range res.ByProtocol {
-		p.ByProtocol[proto] = s.Clone()
-	}
-	for c, cp := range res.CountryProtocol {
-		dst := make(map[protocols.Protocol]*timeseries.Series, len(cp))
-		for proto, s := range cp {
-			dst[proto] = s.Clone()
-		}
-		p.CountryProtocol[c] = dst
-	}
-	return p
+	return &dataset.Panel{Panel: res.Clone()}
 }

@@ -52,8 +52,10 @@ func WritePanelCSV(w io.Writer, p *Panel) error {
 
 // LoadPanelCSV reads a panel written by WritePanelCSV (or externally
 // assembled in the same format). Unknown columns are ignored; missing
-// country or protocol columns load as zero series. The self-report panel
-// and ground-truth fields are not part of the CSV format and are left nil.
+// country or protocol columns load as zero series, as does the
+// country-by-protocol breakdown, which the format does not carry. The
+// self-report panel and ground-truth fields are not part of the CSV format
+// and are left nil.
 func LoadPanelCSV(r io.Reader) (*Panel, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
@@ -82,20 +84,7 @@ func LoadPanelCSV(r io.Reader) (*Panel, error) {
 	start := timeseries.WeekOf(first)
 	weeks := len(rows)
 
-	p := &Panel{
-		Start:           start,
-		Weeks:           weeks,
-		Global:          timeseries.NewSeries(start, weeks),
-		ByCountry:       make(map[string]*timeseries.Series),
-		ByProtocol:      make(map[protocols.Protocol]*timeseries.Series),
-		CountryProtocol: make(map[string]map[protocols.Protocol]*timeseries.Series),
-	}
-	for _, c := range geo.Countries() {
-		p.ByCountry[c] = timeseries.NewSeries(start, weeks)
-	}
-	for _, proto := range protocols.All() {
-		p.ByProtocol[proto] = timeseries.NewSeries(start, weeks)
-	}
+	p := &Panel{Panel: timeseries.NewPanel(start, weeks)}
 
 	parse := func(row []string, name string, wk int) (float64, error) {
 		idx, ok := col[name]

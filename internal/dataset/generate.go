@@ -51,24 +51,12 @@ func DefaultConfig(seed int64) Config {
 	return Config{Seed: seed, GlobalScale: 45000, NoiseAlpha: 0.006}
 }
 
-// Panel is the generated reproduction dataset.
+// Panel is the generated reproduction dataset: the weekly attack panel
+// plus the planted ground truth and the self-report panel.
 type Panel struct {
-	// Start is the first week.
-	Start timeseries.Week
-	// Weeks is the panel length.
-	Weeks int
-	// Global is the weekly global attack series (unique attacks; no
-	// double-counting).
-	Global *timeseries.Series
-	// ByCountry maps country code to its weekly attributed attack series.
-	// Because of conservative multi-attribution, the country series sum to
-	// slightly more than Global (Table 3's artifact).
-	ByCountry map[string]*timeseries.Series
-	// ByProtocol maps protocol to its weekly global series.
-	ByProtocol map[protocols.Protocol]*timeseries.Series
-	// CountryProtocol maps country -> protocol -> weekly series (used for
-	// the China protocol analysis in §4.2).
-	CountryProtocol map[string]map[protocols.Protocol]*timeseries.Series
+	// Panel is the weekly attack panel: the generator's five-year span,
+	// or one week per row of a loaded CSV.
+	*timeseries.Panel
 	// TrueMu holds the noise-free planted global expectation, for
 	// validation.
 	TrueMu []float64
@@ -108,24 +96,9 @@ func Generate(cfg Config) (*Panel, error) {
 	weeks := timeseries.WeeksBetween(start, end) + 1
 
 	p := &Panel{
-		Start:            start,
-		Weeks:            weeks,
-		Global:           timeseries.NewSeries(start, weeks),
-		ByCountry:        make(map[string]*timeseries.Series),
-		ByProtocol:       make(map[protocols.Protocol]*timeseries.Series),
-		CountryProtocol:  make(map[string]map[protocols.Protocol]*timeseries.Series),
+		Panel:            timeseries.NewPanel(start, weeks),
 		TrueMu:           make([]float64, weeks),
 		NoInterventionMu: make([]float64, weeks),
-	}
-	for _, c := range geo.Countries() {
-		p.ByCountry[c] = timeseries.NewSeries(start, weeks)
-		p.CountryProtocol[c] = make(map[protocols.Protocol]*timeseries.Series)
-		for _, proto := range protocols.All() {
-			p.CountryProtocol[c][proto] = timeseries.NewSeries(start, weeks)
-		}
-	}
-	for _, proto := range protocols.All() {
-		p.ByProtocol[proto] = timeseries.NewSeries(start, weeks)
 	}
 
 	truth := PlantedTruth()

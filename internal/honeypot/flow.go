@@ -137,8 +137,8 @@ func (e *StaleError) Error() string {
 // be offered in non-decreasing time order (the merged view across all
 // sensors); out-of-order packets within one quiet gap of the stream head
 // are accepted but never reopen a closed flow. For input that is out of
-// order beyond that tolerance — parallel spool readers delivering whole
-// segments as they finish — use MergeAggregator instead.
+// order beyond that tolerance — a sensor fleet's interleaved sessions, a
+// reordered recording — use MergeAggregator instead.
 //
 // Expiry is watermark-driven: open flows sit in a min-heap keyed by their
 // last-packet time, so each Offer peeks at the heap top instead of
@@ -188,10 +188,9 @@ func (fl *flowFreeList) put(f *Flow) {
 }
 
 // Recycle hands a consumed flow back for reuse by a later Offer. Callers
-// that retain closed flows (Config.KeepFlows pipelines, tests holding
-// them for assertions) simply never call it. Must be called from the
-// goroutine that owns the aggregator, and only with flows this
-// aggregator produced.
+// that retain closed flows (tests holding them for assertions) simply
+// never call it. Must be called from the goroutine that owns the
+// aggregator, and only with flows this aggregator produced.
 func (a *Aggregator) Recycle(f *Flow) { a.free.put(f) }
 
 // expiryEntry schedules one open flow for an expiry check: the flow

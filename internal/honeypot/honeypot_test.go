@@ -3,6 +3,7 @@ package honeypot
 import (
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -288,6 +289,23 @@ func TestFleetLogMergeOrdered(t *testing.T) {
 		if log[i].Time.Before(log[i-1].Time) {
 			t.Error("merged log not time ordered")
 		}
+	}
+
+	// Same-instant packets to one victim on one sensor that differ only in
+	// protocol must drain identically whatever order they arrived in.
+	var drains [2][]Packet
+	for i, protos := range [][]protocols.Protocol{
+		{protocols.QOTD, protocols.CHARGEN},
+		{protocols.CHARGEN, protocols.QOTD},
+	} {
+		fleet := NewFleet(1, 0)
+		for _, p := range protos {
+			fleet.Sensors[0].Receive(t0, victimA, p, p.Request())
+		}
+		drains[i] = fleet.DrainLogs()
+	}
+	if !reflect.DeepEqual(drains[0], drains[1]) {
+		t.Errorf("drain depends on arrival order:\n%v\n%v", drains[0], drains[1])
 	}
 }
 

@@ -18,10 +18,11 @@ import (
 //
 // Because the final partition depends only on the packet multiset, any
 // delivery order that respects the watermark yields byte-identical flows
-// to an Aggregator fed the sorted stream — the property that lets
-// parallel spool readers deliver whole segments as they finish instead of
-// re-serialising into recorded order (see internal/spool and
-// ARCHITECTURE.md).
+// to an Aggregator fed the sorted stream — the property that lets a
+// pipeline take input that is not time-sorted: a sensor fleet's
+// interleaved wire sessions, or a reordered recording replayed in
+// recorded order with its segment trailers' low-watermark (see
+// internal/spool and ARCHITECTURE.md).
 //
 // Flow closure is driven by the watermark, not by arrival order: Advance
 // promises that no later packet will carry an earlier timestamp, so every
@@ -33,7 +34,6 @@ type MergeAggregator struct {
 	open      map[FlowKey][]*Flow // disjoint intervals, ascending First (and Last)
 	completed []*Flow
 	watermark time.Time
-	gap       time.Duration
 	openCount int
 	free      flowFreeList
 }
@@ -45,16 +45,7 @@ func (a *MergeAggregator) Recycle(f *Flow) { a.free.put(f) }
 // NewMergeAggregator returns an empty order-tolerant aggregator using the
 // paper's 15-minute quiet gap.
 func NewMergeAggregator() *MergeAggregator {
-	return NewMergeAggregatorWithGap(FlowGap)
-}
-
-// NewMergeAggregatorWithGap returns an order-tolerant aggregator with a
-// custom quiet gap. It panics for a non-positive gap.
-func NewMergeAggregatorWithGap(gap time.Duration) *MergeAggregator {
-	if gap <= 0 {
-		panic("honeypot: aggregator gap must be positive")
-	}
-	return &MergeAggregator{open: make(map[FlowKey][]*Flow), gap: gap}
+	return &MergeAggregator{open: make(map[FlowKey][]*Flow)}
 }
 
 // Watermark returns the low-watermark last promised via Advance — the
@@ -75,11 +66,11 @@ func (a *MergeAggregator) Offer(p Packet) error {
 	// only touch its left neighbour (idx-1) or this one.
 	idx := sort.Search(len(ivs), func(i int) bool { return ivs[i].First.After(p.Time) })
 	switch {
-	case idx > 0 && p.Time.Sub(ivs[idx-1].Last) < a.gap:
+	case idx > 0 && p.Time.Sub(ivs[idx-1].Last) < FlowGap:
 		// Lands in (or within one gap after) the left neighbour.
 		f := ivs[idx-1]
 		absorb(f, p)
-		if idx < len(ivs) && ivs[idx].First.Sub(f.Last) < a.gap {
+		if idx < len(ivs) && ivs[idx].First.Sub(f.Last) < FlowGap {
 			// The extension closed the space to the right neighbour:
 			// coalesce the two intervals into one flow and recycle the
 			// absorbed one.
@@ -89,7 +80,7 @@ func (a *MergeAggregator) Offer(p Packet) error {
 			a.openCount--
 			a.free.put(absorbed)
 		}
-	case idx < len(ivs) && ivs[idx].First.Sub(p.Time) < a.gap:
+	case idx < len(ivs) && ivs[idx].First.Sub(p.Time) < FlowGap:
 		// Within one gap before the right neighbour: extend it downward.
 		// No left coalesce is possible here: the first case not matching
 		// means the packet is at least one gap after the left
@@ -155,7 +146,7 @@ func (a *MergeAggregator) Advance(now time.Time) {
 		// Intervals are disjoint and separated by at least one gap, so
 		// both First and Last ascend: closable intervals are a prefix.
 		n := 0
-		for n < len(ivs) && a.watermark.Sub(ivs[n].Last) >= a.gap {
+		for n < len(ivs) && a.watermark.Sub(ivs[n].Last) >= FlowGap {
 			n++
 		}
 		if n == 0 {

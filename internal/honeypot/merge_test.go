@@ -176,7 +176,7 @@ func TestMergeSegmentDeliveryWithinHorizon(t *testing.T) {
 		window := 4
 		delivered := make([]bool, len(segs))
 		var next int
-		m := NewMergeAggregatorWithGap(FlowGap)
+		m := NewMergeAggregator()
 		var closedEarly []*Flow
 		for done := 0; done < len(segs); done++ {
 			// Claimable: any undelivered segment among the next `window`.

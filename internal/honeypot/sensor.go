@@ -1,7 +1,9 @@
 package honeypot
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -242,64 +244,26 @@ func (f *Fleet) DrainLogs() []Packet {
 	for _, s := range f.Sensors {
 		all = append(all, s.DrainLog()...)
 	}
-	sortPackets(all)
+	slices.SortFunc(all, ComparePackets)
 	return all
 }
 
-// sortPackets orders packets by time, breaking ties by sensor then victim.
-func sortPackets(ps []Packet) {
-	sortSlice(ps, func(a, b Packet) bool {
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
-		}
-		if a.Sensor != b.Sensor {
-			return a.Sensor < b.Sensor
-		}
-		return a.Victim.Less(b.Victim)
-	})
-}
-
-// sortSlice is a tiny generic sort wrapper.
-func sortSlice[T any](s []T, less func(a, b T) bool) {
-	// sort.Slice needs an interface; keep it local for clarity.
-	if len(s) < 2 {
-		return
+// ComparePackets orders packets by time, breaking ties by victim,
+// protocol, sensor and finally size. That is a total order on packets, so
+// sorting by it gives one sequence whatever order the packets arrived in.
+// Fleet logs and ingest.SortStream both sort by it.
+func ComparePackets(a, b Packet) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
 	}
-	quicksort(s, 0, len(s)-1, less)
-}
-
-func quicksort[T any](s []T, lo, hi int, less func(a, b T) bool) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && less(s[j], s[j-1]); j-- {
-					s[j], s[j-1] = s[j-1], s[j]
-				}
-			}
-			return
-		}
-		p := s[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for less(s[i], p) {
-				i++
-			}
-			for less(p, s[j]) {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller side to bound stack depth.
-		if j-lo < hi-i {
-			quicksort(s, lo, j, less)
-			lo = i
-		} else {
-			quicksort(s, i, hi, less)
-			hi = j
-		}
+	if c := a.Victim.Compare(b.Victim); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(a.Proto, b.Proto); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Sensor, b.Sensor); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Size, b.Size)
 }

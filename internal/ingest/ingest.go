@@ -6,13 +6,14 @@
 // Datagrams are decoded against the amplification-protocol registry
 // (internal/protocols), sharded by victim address across N workers, grouped
 // into flows by each shard's own aggregator using the paper's 15-minute
-// quiet-gap rule, classified as attack or scan on closure, attributed to
-// victim countries (internal/geo), and accumulated into the same weekly
-// series the batch path produces. A watermark is broadcast periodically so
-// idle shards expire quiet flows without any global lock: with no
-// registered Sources it is the maximum packet timestamp observed (ordered
-// producers), and with Sources it is the minimum across their promised
-// frontiers — a true low-watermark, which is what lets Config.Unordered
+// quiet-gap rule (honeypot.FlowGap), classified as attack or scan on
+// closure, attributed to victim countries (geo.NewTable's address plan),
+// and accumulated into the same weekly timeseries.Panel the batch path
+// produces. A watermark is broadcast periodically so idle shards expire
+// quiet flows without any global lock: with no registered Sources it is
+// the maximum packet timestamp observed (ordered producers), and with
+// Sources it is the minimum across their promised frontiers — a true
+// low-watermark, which is what lets Config.Unordered
 // pipelines accept out-of-order delivery (a sensor fleet's interleaved
 // sessions, a reordered recording replayed with its spool trailers'
 // low-watermark) and still expire flows safely via the order-tolerant
@@ -21,9 +22,11 @@
 // Closed flows fan out to any number of Sinks — the weekly-panel
 // accumulator is built in; TopKSink and NDJSONSink ship alongside — via
 // per-shard branches, so multi-sink runs add no locks to the per-packet
-// hot path. Overload behaviour is configurable: a full shard queue either
-// blocks producers (lossless backpressure, the default) or sheds load
-// (drop-newest / drop-oldest) with per-sensor drop accounting in Stats.
+// hot path. A branch borrows each flow for the length of Consume only:
+// the shard recycles it into its flow table afterwards. Overload
+// behaviour is configurable: a full shard queue either blocks producers
+// (lossless backpressure, the default) or sheds load (drop-newest /
+// drop-oldest) with per-sensor drop accounting in Stats.
 //
 // Because flows are keyed by (victim, protocol) and shards are chosen by
 // victim address, every packet of a flow lands on the same shard, so the
@@ -125,14 +128,9 @@ type Config struct {
 	// Shards is the number of parallel flow-table workers; <= 0 means
 	// GOMAXPROCS.
 	Shards int
-	// Gap is the quiet interval that closes a flow; <= 0 means the paper's
-	// 15-minute honeypot.FlowGap.
-	Gap time.Duration
 	// Start and End bound the weekly panel the pipeline accumulates into
 	// (inclusive of the weeks containing both instants). Required.
 	Start, End time.Time
-	// Geo attributes victims to countries; nil means geo.NewTable().
-	Geo *geo.Table
 	// BatchSize is the number of packets buffered per shard before a
 	// channel hand-off; <= 0 means 256.
 	BatchSize int
@@ -142,9 +140,6 @@ type Config struct {
 	// WatermarkEvery broadcasts the watermark to all shards after this many
 	// ingested packets; <= 0 means 8192.
 	WatermarkEvery int
-	// KeepFlows retains every closed flow in the Result (costly at scale;
-	// meant for tests and small replays).
-	KeepFlows bool
 	// Unordered makes every shard use the order-tolerant interval-merge
 	// aggregator (honeypot.MergeAggregator) instead of the ordered fold,
 	// so producers may deliver packets in any order that stays at or
@@ -186,6 +181,9 @@ type Config struct {
 	// producer-supplied parent (see SetTraceParent).
 	Trace *trace.Tracer
 
+	// geo attributes victims to countries; withDefaults fills it, and the
+	// panel and top-K sinks read it.
+	geo *geo.Table
 	// testBeforeEnvelope, when set by tests, runs on a shard worker before
 	// each envelope is processed — the hook slow-consumer tests use to park
 	// workers deterministically.
@@ -203,12 +201,7 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Gap <= 0 {
-		cfg.Gap = honeypot.FlowGap
-	}
-	if cfg.Geo == nil {
-		cfg.Geo = geo.NewTable()
-	}
+	cfg.geo = geo.NewTable()
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 256
 	}
@@ -230,7 +223,7 @@ func (cfg Config) withDefaults() (Config, error) {
 type Ingestor struct {
 	cfg    Config
 	shards []*shard
-	panel  *PanelSink
+	panel  *panelSink
 	sinks  *sinkSet
 	roll   *roller
 	m      *pipelineMetrics
@@ -328,7 +321,7 @@ func New(cfg Config) (*Ingestor, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := &Ingestor{cfg: cfg, panel: NewPanelSink()}
+	in := &Ingestor{cfg: cfg, panel: &panelSink{}}
 	in.sinks, err = openSinks(&in.cfg, cfg.Shards, in.panel)
 	if err != nil {
 		return nil, err
@@ -336,9 +329,9 @@ func New(cfg Config) (*Ingestor, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		var agg flowTable
 		if cfg.Unordered {
-			agg = honeypot.NewMergeAggregatorWithGap(cfg.Gap)
+			agg = honeypot.NewMergeAggregator()
 		} else {
-			agg = honeypot.NewAggregatorWithGap(cfg.Gap)
+			agg = honeypot.NewAggregator()
 		}
 		s := &shard{
 			ch:       make(chan envelope, cfg.QueueDepth),
@@ -376,11 +369,8 @@ func (in *Ingestor) run(s *shard) {
 				}
 			}
 			// Every branch is done with the flow; recycle it into the
-			// shard's flow table — unless a branch retains it (KeepFlows
-			// is the only built-in that does).
-			if !in.cfg.KeepFlows {
-				s.agg.Recycle(f)
-			}
+			// shard's flow table.
+			s.agg.Recycle(f)
 		}
 		if len(flows) > 0 {
 			in.flowsClosed.Add(int64(len(flows)))
@@ -881,7 +871,7 @@ func (in *Ingestor) Close() (*Result, error) {
 	if err := in.sinks.flush(); err != nil && sinkErr == nil {
 		sinkErr = err
 	}
-	res := in.panel.Result()
+	res := in.panel.res
 	res.Stats.Packets = in.packets.Load() - late - shed
 	res.Stats.UnknownPort = in.unknown.Load()
 	res.Stats.Malformed = in.malformed.Load()

@@ -1,9 +1,12 @@
 package ingest
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,12 +19,11 @@ import (
 
 var testStart = time.Date(2018, time.October, 1, 0, 0, 0, 0, time.UTC)
 
-func testConfig(shards int, weeks int, keep bool) Config {
+func testConfig(shards int, weeks int) Config {
 	return Config{
-		Shards:    shards,
-		Start:     testStart,
-		End:       testStart.AddDate(0, 0, 7*weeks-1),
-		KeepFlows: keep,
+		Shards: shards,
+		Start:  testStart,
+		End:    testStart.AddDate(0, 0, 7*weeks-1),
 		// Small batches and frequent watermarks so short test streams
 		// exercise the batching and expiry machinery, not just Close.
 		BatchSize:      32,
@@ -52,6 +54,57 @@ func testStream(t testing.TB, weeks int, attacksPerWeek float64) []honeypot.Pack
 	return packets
 }
 
+// flowLog is a test Sink that copies every closed flow at Consume — the
+// pipeline recycles the *Flow afterwards — and at Flush sorts the copies
+// by first packet, then victim, then protocol, so a batch run and a
+// streaming run at any shard count can be compared flow by flow.
+type flowLog struct {
+	branches []*flowLogBranch
+	flows    []honeypot.Flow
+}
+
+type flowLogBranch struct{ flows []honeypot.Flow }
+
+func (l *flowLog) Open(cfg *Config, shards int) ([]SinkBranch, error) {
+	out := make([]SinkBranch, shards)
+	for i := range out {
+		b := &flowLogBranch{}
+		l.branches = append(l.branches, b)
+		out[i] = b
+	}
+	return out, nil
+}
+
+func (b *flowLogBranch) Consume(f *honeypot.Flow, c honeypot.Classification) error {
+	cp := *f
+	cp.PacketsBySensor = maps.Clone(f.PacketsBySensor)
+	b.flows = append(b.flows, cp)
+	return nil
+}
+
+func (l *flowLog) Flush() error {
+	for _, b := range l.branches {
+		l.flows = append(l.flows, b.flows...)
+	}
+	slices.SortFunc(l.flows, func(a, b honeypot.Flow) int {
+		if c := a.First.Compare(b.First); c != 0 {
+			return c
+		}
+		if c := a.Key.Victim.Compare(b.Key.Victim); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Key.Proto, b.Key.Proto)
+	})
+	return nil
+}
+
+// withFlowLog returns cfg with a fresh flowLog added to its sinks.
+func withFlowLog(cfg Config) (Config, *flowLog) {
+	l := &flowLog{}
+	cfg.Sinks = append(slices.Clip(cfg.Sinks), l)
+	return cfg, l
+}
+
 func runStream(t testing.TB, cfg Config, packets []honeypot.Packet) *Result {
 	t.Helper()
 	in, err := New(cfg)
@@ -76,7 +129,8 @@ func runStream(t testing.TB, cfg Config, packets []honeypot.Packet) *Result {
 // classifications, and weekly per-country and per-protocol series.
 func TestStreamingMatchesBatch(t *testing.T) {
 	packets := testStream(t, 4, 120)
-	want, err := Batch(testConfig(1, 4, true), packets)
+	cfg, wantFlows := withFlowLog(testConfig(1, 4))
+	want, err := Batch(cfg, packets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +139,10 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got := runStream(t, testConfig(shards, 4, true), packets)
+			cfg, gotFlows := withFlowLog(testConfig(shards, 4))
+			got := runStream(t, cfg, packets)
 			compareResults(t, want, got)
+			compareFlows(t, wantFlows, gotFlows)
 		})
 	}
 }
@@ -112,11 +168,16 @@ func compareResults(t *testing.T, want, got *Result) {
 			compareSeries(t, "country "+c+" protocol "+p.String(), ws, got.CountryProtocol[c][p])
 		}
 	}
-	if len(got.Flows) != len(want.Flows) {
-		t.Fatalf("flows: got %d want %d", len(got.Flows), len(want.Flows))
+}
+
+// compareFlows checks two flow logs agree flow by flow.
+func compareFlows(t *testing.T, want, got *flowLog) {
+	t.Helper()
+	if len(got.flows) != len(want.flows) {
+		t.Fatalf("flows: got %d want %d", len(got.flows), len(want.flows))
 	}
-	for i := range want.Flows {
-		wf, gf := want.Flows[i], got.Flows[i]
+	for i := range want.flows {
+		wf, gf := &want.flows[i], &got.flows[i]
 		if wf.Key != gf.Key || !wf.First.Equal(gf.First) || !wf.Last.Equal(gf.Last) ||
 			wf.TotalPackets != gf.TotalPackets || wf.TotalBytes != gf.TotalBytes ||
 			honeypot.Classify(wf) != honeypot.Classify(gf) {
@@ -151,7 +212,7 @@ func compareSeries(t *testing.T, name string, want, got *timeseries.Series) {
 // every attributed country once per attack).
 func TestCountryProtocolMarginals(t *testing.T) {
 	packets := testStream(t, 4, 120)
-	res := runStream(t, testConfig(4, 4, false), packets)
+	res := runStream(t, testConfig(4, 4), packets)
 	if res.Stats.Attacks == 0 {
 		t.Fatal("degenerate stream")
 	}
@@ -183,11 +244,11 @@ func TestStreamingMatchesBatchWithShocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Batch(testConfig(1, 6, false), packets)
+	want, err := Batch(testConfig(1, 6), packets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runStream(t, testConfig(4, 6, false), packets)
+	got := runStream(t, testConfig(4, 6), packets)
 	if !statsEqual(got.Stats, want.Stats) {
 		t.Errorf("stats: got %+v want %+v", got.Stats, want.Stats)
 	}
@@ -202,7 +263,7 @@ func TestStreamingMatchesBatchWithShocks(t *testing.T) {
 // are decoded to the port's protocol, unknown ports and malformed payloads
 // are counted and dropped.
 func TestIngestDatagramDecode(t *testing.T) {
-	in, err := New(testConfig(2, 1, true))
+	in, err := New(testConfig(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +315,7 @@ func TestIngestDatagramDecode(t *testing.T) {
 // idle shard's flow must close through the broadcast watermark alone,
 // before Close.
 func TestWatermarkExpiresIdleShards(t *testing.T) {
-	cfg := testConfig(4, 2, false)
+	cfg := testConfig(4, 2)
 	cfg.BatchSize = 1
 	cfg.WatermarkEvery = 1 // broadcast after every packet
 	in, err := New(cfg)
@@ -310,7 +371,7 @@ func mustIngest(t *testing.T, in *Ingestor, p honeypot.Packet) {
 // span are classified and counted but explicitly recorded as dropped from
 // the weekly series.
 func TestOutOfSpanAttacksCounted(t *testing.T) {
-	in, err := New(testConfig(2, 1, false)) // panel covers one week
+	in, err := New(testConfig(2, 1)) // panel covers one week
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +397,7 @@ func TestOutOfSpanAttacksCounted(t *testing.T) {
 
 // TestClosedIngestorRejects checks post-Close behaviour.
 func TestClosedIngestorRejects(t *testing.T) {
-	in, err := New(testConfig(1, 1, false))
+	in, err := New(testConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

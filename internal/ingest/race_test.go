@@ -23,7 +23,7 @@ func TestConcurrentIngest(t *testing.T) {
 	// per-shard disorder then stays bounded by producer skew, and any
 	// packet the aggregator still rejects is counted, not lost.
 	const producers = 8
-	cfg := testConfig(4, 2, false)
+	cfg := testConfig(4, 2)
 	cfg.BatchSize = 16
 	cfg.WatermarkEvery = 64
 	in, err := New(cfg)
@@ -63,7 +63,7 @@ func TestConcurrentIngest(t *testing.T) {
 // producers: every producer must either succeed or observe ErrClosed,
 // never panic on a closed shard channel.
 func TestConcurrentIngestWithConcurrentClose(t *testing.T) {
-	cfg := testConfig(2, 1, false)
+	cfg := testConfig(2, 1)
 	cfg.BatchSize = 4
 	in, err := New(cfg)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestConcurrentIngestWithConcurrentClose(t *testing.T) {
 func TestConcurrentScrapeDuringIngest(t *testing.T) {
 	packets := testStream(t, 2, 150)
 	const producers = 8
-	cfg := testConfig(4, 2, false)
+	cfg := testConfig(4, 2)
 	cfg.BatchSize = 16
 	cfg.WatermarkEvery = 64
 	cfg.Metrics = obs.NewRegistry()

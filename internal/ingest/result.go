@@ -1,11 +1,8 @@
 package ingest
 
 import (
-	"sort"
-
 	"booters/internal/geo"
 	"booters/internal/honeypot"
-	"booters/internal/protocols"
 	"booters/internal/timeseries"
 )
 
@@ -44,162 +41,85 @@ type Stats struct {
 }
 
 // Result is the output of a completed ingestion run: the paper's weekly
-// attack panel, incrementally accumulated.
+// attack panel, incrementally accumulated. Every (country, protocol) pair
+// in the address plan is present in the panel, zero-filled when unseen,
+// mirroring the generated dataset's shape; conservative multi-attribution
+// can push the country series' sum above Global.
 type Result struct {
-	// Start is the first week of the panel.
-	Start timeseries.Week
-	// Weeks is the panel length.
-	Weeks int
-	// Global is the weekly global attack-count series (unique attacks, no
-	// double-counting).
-	Global *timeseries.Series
-	// ByCountry maps country code to its weekly attributed attack series;
-	// conservative multi-attribution can push the sum above Global.
-	ByCountry map[string]*timeseries.Series
-	// ByProtocol maps protocol to its weekly global attack series.
-	ByProtocol map[protocols.Protocol]*timeseries.Series
-	// CountryProtocol maps country code to protocol to the weekly series
-	// of attacks attributed to that country over that protocol — the
-	// Figure 6 breakdown, tracked incrementally so protocol-share
-	// exhibits run off ingested data. Every (country, protocol) pair in
-	// the address plan is present, zero-filled when unseen, mirroring
-	// the generated dataset's shape.
-	CountryProtocol map[string]map[protocols.Protocol]*timeseries.Series
-	// Flows holds every closed flow when Config.KeepFlows is set, ordered
-	// by first packet (ties by victim then protocol).
-	Flows []*honeypot.Flow
+	// Panel is the weekly attack panel over the configured span.
+	*timeseries.Panel
 	// Stats carries the pipeline counters.
 	Stats Stats
 }
 
-// accumulator folds closed flows into shard-local weekly series; it is
-// PanelSink's branch type, so shards own one each, accumulation needs no
-// locks, and Flush merges them.
+// accumulator folds closed flows into a shard-local weekly panel; it is
+// panelSink's branch type, so shards own one each, accumulation needs no
+// locks, and Flush sums them. Of stats it keeps only the flow counters
+// (Flows, Attacks, Scans, Unattributed, OutOfSpan).
 type accumulator struct {
-	tbl  *geo.Table
-	keep bool
-
-	global       *timeseries.Series
-	byCountry    map[string]*timeseries.Series
-	byProtocol   map[protocols.Protocol]*timeseries.Series
-	countryProto map[string]map[protocols.Protocol]*timeseries.Series
-	kept         []*honeypot.Flow
-
-	flows, attacks, scans, unattributed, outOfSpan int
+	tbl   *geo.Table
+	panel *timeseries.Panel
+	stats Stats
 }
 
 // newAccumulator allocates the weekly panel for the configured span.
 func newAccumulator(cfg *Config) *accumulator {
 	start := timeseries.WeekOf(cfg.Start)
 	weeks := timeseries.WeeksBetween(start, timeseries.WeekOf(cfg.End)) + 1
-	a := &accumulator{
-		tbl:          cfg.Geo,
-		keep:         cfg.KeepFlows,
-		global:       timeseries.NewSeries(start, weeks),
-		byCountry:    make(map[string]*timeseries.Series),
-		byProtocol:   make(map[protocols.Protocol]*timeseries.Series),
-		countryProto: make(map[string]map[protocols.Protocol]*timeseries.Series),
-	}
-	for _, c := range geo.Countries() {
-		a.byCountry[c] = timeseries.NewSeries(start, weeks)
-		cp := make(map[protocols.Protocol]*timeseries.Series, protocols.Count())
-		for _, p := range protocols.All() {
-			cp[p] = timeseries.NewSeries(start, weeks)
-		}
-		a.countryProto[c] = cp
-	}
-	for _, p := range protocols.All() {
-		a.byProtocol[p] = timeseries.NewSeries(start, weeks)
-	}
-	return a
+	return &accumulator{tbl: cfg.geo, panel: timeseries.NewPanel(start, weeks)}
 }
 
 // Consume books one closed flow: count it, and for attacks credit the
 // week of the first packet globally, per protocol, and per attributed
 // country. The returned error is always nil.
 func (a *accumulator) Consume(f *honeypot.Flow, c honeypot.Classification) error {
-	a.flows++
-	if a.keep {
-		a.kept = append(a.kept, f)
-	}
+	a.stats.Flows++
 	if c != honeypot.Attack {
-		a.scans++
+		a.stats.Scans++
 		return nil
 	}
-	a.attacks++
-	// All of the accumulator's series share one start and span (they are
-	// built from the same Config), so the week index is computed once and
-	// credited directly instead of re-deriving it per series.
-	w := a.global.IndexOfTime(f.First)
+	a.stats.Attacks++
+	// All of the panel's series share one start and span, so the week
+	// index is computed once and credited directly instead of re-deriving
+	// it per series.
+	p := a.panel
+	w := p.Global.IndexOfTime(f.First)
 	if w < 0 {
-		a.outOfSpan++
+		a.stats.OutOfSpan++
 		return nil
 	}
-	a.global.Values[w]++
-	a.byProtocol[f.Key.Proto].Values[w]++
+	p.Global.Values[w]++
+	p.ByProtocol[f.Key.Proto].Values[w]++
 	countries, ok := a.tbl.Lookup(f.Key.Victim)
 	if !ok {
-		a.unattributed++
+		a.stats.Unattributed++
 		return nil
 	}
 	for _, c := range countries {
-		a.byCountry[c].Values[w]++
-		a.countryProto[c][f.Key.Proto].Values[w]++
+		p.ByCountry[c].Values[w]++
+		p.CountryProtocol[c][f.Key.Proto].Values[w]++
 	}
 	return nil
 }
 
-// mergeResult sums shard accumulators into one Result; all accumulators
-// come from one Config, so their series are aligned by construction.
-// Addition is order-independent, so the merge is deterministic for any
-// shard count.
-func mergeResult(accs []*accumulator) *Result {
-	first := accs[0]
-	res := &Result{
-		Start:           first.global.StartWeek,
-		Weeks:           first.global.Len(),
-		Global:          first.global,
-		ByCountry:       first.byCountry,
-		ByProtocol:      first.byProtocol,
-		CountryProtocol: first.countryProto,
-		Flows:           first.kept,
+// add sums the others' panels and flow counters into a. All accumulators
+// of a run come from one Config, so their panels are aligned by
+// construction, and addition is order-independent, so a sum over shards
+// is deterministic for any shard count.
+func (a *accumulator) add(others ...*accumulator) {
+	for _, o := range others {
+		a.panel.Add(o.panel)
+		a.stats.Flows += o.stats.Flows
+		a.stats.Attacks += o.stats.Attacks
+		a.stats.Scans += o.stats.Scans
+		a.stats.Unattributed += o.stats.Unattributed
+		a.stats.OutOfSpan += o.stats.OutOfSpan
 	}
-	res.Stats.Flows = first.flows
-	res.Stats.Attacks = first.attacks
-	res.Stats.Scans = first.scans
-	res.Stats.Unattributed = first.unattributed
-	res.Stats.OutOfSpan = first.outOfSpan
-	for _, a := range accs[1:] {
-		_ = res.Global.AddSeries(a.global)
-		for c, s := range a.byCountry {
-			_ = res.ByCountry[c].AddSeries(s)
-		}
-		for p, s := range a.byProtocol {
-			_ = res.ByProtocol[p].AddSeries(s)
-		}
-		for c, cp := range a.countryProto {
-			for p, s := range cp {
-				_ = res.CountryProtocol[c][p].AddSeries(s)
-			}
-		}
-		res.Flows = append(res.Flows, a.kept...)
-		res.Stats.Flows += a.flows
-		res.Stats.Attacks += a.attacks
-		res.Stats.Scans += a.scans
-		res.Stats.Unattributed += a.unattributed
-		res.Stats.OutOfSpan += a.outOfSpan
-	}
-	sort.Slice(res.Flows, func(i, j int) bool {
-		fi, fj := res.Flows[i], res.Flows[j]
-		if !fi.First.Equal(fj.First) {
-			return fi.First.Before(fj.First)
-		}
-		if fi.Key.Victim != fj.Key.Victim {
-			return fi.Key.Victim.Less(fj.Key.Victim)
-		}
-		return fi.Key.Proto < fj.Key.Proto
-	})
-	return res
+}
+
+// clone deep-copies the accumulator's panel and counters.
+func (a *accumulator) clone() *accumulator {
+	return &accumulator{tbl: a.tbl, panel: a.panel.Clone(), stats: a.stats}
 }
 
 // Batch is the single-threaded reference implementation: the same packets
@@ -214,12 +134,12 @@ func Batch(cfg Config, packets []honeypot.Packet) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	panel := NewPanelSink()
+	panel := &panelSink{}
 	sinks, err := openSinks(&cfg, 1, panel)
 	if err != nil {
 		return nil, err
 	}
-	agg := honeypot.NewAggregatorWithGap(cfg.Gap)
+	agg := honeypot.NewAggregator()
 	var late uint64
 	for _, p := range packets {
 		if err := agg.Offer(p); err != nil {
@@ -238,7 +158,7 @@ func Batch(cfg Config, packets []honeypot.Packet) (*Result, error) {
 	if err := sinks.flush(); err != nil && sinkErr == nil {
 		sinkErr = err
 	}
-	res := panel.Result()
+	res := panel.res
 	res.Stats.Packets = uint64(len(packets)) - late
 	res.Stats.Late = late
 	return res, sinkErr

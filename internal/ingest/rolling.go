@@ -39,8 +39,8 @@ import (
 	"sync"
 	"time"
 
+	"booters/internal/honeypot"
 	"booters/internal/obs/trace"
-	"booters/internal/protocols"
 	"booters/internal/timeseries"
 )
 
@@ -59,18 +59,8 @@ type Snapshot struct {
 	// Final marks the Close-time snapshot, identical to the pipeline's
 	// returned Result (and so to the batch panel).
 	Final bool
-	// Start is the first week of the panel span.
-	Start timeseries.Week
-	// Weeks is the panel length.
-	Weeks int
-	// Global is the weekly global attack-count series.
-	Global *timeseries.Series
-	// ByCountry maps country code to its weekly attributed attack series.
-	ByCountry map[string]*timeseries.Series
-	// ByProtocol maps protocol to its weekly global attack series.
-	ByProtocol map[protocols.Protocol]*timeseries.Series
-	// CountryProtocol is the Figure 6 country-by-protocol breakdown.
-	CountryProtocol map[string]map[protocols.Protocol]*timeseries.Series
+	// Panel is the weekly attack panel over the configured span.
+	*timeseries.Panel
 	// Stats carries the pipeline counters as of the merge. Until Final,
 	// Packets/UnknownPort/Malformed/Late are live readings and Shed and
 	// ShedBySensor are zero (their ledgers are only settled at Close).
@@ -142,7 +132,7 @@ func sealHorizon(mark time.Time, gap time.Duration) timeseries.Week {
 // clone is taken after Advance closed everything expirable, so it holds
 // every flow the sealed weeks can claim from this shard.
 func (r *roller) maybeSeal(s *shard, mark time.Time) {
-	through := sealHorizon(mark, r.in.cfg.Gap)
+	through := sealHorizon(mark, honeypot.FlowGap)
 	if through.Before(timeseries.WeekOf(r.in.cfg.Start)) {
 		return // horizon has not reached the panel's first week yet
 	}
@@ -162,7 +152,7 @@ func (r *roller) maybeSeal(s *shard, mark time.Time) {
 			sealTC = tr.RootAlways()
 		}
 		tr.Record(trace.NameWeekSeal, s.index, sealTC, s.lastTC.Span,
-			sealedAt.UnixNano(), time.Since(sealedAt).Nanoseconds(), uint64(acc.flows))
+			sealedAt.UnixNano(), time.Since(sealedAt).Nanoseconds(), uint64(acc.stats.Flows))
 	}
 	r.ch <- rollPartial{shard: s.index, through: through, acc: acc, sealedAt: sealedAt, tc: sealTC}
 }
@@ -225,70 +215,14 @@ func (r *roller) frontier() (timeseries.Week, bool) {
 	return min, true
 }
 
-// cloneCountrySeries deep-copies a per-country series map.
-func cloneCountrySeries(m map[string]*timeseries.Series) map[string]*timeseries.Series {
-	out := make(map[string]*timeseries.Series, len(m))
-	for c, s := range m {
-		out[c] = s.Clone()
-	}
-	return out
-}
-
-// cloneProtocolSeries deep-copies a per-protocol series map.
-func cloneProtocolSeries(m map[protocols.Protocol]*timeseries.Series) map[protocols.Protocol]*timeseries.Series {
-	out := make(map[protocols.Protocol]*timeseries.Series, len(m))
-	for p, s := range m {
-		out[p] = s.Clone()
-	}
-	return out
-}
-
-// cloneBreakdown deep-copies the country-by-protocol series matrix.
-func cloneBreakdown(m map[string]map[protocols.Protocol]*timeseries.Series) map[string]map[protocols.Protocol]*timeseries.Series {
-	out := make(map[string]map[protocols.Protocol]*timeseries.Series, len(m))
-	for c, cp := range m {
-		out[c] = cloneProtocolSeries(cp)
-	}
-	return out
-}
-
 // merge sums accumulator clones into a fresh Snapshot without mutating
 // any of them, so the same clones can be re-merged when only one shard
 // advanced. Counters the accumulators cannot know are read live from the
 // pipeline's atomics.
 func (r *roller) merge(accs []*accumulator, through timeseries.Week, sealedYet bool) *Snapshot {
-	first := accs[0]
-	snap := &Snapshot{
-		Through:         through,
-		Sealed:          sealedYet,
-		Start:           first.global.StartWeek,
-		Weeks:           first.global.Len(),
-		Global:          first.global.Clone(),
-		ByCountry:       cloneCountrySeries(first.byCountry),
-		ByProtocol:      cloneProtocolSeries(first.byProtocol),
-		CountryProtocol: cloneBreakdown(first.countryProto),
-	}
-	for _, a := range accs {
-		if a != first {
-			_ = snap.Global.AddSeries(a.global)
-			for c, s := range a.byCountry {
-				_ = snap.ByCountry[c].AddSeries(s)
-			}
-			for p, s := range a.byProtocol {
-				_ = snap.ByProtocol[p].AddSeries(s)
-			}
-			for c, cp := range a.countryProto {
-				for p, s := range cp {
-					_ = snap.CountryProtocol[c][p].AddSeries(s)
-				}
-			}
-		}
-		snap.Stats.Flows += a.flows
-		snap.Stats.Attacks += a.attacks
-		snap.Stats.Scans += a.scans
-		snap.Stats.Unattributed += a.unattributed
-		snap.Stats.OutOfSpan += a.outOfSpan
-	}
+	sum := accs[0].clone()
+	sum.add(accs[1:]...)
+	snap := &Snapshot{Through: through, Sealed: sealedYet, Panel: sum.panel, Stats: sum.stats}
 	snap.Stats.Packets = r.in.packets.Load()
 	snap.Stats.UnknownPort = r.in.unknown.Load()
 	snap.Stats.Malformed = r.in.malformed.Load()
@@ -322,35 +256,13 @@ func (r *roller) publish(snap *Snapshot) {
 func (r *roller) finish(res *Result) {
 	close(r.ch)
 	<-r.done
-	snap := &Snapshot{
-		Through:         res.Global.Week(res.Weeks - 1),
-		Sealed:          true,
-		Final:           true,
-		Start:           res.Start,
-		Weeks:           res.Weeks,
-		Global:          res.Global.Clone(),
-		ByCountry:       cloneCountrySeries(res.ByCountry),
-		ByProtocol:      cloneProtocolSeries(res.ByProtocol),
-		CountryProtocol: cloneBreakdown(res.CountryProtocol),
-		Stats:           res.Stats,
-	}
-	r.publish(snap)
-}
-
-// clone deep-copies the accumulator's panel state (series and counters;
-// kept flows are not carried into snapshots).
-func (a *accumulator) clone() *accumulator {
-	return &accumulator{
-		global:       a.global.Clone(),
-		byCountry:    cloneCountrySeries(a.byCountry),
-		byProtocol:   cloneProtocolSeries(a.byProtocol),
-		countryProto: cloneBreakdown(a.countryProto),
-		flows:        a.flows,
-		attacks:      a.attacks,
-		scans:        a.scans,
-		unattributed: a.unattributed,
-		outOfSpan:    a.outOfSpan,
-	}
+	r.publish(&Snapshot{
+		Through: res.Global.Week(res.Weeks - 1),
+		Sealed:  true,
+		Final:   true,
+		Panel:   res.Clone(),
+		Stats:   res.Stats,
+	})
 }
 
 // Snapshot returns the latest published rolling snapshot, or nil when the

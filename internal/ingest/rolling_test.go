@@ -16,7 +16,7 @@ import (
 // rollingConfig is testConfig with rolling emission on and watermarks
 // frequent enough that week boundaries seal mid-run.
 func rollingConfig(shards, weeks int) Config {
-	cfg := testConfig(shards, weeks, false)
+	cfg := testConfig(shards, weeks)
 	cfg.Rolling = true
 	return cfg
 }
@@ -93,7 +93,7 @@ func snapshotExtends(t *testing.T, prev, next *Snapshot) {
 func TestRollingSnapshotsMonotoneAndFinalMatchesBatch(t *testing.T) {
 	const weeks = 5
 	packets := testStream(t, weeks, 60)
-	want, err := Batch(testConfig(1, weeks, false), packets)
+	want, err := Batch(testConfig(1, weeks), packets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestRollingSealsFirstWeekWithMidWeekStart(t *testing.T) {
 func TestRollingUnordered(t *testing.T) {
 	const weeks = 4
 	packets := testStream(t, weeks, 50)
-	want, err := Batch(testConfig(1, weeks, false), packets)
+	want, err := Batch(testConfig(1, weeks), packets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestRollingUnordered(t *testing.T) {
 
 // TestOnSnapshotRequiresRolling pins the error contract.
 func TestOnSnapshotRequiresRolling(t *testing.T) {
-	in, err := New(testConfig(1, 1, false))
+	in, err := New(testConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,5 +300,44 @@ func TestOnSnapshotRequiresRolling(t *testing.T) {
 	}
 	if in.Rolling() {
 		t.Fatal("Rolling() true on a non-rolling pipeline")
+	}
+}
+
+// TestFinalSnapshotIndependentOfResult checks that Close hands the caller
+// a panel the Final snapshot does not share: the result is summed in
+// place from shard accumulators, so the snapshot must be a copy.
+func TestFinalSnapshotIndependentOfResult(t *testing.T) {
+	const weeks = 2
+	packets := testStream(t, weeks, 40)
+	in, err := New(rollingConfig(2, weeks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range packets {
+		mustIngest(t, in, p)
+	}
+	res, err := in.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Attacks == 0 {
+		t.Fatal("degenerate stream")
+	}
+	final := in.Snapshot()
+	want := final.Clone()
+	res.Global.Values[0] += 1000
+	for _, s := range res.ByCountry {
+		s.Values[0] += 1000
+	}
+	for _, s := range res.ByProtocol {
+		s.Values[0] += 1000
+	}
+	for _, cp := range res.CountryProtocol {
+		for _, s := range cp {
+			s.Values[0] += 1000
+		}
+	}
+	if !reflect.DeepEqual(final.Panel, want) {
+		t.Error("mutating Close's Result changed the Final snapshot")
 	}
 }

@@ -45,10 +45,9 @@ type SinkBranch interface {
 	// does not stop the pipeline: the run continues and the first sink
 	// error is reported by Close (or Batch) after the Result is built.
 	//
-	// The *Flow is borrowed: unless the run sets Config.KeepFlows, the
-	// pipeline recycles it into the shard's flow table as soon as every
-	// branch has returned. A branch that holds flows past Consume must
-	// either copy what it needs or require KeepFlows.
+	// The *Flow is borrowed: the pipeline recycles it into the shard's
+	// flow table as soon as every branch has returned, so a branch that
+	// holds flow data past Consume must copy what it needs.
 	Consume(f *honeypot.Flow, c honeypot.Classification) error
 }
 
@@ -102,21 +101,17 @@ func (ss *sinkSet) flush() error {
 	return first
 }
 
-// PanelSink is the weekly-panel accumulator expressed as a Sink: each
-// branch folds closed flows into shard-local weekly series and Flush merges
-// them into a Result. The pipeline always runs one internally — Close
-// returns its Result — but it is exported so external drivers of the Sink
-// interface (or a second, differently-configured panel) can reuse it.
-type PanelSink struct {
+// panelSink is the weekly-panel accumulator expressed as a Sink: each
+// branch folds closed flows into a shard-local panel and Flush sums them
+// into a Result. Every run opens one ahead of Config.Sinks; Close and
+// Batch return its Result.
+type panelSink struct {
 	branches []*accumulator
 	res      *Result
 }
 
-// NewPanelSink returns an unopened panel sink.
-func NewPanelSink() *PanelSink { return &PanelSink{} }
-
 // Open allocates one span-aligned accumulator per shard.
-func (ps *PanelSink) Open(cfg *Config, shards int) ([]SinkBranch, error) {
+func (ps *panelSink) Open(cfg *Config, shards int) ([]SinkBranch, error) {
 	if ps.branches != nil {
 		return nil, errSinkReused
 	}
@@ -129,14 +124,14 @@ func (ps *PanelSink) Open(cfg *Config, shards int) ([]SinkBranch, error) {
 	return out, nil
 }
 
-// Flush merges the shard accumulators into the Result.
-func (ps *PanelSink) Flush() error {
-	ps.res = mergeResult(ps.branches)
+// Flush sums the shard accumulators in place into the first and wraps
+// that sum as the Result.
+func (ps *panelSink) Flush() error {
+	sum := ps.branches[0]
+	sum.add(ps.branches[1:]...)
+	ps.res = &Result{Panel: sum.panel, Stats: sum.stats}
 	return nil
 }
-
-// Result returns the merged panel; valid after Flush.
-func (ps *PanelSink) Result() *Result { return ps.res }
 
 // CountryCount is one row of TopKSink's country ranking.
 type CountryCount struct {
@@ -184,7 +179,7 @@ func (s *TopKSink) Open(cfg *Config, shards int) ([]SinkBranch, error) {
 	out := make([]SinkBranch, shards)
 	for i := range s.branches {
 		s.branches[i] = &topKBranch{
-			tbl:        cfg.Geo,
+			tbl:        cfg.geo,
 			byCountry:  make(map[string]int),
 			byProtocol: make(map[protocols.Protocol]int),
 		}

@@ -21,7 +21,7 @@ import (
 // watermark envelope ever finds it full: with nothing to shed, every shed
 // policy must be byte-identical to the batch reference, deterministically.
 func sinkTestConfig(shards, weeks int, shed ShedPolicy, sinks ...Sink) Config {
-	cfg := testConfig(shards, weeks, true)
+	cfg := testConfig(shards, weeks)
 	cfg.QueueDepth = 4096
 	cfg.Shed = shed
 	cfg.Sinks = sinks
@@ -37,7 +37,8 @@ func TestSinksMatchBatchAcrossShedModes(t *testing.T) {
 
 	wantTopK := NewTopKSink(5)
 	var wantNDJSON bytes.Buffer
-	want, err := Batch(sinkTestConfig(1, 3, ShedBlock, wantTopK, NewNDJSONSink(&wantNDJSON)), packets)
+	wantFlows := &flowLog{}
+	want, err := Batch(sinkTestConfig(1, 3, ShedBlock, wantTopK, NewNDJSONSink(&wantNDJSON), wantFlows), packets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +54,10 @@ func TestSinksMatchBatchAcrossShedModes(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/shards=%d", shed, shards), func(t *testing.T) {
 				topk := NewTopKSink(5)
 				var ndjson bytes.Buffer
-				got := runStream(t, sinkTestConfig(shards, 3, shed, topk, NewNDJSONSink(&ndjson)), packets)
+				gotFlows := &flowLog{}
+				got := runStream(t, sinkTestConfig(shards, 3, shed, topk, NewNDJSONSink(&ndjson), gotFlows), packets)
 				compareResults(t, want, got)
+				compareFlows(t, wantFlows, gotFlows)
 				if !reflect.DeepEqual(topk.TopCountries(), wantTopK.TopCountries()) {
 					t.Errorf("top countries: got %v want %v", topk.TopCountries(), wantTopK.TopCountries())
 				}
@@ -78,25 +81,25 @@ func sortedLines(s string) []string {
 }
 
 // TestTopKSinkRanking cross-checks the sink's online ranking against an
-// independent recount over the kept flows, and the k-truncation.
+// independent recount over the logged flows, and the k-truncation.
 func TestTopKSinkRanking(t *testing.T) {
 	packets := testStream(t, 2, 120)
 	topk := NewTopKSink(3)
-	cfg := sinkTestConfig(1, 2, ShedBlock, topk)
-	cfg.Geo = geo.NewTable() // withDefaults fills a copy; the recount below needs the table too
-	res, err := Batch(cfg, packets)
-	if err != nil {
+	flows := &flowLog{}
+	if _, err := Batch(sinkTestConfig(1, 2, ShedBlock, topk, flows), packets); err != nil {
 		t.Fatal(err)
 	}
 
+	tbl := geo.NewTable()
 	byCountry := make(map[string]int)
 	byProto := make(map[protocols.Protocol]int)
-	for _, f := range res.Flows {
+	for i := range flows.flows {
+		f := &flows.flows[i]
 		if honeypot.Classify(f) != honeypot.Attack {
 			continue
 		}
 		byProto[f.Key.Proto]++
-		if countries, ok := cfg.Geo.Lookup(f.Key.Victim); ok {
+		if countries, ok := tbl.Lookup(f.Key.Victim); ok {
 			for _, c := range countries {
 				byCountry[c]++
 			}
@@ -192,13 +195,13 @@ func TestSinkErrorSurvivesClose(t *testing.T) {
 	}
 }
 
-// TestExtraPanelSink registers a second, explicit PanelSink and checks it
+// TestExtraPanelSink registers a second, explicit panel sink and checks it
 // agrees with the pipeline's built-in one.
 func TestExtraPanelSink(t *testing.T) {
 	packets := testStream(t, 2, 60)
-	extra := NewPanelSink()
+	extra := &panelSink{}
 	res := runStream(t, sinkTestConfig(2, 2, ShedBlock, extra), packets)
-	dup := extra.Result()
+	dup := extra.res
 	if dup == nil {
 		t.Fatal("extra panel sink has no result after Close")
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"booters/internal/geo"
@@ -222,22 +222,10 @@ func PickProtocol(rng *rand.Rand, country string, t time.Time) protocols.Protoco
 	return all[pickWeightedIndex(rng, weights)]
 }
 
-// SortStream time-orders the packets in place, breaking ties by victim,
-// protocol then sensor so the stream is deterministic.
+// SortStream time-orders the packets in place by honeypot.ComparePackets,
+// so the stream is deterministic.
 func SortStream(packets []honeypot.Packet) {
-	sort.Slice(packets, func(i, j int) bool {
-		a, b := packets[i], packets[j]
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
-		}
-		if a.Victim != b.Victim {
-			return a.Victim.Less(b.Victim)
-		}
-		if a.Proto != b.Proto {
-			return a.Proto < b.Proto
-		}
-		return a.Sensor < b.Sensor
-	})
+	slices.SortFunc(packets, honeypot.ComparePackets)
 }
 
 // Datagrams re-encodes decoded packets as wire-format datagrams carrying

@@ -13,8 +13,8 @@ import (
 )
 
 // unorderedConfig is testConfig with order-tolerant shards.
-func unorderedConfig(shards, weeks int, keep bool) Config {
-	cfg := testConfig(shards, weeks, keep)
+func unorderedConfig(shards, weeks int) Config {
+	cfg := testConfig(shards, weeks)
 	cfg.Unordered = true
 	return cfg
 }
@@ -54,7 +54,8 @@ func cutSegments(rng *rand.Rand, packets []honeypot.Packet, n int) [][]honeypot.
 // random permutations.
 func TestUnorderedSegmentShuffleMatchesBatch(t *testing.T) {
 	packets := testStream(t, 4, 120)
-	want, err := Batch(testConfig(1, 4, true), packets)
+	cfg, wantFlows := withFlowLog(testConfig(1, 4))
+	want, err := Batch(cfg, packets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,8 @@ func TestUnorderedSegmentShuffleMatchesBatch(t *testing.T) {
 				segs := cutSegments(rng, packets, 12+rng.Intn(8))
 				order := rng.Perm(len(segs))
 
-				in, err := New(unorderedConfig(shards, 4, true))
+				cfg, gotFlows := withFlowLog(unorderedConfig(shards, 4))
+				in, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,6 +99,7 @@ func TestUnorderedSegmentShuffleMatchesBatch(t *testing.T) {
 					t.Fatal(err)
 				}
 				compareResults(t, want, got)
+				compareFlows(t, wantFlows, gotFlows)
 			})
 		}
 	}
@@ -107,7 +110,7 @@ func TestUnorderedSegmentShuffleMatchesBatch(t *testing.T) {
 // must be rejected by the shard's aggregator, counted in Stats.Late and
 // excluded from Stats.Packets — never silently dropped, never booked.
 func TestUnorderedStalePacketsSurfacedInStats(t *testing.T) {
-	cfg := unorderedConfig(1, 2, false)
+	cfg := unorderedConfig(1, 2)
 	cfg.BatchSize = 1
 	cfg.WatermarkEvery = 1 // broadcast after every packet
 	in, err := New(cfg)
@@ -152,7 +155,7 @@ func TestUnorderedStalePacketsSurfacedInStats(t *testing.T) {
 // promising the frontier, a quiet victim's flow must close through the
 // broadcast low-watermark alone, before Close.
 func TestUnorderedWatermarkExpiresIdleShards(t *testing.T) {
-	cfg := unorderedConfig(4, 2, false)
+	cfg := unorderedConfig(4, 2)
 	cfg.BatchSize = 1
 	cfg.WatermarkEvery = 1
 	in, err := New(cfg)
@@ -196,7 +199,7 @@ func TestUnorderedWatermarkExpiresIdleShards(t *testing.T) {
 // batch at Close.
 func TestSourcelessUnorderedNeverExpiresEarly(t *testing.T) {
 	packets := testStream(t, 2, 60)
-	want, err := Batch(testConfig(1, 2, false), packets)
+	want, err := Batch(testConfig(1, 2), packets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +207,7 @@ func TestSourcelessUnorderedNeverExpiresEarly(t *testing.T) {
 	rand.New(rand.NewSource(99)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	got := runStream(t, unorderedConfig(4, 2, false), shuffled)
+	got := runStream(t, unorderedConfig(4, 2), shuffled)
 	if got.Stats.Late != 0 {
 		t.Fatalf("sourceless unordered run rejected %d packets as stale", got.Stats.Late)
 	}

@@ -16,7 +16,9 @@
 //
 // The parser keeps every `value unit` pair a benchmark line reports
 // (ns/op, B/op, allocs/op and custom b.ReportMetric units alike), keyed
-// by unit. -compare A,B computes the relative delta of B against A on
+// by unit. A benchmark repeated with -count keeps every sample, and each
+// unit records its median and quartiles; -compare and -assert read the
+// median. -compare A,B computes the relative delta of B against A on
 // -metric and exits non-zero when it exceeds -max-delta-pct — "B may be
 // at most P percent worse than A" for cost-like metrics where bigger is
 // worse. -assert (repeatable) gates a single benchmark's metric against
@@ -34,21 +36,29 @@ import (
 	"log"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
 
 // Result is one parsed benchmark: its iteration count, GOMAXPROCS suffix
-// and reported metrics keyed by unit.
+// and reported metrics keyed by unit, summarised over every sample (one
+// per output line, so -count N gives N samples).
 type Result struct {
-	// Procs is the -N GOMAXPROCS suffix of the benchmark line (0 when
-	// the line had none).
+	// Procs is the -N GOMAXPROCS suffix of the benchmark lines (0 when
+	// they had none).
 	Procs int `json:"procs,omitempty"`
-	// Iterations is b.N for the reported run.
+	// Iterations is b.N summed over the samples.
 	Iterations int `json:"iterations"`
 	// Metrics maps a reported unit ("ns/op", "packets/sec", "B/op",
-	// ...) to its value.
+	// ...) to its median across the samples.
 	Metrics map[string]float64 `json:"metrics"`
+	// Q1 and Q3 map each unit to its lower and upper quartile across the
+	// samples.
+	Q1 map[string]float64 `json:"q1"`
+	Q3 map[string]float64 `json:"q3"`
+	// Samples maps each unit to its value in every sample, in input order.
+	Samples map[string][]float64 `json:"samples"`
 }
 
 // Document is the checked-in JSON shape: a note plus the benchmark map.
@@ -143,7 +153,8 @@ func assertBound(doc *Document, spec string) error {
 
 // parse reads `go test -bench` output from path (or stdin) and collects
 // every benchmark line. A benchmark appearing more than once (e.g.
-// -count > 1) keeps its last occurrence.
+// -count > 1) keeps every occurrence as a sample; its Metrics, Q1 and Q3
+// are the samples' quartiles.
 func parse(path string) (*Document, error) {
 	var r io.Reader = os.Stdin
 	if path != "-" {
@@ -166,24 +177,57 @@ func parse(path string) (*Document, error) {
 		if err != nil {
 			continue
 		}
-		res := Result{Iterations: iters, Metrics: map[string]float64{}}
+		var procs int
 		if m[2] != "" {
-			res.Procs, _ = strconv.Atoi(m[2])
+			procs, _ = strconv.Atoi(m[2])
 		}
+		res, seen := doc.Benchmarks[m[1]]
+		if !seen {
+			res = Result{Procs: procs, Samples: map[string][]float64{}}
+		} else if res.Procs != procs {
+			return nil, fmt.Errorf("%s: samples at GOMAXPROCS %d and %d (record one -cpu value per file)", m[1], res.Procs, procs)
+		}
+		res.Iterations += iters
 		fields := strings.Fields(m[4])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("%s: bad metric value %q", m[1], fields[i])
 			}
-			res.Metrics[fields[i+1]] = v
+			res.Samples[fields[i+1]] = append(res.Samples[fields[i+1]], v)
 		}
 		doc.Benchmarks[m[1]] = res
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	for name, res := range doc.Benchmarks {
+		res.Metrics = map[string]float64{}
+		res.Q1 = map[string]float64{}
+		res.Q3 = map[string]float64{}
+		for unit, xs := range res.Samples {
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			res.Q1[unit] = quantile(sorted, 0.25)
+			res.Metrics[unit] = quantile(sorted, 0.5)
+			res.Q3[unit] = quantile(sorted, 0.75)
+		}
+		doc.Benchmarks[name] = res
+	}
 	return doc, nil
+}
+
+// quantile returns the q-quantile of the sorted, non-empty xs by linear
+// interpolation between closest ranks — the rule perfbench reports its
+// medians and quartiles with.
+func quantile(xs []float64, q float64) float64 {
+	pos := q * float64(len(xs)-1)
+	lo := int(pos)
+	if lo+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	frac := pos - float64(lo)
+	return xs[lo]*(1-frac) + xs[lo+1]*frac
 }
 
 // write renders the document as indented JSON to path (or stdout).

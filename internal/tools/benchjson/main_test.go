@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,43 @@ func TestParseKeepsEveryMetric(t *testing.T) {
 		if got := res.Metrics[unit]; got != want {
 			t.Errorf("metric %s = %v, want %v", unit, got, want)
 		}
+	}
+}
+
+// TestRepeatedSamplesUseMedian checks a -count 3 run keeps all three
+// samples, records the median and quartiles, and gates on the median
+// rather than on whichever sample came last.
+func TestRepeatedSamplesUseMedian(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.txt")
+	out := `BenchmarkX-2 	 10	 100 ns/op	 1 allocs/op
+BenchmarkX-2 	 10	 200 ns/op	 1 allocs/op
+BenchmarkX-2 	 10	 400 ns/op	 1 allocs/op
+`
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := parse(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := doc.Benchmarks["BenchmarkX"]
+	if res.Iterations != 30 || res.Procs != 2 {
+		t.Errorf("iterations=%d procs=%d, want 30 and 2", res.Iterations, res.Procs)
+	}
+	if got := res.Samples["ns/op"]; !reflect.DeepEqual(got, []float64{100, 200, 400}) {
+		t.Errorf("samples = %v, want [100 200 400]", got)
+	}
+	if res.Q1["ns/op"] != 150 || res.Metrics["ns/op"] != 200 || res.Q3["ns/op"] != 300 {
+		t.Errorf("quartiles = %v/%v/%v, want 150/200/300", res.Q1["ns/op"], res.Metrics["ns/op"], res.Q3["ns/op"])
+	}
+	if err := assertBound(doc, "BenchmarkX:ns/op<=250"); err != nil {
+		t.Errorf("assert against the median: %v", err)
+	}
+	if err := os.WriteFile(path, []byte(out+"BenchmarkX-4 	 10	 100 ns/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parse(path); err == nil {
+		t.Error("samples at two GOMAXPROCS values merged without error")
 	}
 }
 
