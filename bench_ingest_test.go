@@ -6,8 +6,8 @@ package booters
 //
 //	go test -bench Ingest -benchmem
 //
-// The replay is a ~1M-packet synthetic stream generated once per process
-// from the market simulator. Shard scaling (1 vs 4 vs GOMAXPROCS) is real
+// The replay is the ~1M-packet stream of a market scenario, generated once
+// per process. Shard scaling (1 vs 4 vs GOMAXPROCS) is real
 // parallelism: on a single-core host the multi-shard numbers measure
 // routing overhead only, on multicore they measure speedup.
 
@@ -24,6 +24,7 @@ import (
 	"booters/internal/ingest"
 	"booters/internal/obs"
 	"booters/internal/obs/trace"
+	"booters/internal/scenario"
 	"booters/internal/spool"
 )
 
@@ -42,13 +43,18 @@ const ingestBenchWeeks = 26
 func benchIngestStream(b *testing.B) []honeypot.Packet {
 	b.Helper()
 	ingestStreamOnce.Do(func() {
-		ingestStream, ingestStreamErr = ingest.SyntheticStream(ingest.StreamConfig{
-			Seed:           DefaultSeed,
-			Start:          ingestBenchStart,
-			Weeks:          ingestBenchWeeks,
-			Sensors:        8,
-			AttacksPerWeek: 2250,
+		var run *scenario.Run
+		run, ingestStreamErr = scenario.Generate(scenario.Config{
+			Seed:            DefaultSeed,
+			Start:           ingestBenchStart,
+			Weeks:           ingestBenchWeeks,
+			Sensors:         8,
+			BaselineAttacks: 2250,
+			Market:          &scenario.MarketDynamics{},
 		})
+		if ingestStreamErr == nil {
+			ingestStream = run.Packets
+		}
 	})
 	if ingestStreamErr != nil {
 		b.Fatal(ingestStreamErr)

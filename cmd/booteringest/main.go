@@ -1,9 +1,10 @@
 // Command booteringest drives the streaming side of the reproduction: it
-// replays a reflected-UDP packet stream — synthetic, generated from the
-// booter-market simulator so supply shocks and churn shape the volume, or
+// replays a reflected-UDP packet stream — a generated scenario workload
+// (by default the market scenario of -seed/-weeks/-attacks, whose volume
+// the booter-market simulator shapes with supply shocks and churn), or
 // pre-recorded in an on-disk spool — through the sharded ingestion
-// pipeline, then reports throughput, the weekly attack series, and
-// whatever extra sinks were attached.
+// pipeline, then reports throughput, the weekly attack series verified
+// against the scenario manifest, and whatever extra sinks were attached.
 //
 // Usage:
 //
@@ -13,26 +14,27 @@
 //	             [-sinks topk,ndjson] [-topk K] [-ndjson FILE]
 //	             [-shed POLICY] [-queue N] [-pprof ADDR] [-progress DUR]
 //
-// -record DIR generates the synthetic stream (or the -scenario stream,
-// with its manifest.json), spools it to DIR as wire-format datagrams and
-// exits; -compress lz4 stores the spool's blocks compressed. -replay DIR
-// streams a previously recorded spool from disk through the pipeline
-// instead of generating, over the span its index attests, and verifies
-// the panel and fit against a recorded manifest.json; -from/-to bound
-// the replay to a time window (whole segments outside it are skipped via
-// the spool index) and -replay-workers decodes segments with N
-// concurrent readers, delivered in recorded order. A scenario whose
-// stream is reordered, or a spool whose manifest.json records such a
-// scenario, runs through the order-tolerant pipeline, with the spool
-// trailers' low-watermark driving flow expiry during a replay.
-// -spool-info DIR prints a spool's MANIFEST/segment index (records, time
-// range, codec, bytes/packet, torn segments) without replaying it.
-// -sinks attaches extra consumers (a country/protocol top-K ranking, an
-// NDJSON flow stream) next to the built-in weekly panel. -shed picks the
-// overload policy for full shard queues: block (lossless backpressure,
-// default), drop-newest or drop-oldest, with dropped packets accounted
-// per sensor. -wire replays wire-format datagrams through the protocol
-// decode path instead of pre-decoded packets.
+// -record DIR generates the stream (the market scenario or the -scenario
+// run), spools it to DIR as wire-format datagrams next to its
+// manifest.json and exits; -compress lz4 stores the spool's blocks
+// compressed. -replay DIR streams a previously recorded spool from disk
+// through the pipeline instead of generating, over the span its index
+// attests, and verifies the panel and fit against a recorded
+// manifest.json; -from/-to bound the replay to a time window (whole
+// segments outside it are skipped via the spool index) and
+// -replay-workers decodes segments with N concurrent readers, delivered
+// in recorded order. A scenario whose stream is reordered, or a spool
+// whose manifest.json records such a scenario, runs through the
+// order-tolerant pipeline, with the spool trailers' low-watermark driving
+// flow expiry during a replay. -spool-info DIR prints a spool's
+// MANIFEST/segment index (records, time range, codec, bytes/packet, torn
+// segments) without replaying it. -sinks attaches extra consumers (a
+// country/protocol top-K ranking, an NDJSON flow stream) next to the
+// built-in weekly panel. -shed picks the overload policy for full shard
+// queues: block (lossless backpressure, default), drop-newest or
+// drop-oldest, with dropped packets accounted per sensor. -wire replays
+// wire-format datagrams through the protocol decode path instead of
+// pre-decoded packets.
 //
 // The run is fully instrumented through internal/obs: -progress DUR emits
 // a one-line structured status report (packets, late, queue depth,
@@ -61,16 +63,17 @@ import (
 
 const usageText = `booteringest replays a reflected-UDP packet stream through the sharded
 streaming ingestion pipeline and reports throughput, the weekly attack
-series and any attached sinks. The stream is either generated from the
-booter-market simulator (default), recorded once to an on-disk spool
-(-record DIR, optionally compressed with -compress lz4), or replayed
-from such a spool at disk speed (-replay DIR, panel span sized from the
-spool index, verified against the manifest.json a -scenario recording
-leaves next to the segments), whole or bounded to a
-time window (-from/-to, pruning segments via the spool index) with
--replay-workers concurrent segment readers, delivered in recorded order.
-Reordered scenario streams and recordings run through the order-tolerant
-pipeline.
+series and any attached sinks. The stream is a generated scenario — by
+default the market scenario of -seed/-weeks/-attacks, or a -scenario
+workload — whose panel is verified against the scenario manifest,
+recorded once to an on-disk spool (-record DIR, optionally compressed
+with -compress lz4), or replayed from such a spool at disk speed
+(-replay DIR, panel span sized from the spool index, verified against
+the manifest.json the recording leaves next to the segments), whole or
+bounded to a time window (-from/-to, pruning segments via the spool
+index) with -replay-workers concurrent segment readers, delivered in
+recorded order. Reordered scenario streams and recordings run through
+the order-tolerant pipeline.
 -spool-info DIR prints a spool's segment index without replaying.
 
 Usage:
@@ -91,7 +94,8 @@ Flags:
 func main() {
 	cli.Init("booteringest", usageText)
 	fs := flag.CommandLine
-	stream := cli.StreamFlags(fs, 12, 1000)
+	wl := cli.WorkloadFlags(fs, "replay a scenario workload: catalog name, config file, or list",
+		time.Date(2018, time.July, 2, 0, 0, 0, 0, time.UTC), 12, 1000)
 	shards := cli.Shards(fs)
 	wire := flag.Bool("wire", false, "replay wire-format datagrams (exercise protocol decode)")
 	rec := cli.RecordFlags(fs, "spool the generated stream to this directory and exit")
@@ -99,7 +103,6 @@ func main() {
 	spoolInfo := flag.String("spool-info", "", "print a spool directory's segment index and exit (no replay)")
 	fromFlag := flag.String("from", "", "replay only datagrams at or after this time")
 	toFlag := flag.String("to", "", "replay only datagrams before this time")
-	sc := cli.ScenarioFlag(fs, "replay a scenario workload: catalog name, config file, or list")
 	sinksFlag := flag.String("sinks", "", "extra sinks, comma-separated: topk, ndjson")
 	topKFlag := flag.Int("topk", 5, "rows kept by the topk sink")
 	ndjsonPath := flag.String("ndjson", "flows.ndjson", "output file for the ndjson sink")
@@ -108,14 +111,14 @@ func main() {
 	prof := cli.ProfileFlags(fs)
 	flag.Parse()
 
-	if sc.List(os.Stdout) {
+	if wl.List(os.Stdout) {
 		return
 	}
 	pipeline := rec.Dir == "" && *spoolInfo == ""
 	cli.Check(
 		cli.Exclusive(fs, "record", "replay", "spool-info"),
 		cli.Exclusive(fs, "scenario", "replay", "spool-info"),
-		cli.Only(fs, sc.Spec == "" && rep.Dir == "" && *spoolInfo == "",
+		cli.Only(fs, wl.Spec == "" && rep.Dir == "" && *spoolInfo == "",
 			"the market-driven stream (a scenario or a spool fixes the workload)", "seed", "weeks", "attacks"),
 		cli.Only(fs, rep.Dir != "", "-replay (the generated stream is not windowed)", "from", "to", "replay-workers"),
 		cli.Only(fs, pipeline, "a pipeline run (not -record or -spool-info)",
@@ -143,25 +146,20 @@ func main() {
 		return
 	}
 
-	// Pick the workload and its panel span. A scenario fixes the span and
-	// ordering discipline; a replayed spool's index fixes the span, and a
-	// scenario manifest recorded next to it is the ground truth the run
-	// is verified against after the pipeline closes.
-	start := time.Date(2018, time.July, 2, 0, 0, 0, 0, time.UTC)
-	end := start.AddDate(0, 0, 7*stream.Weeks-1)
+	// Pick the workload and its panel span. A generated workload (the
+	// -scenario run, or the market scenario of -seed/-weeks/-attacks)
+	// fixes the span and ordering discipline; a replayed spool's index
+	// fixes the span. Either way the scenario manifest — generated, or
+	// recorded next to the spool — is the ground truth the run is
+	// verified against after the pipeline closes.
 	var (
-		packets   []honeypot.Packet
-		m         *scenario.Manifest
-		lag       time.Duration
-		unordered bool
+		start, end time.Time
+		packets    []honeypot.Packet
+		m          *scenario.Manifest
+		lag        time.Duration
+		unordered  bool
 	)
-	switch {
-	case sc.Spec != "":
-		run, err := sc.Generate(lg)
-		cli.Check(err)
-		start, end, packets, m, lag = run.Config.Start, run.Config.End(), run.Stream(), run.Manifest, run.WatermarkLag()
-		unordered = run.RequiresUnordered()
-	case rep.Dir != "":
+	if rep.Dir != "" {
 		start, end, err = rep.Span()
 		cli.Check(err)
 		m, err = rep.Manifest()
@@ -173,9 +171,11 @@ func main() {
 			fmt.Printf("spool manifest %s: verification skipped (a -from/-to window covers part of the scenario)\n", m.Name)
 			m = nil
 		}
-	default:
-		packets, err = stream.Generate(lg, start)
+	} else {
+		run, err := wl.Generate(lg)
 		cli.Check(err)
+		start, end, packets, m, lag = run.Config.Start, run.Config.End(), run.Stream(), run.Manifest, run.WatermarkLag()
+		unordered = run.RequiresUnordered()
 	}
 
 	// Record mode: spool to disk, report, done.
@@ -208,9 +208,9 @@ func main() {
 	}
 	// Mitigation scenarios carry a per-victim cap; attach the what-if
 	// sink so the run answers it and the manifest can check the answer.
-	var mitigation *scenario.MitigationSink
+	var mitigation *ingest.MitigationSink
 	if m != nil && m.Mitigation != nil {
-		mitigation = scenario.NewMitigationSink(m.Mitigation.PerVictimWeekly)
+		mitigation = ingest.NewMitigationSink(m.Mitigation.PerVictimWeekly)
 		sinks = append(sinks, mitigation)
 	}
 
@@ -231,7 +231,7 @@ func main() {
 	switch {
 	case rep.Dir != "":
 		mode = "spooled wire-format"
-	case sc.Spec != "":
+	case wl.Spec != "":
 		mode = "scenario"
 	case *wire:
 		mode = "wire-format"

@@ -1,9 +1,9 @@
 // Command bootersensor is the sensor half of the networked capture
 // path: it ships a reflected-UDP record stream — a recorded on-disk
-// spool, or a stream generated from the booter-market simulator — to a
-// collector (booterserve -listen) over the framed session protocol of
-// docs/WIRE_PROTOCOL.md, and exits once the collector has acknowledged
-// the stream's final record.
+// spool, or a generated scenario workload — to a collector (booterserve
+// -listen) over the framed session protocol of docs/WIRE_PROTOCOL.md,
+// and exits once the collector has acknowledged the stream's final
+// record.
 //
 // Usage:
 //
@@ -13,19 +13,18 @@
 //	             [-pprof ADDR] [-progress DUR] [-log SPEC]
 //	             [-trace-sample N] [-trace-slow DUR]
 //
-// -spool DIR ships an existing spool directory (recorded with
-// booterserve -record, booteringest -record, or bootersensor itself on
-// an earlier run); -scenario NAME|FILE ships a scenario workload from
-// the internal/scenario catalog (docs/SCENARIOS.md) so a collector can
-// verify intervention-fit recovery against the scenario's ground truth;
-// without either, the synthetic stream described by
-// -seed/-weeks/-attacks is generated in memory and shipped. Connection
-// loss redials with exponential backoff and resumes exactly from the
-// collector's last acknowledged offset, so interrupting and restarting
-// a shipment never loses or duplicates a record. -linger turns the
-// sensor into a live tail that keeps the session open — heartbeating,
-// shipping whatever appears in the spool — until the feed has stayed
-// dry that long.
+// -spool DIR ships an existing spool directory (recorded with booterserve
+// -record, booteringest -record, or bootersensor itself on an earlier
+// run); -scenario NAME|FILE ships a scenario workload from the
+// internal/scenario catalog (docs/SCENARIOS.md) so a collector can verify
+// intervention-fit recovery against the scenario's ground truth; without
+// either, the market scenario described by -seed/-weeks/-attacks is
+// generated in memory and shipped. Connection loss redials with
+// exponential backoff and resumes exactly from the collector's last
+// acknowledged offset, so interrupting and restarting a shipment never
+// loses or duplicates a record. -linger turns the sensor into a live tail
+// that keeps the session open — heartbeating, shipping whatever appears
+// in the spool — until the feed has stayed dry that long.
 package main
 
 import (
@@ -46,9 +45,8 @@ protocol: batches carry spool-format records, acks are cumulative record
 offsets, and a reconnect resumes exactly where the collector's last ack
 left off — no loss, no duplication. The stream is an existing spool
 directory (-spool), a scenario workload with recorded ground truth
-(-scenario, see docs/SCENARIOS.md; list prints the catalog), or a
-synthetic market-driven stream generated in memory
-(-seed/-weeks/-attacks).
+(-scenario, see docs/SCENARIOS.md; list prints the catalog), or the
+market scenario generated in memory (-seed/-weeks/-attacks).
 
 Usage:
 
@@ -68,8 +66,8 @@ func main() {
 	collector := cli.WireFlags(fs, "collector", "collector address (required; booterserve -listen)", "token")
 	sensorID := flag.Uint("sensor", 1, "sensor ID; the collector keys resume offsets by it")
 	spoolDir := flag.String("spool", "", "ship this recorded spool directory instead of a generated stream")
-	sc := cli.ScenarioFlag(fs, "ship a scenario workload: catalog name, config file, or list")
-	stream := cli.StreamFlags(fs, 4, 500)
+	wl := cli.WorkloadFlags(fs, "ship a scenario workload: catalog name, config file, or list",
+		time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC), 4, 500)
 	batch := flag.Int("batch", wire.DefaultBatchRecords, "records per batch frame")
 	heartbeat := flag.Duration("heartbeat", wire.DefaultHeartbeat, "idle interval between heartbeats (keep under the collector's dead-session deadline)")
 	linger := flag.Duration("linger", 0, "live-tail: keep the session open until the feed stays dry this long (0 = finish at end of feed)")
@@ -77,7 +75,7 @@ func main() {
 	logFlags := cli.LogFlags(fs)
 	flag.Parse()
 
-	if sc.List(os.Stdout) {
+	if wl.List(os.Stdout) {
 		return
 	}
 	if collector.Addr == "" {
@@ -86,7 +84,7 @@ func main() {
 	}
 	cli.Check(
 		cli.Exclusive(fs, "spool", "scenario"),
-		cli.Only(fs, *spoolDir == "" && sc.Spec == "",
+		cli.Only(fs, *spoolDir == "" && wl.Spec == "",
 			"generated streams (the spool or scenario fixes the workload)", "seed", "weeks", "attacks"),
 	)
 	logs, tr, err := logFlags.Open(os.Stderr)
@@ -95,21 +93,18 @@ func main() {
 	cli.Check(prof.ServePprof(slg))
 
 	var feed wire.Feed
-	switch {
-	case *spoolDir != "":
+	if *spoolDir != "" {
 		sf := wire.NewSpoolFeed(*spoolDir)
 		defer sf.Close()
 		feed = sf
-	case sc.Spec != "":
-		run, err := sc.Generate(slg)
+	} else {
+		run, err := wl.Generate(slg)
 		cli.Check(err)
-		slg.Info("collector panel span", "start", run.Config.Start.Format("2006-01-02"),
-			"weeks", run.Manifest.Weeks, "hint", "booterserve -listen ... -scenario "+sc.Spec)
+		if wl.Spec != "" {
+			slg.Info("collector panel span", "start", run.Config.Start.Format("2006-01-02"),
+				"weeks", run.Manifest.Weeks, "hint", "booterserve -listen ... -scenario "+wl.Spec)
+		}
 		feed = wire.NewSliceFeed(ingest.Datagrams(run.Stream()))
-	default:
-		packets, err := stream.Generate(slg, time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC))
-		cli.Check(err)
-		feed = wire.NewSliceFeed(ingest.Datagrams(packets))
 	}
 
 	reg := obs.Default()

@@ -13,10 +13,11 @@
 //	            [-throttle PPS] [-exit-after-replay] [-pprof ADDR] [-progress DUR]
 //	            [-log SPEC] [-trace-sample N] [-trace-slow DUR] [-watermark-every N]
 //
-// Without a spool flag the generated stream is fed straight to the
-// pipeline. -record DIR spools the generated stream to disk first and
-// then replays it from disk (the record-once-replay-many workflow, with
-// the spool's segment index served at /v1/spool); -replay DIR replays an
+// Without a spool flag the generated stream — the market scenario of
+// -seed/-weeks/-attacks — is fed straight to the pipeline. -record DIR
+// spools it to disk first, next to its scenario manifest.json, and then
+// replays it from disk (the record-once-replay-many workflow, with the
+// spool's segment index served at /v1/spool); -replay DIR replays an
 // existing spool, sizing the served panel from the spool index's time
 // range. -throttle paces ingestion to roughly PPS packets/sec so a
 // multi-week capture takes long enough to watch live. When the replay
@@ -121,16 +122,20 @@ Flags:
 
 `
 
+// streamStart is the first day of the generated market scenario and of
+// the collector's default panel span.
+var streamStart = time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
+
 func main() {
 	cli.Init("booterserve", usageText)
 	fs := flag.CommandLine
 	addr := flag.String("addr", "127.0.0.1:8190", "HTTP listen address (port 0 picks a free port)")
-	stream := cli.StreamFlags(fs, 52, 500)
+	wl := cli.WorkloadFlags(fs, "collector mode: expect this scenario workload and verify /v1/model recovers its injected effects",
+		streamStart, 52, 500)
 	shards := cli.Shards(fs)
 	rec := cli.RecordFlags(fs, "spool the generated stream to this directory, then replay it from disk")
 	rep := cli.ReplayFlags(fs, "replay an existing spool from this directory")
 	listen := cli.WireFlags(fs, "listen", "collector mode: accept networked sensor sessions on this address", "wire-token")
-	sc := cli.ScenarioFlag(fs, "collector mode: expect this scenario workload and verify /v1/model recovers its injected effects")
 	throttle := flag.Float64("throttle", 0, "pace ingestion to about this many packets/sec (0 = full speed)")
 	exitAfter := flag.Bool("exit-after-replay", false, "exit after the stream ends instead of serving until interrupt")
 	prof := cli.ProfileFlags(fs)
@@ -138,7 +143,7 @@ func main() {
 	wmEvery := flag.Int("watermark-every", 0, "broadcast the pipeline watermark every N packets; smaller N seals weeks sooner at more broadcast cost (0 = library default)")
 	flag.Parse()
 
-	if sc.List(os.Stdout) {
+	if wl.List(os.Stdout) {
 		return
 	}
 	collector := listen.Addr != ""
@@ -147,7 +152,7 @@ func main() {
 		cli.Only(fs, collector, "collector mode (-listen; feed scenarios locally with booteringest -scenario)", "wire-token", "scenario"),
 		cli.Only(fs, !collector, "a local feed (not -listen)", "throttle", "exit-after-replay"),
 		cli.Only(fs, rep.Dir == "" && !collector, "generated streams (a replayed spool or the sensor fleet fixes the workload)", "seed", "attacks"),
-		cli.Only(fs, rep.Dir == "" && sc.Spec == "", "generated streams and the collector's default span (a replayed spool or a scenario fixes the span)", "weeks"),
+		cli.Only(fs, rep.Dir == "" && wl.Spec == "", "generated streams and the collector's default span (a replayed spool or a scenario fixes the span)", "weeks"),
 		cli.Only(fs, rec.Dir != "" || rep.Dir != "", "spool replays (-record or -replay)", "replay-workers"),
 		cli.Only(fs, rec.Dir != "", "-record", "compress"),
 	)
@@ -156,25 +161,29 @@ func main() {
 	slg := logs.Logger("serve")
 	cli.Check(prof.ServePprof(slg))
 	if collector {
-		collectorMode(listen, sc, *addr, *shards, stream.Weeks, *wmEvery, prof.Progress, logs, tr)
+		collectorMode(listen, wl, *addr, *shards, *wmEvery, prof.Progress, logs, tr)
 		return
 	}
 
-	// Pick the stream and the panel span: a generated stream covers its
-	// own weeks (recorded to disk first with -record, then replayed from
-	// there); a replayed spool's span comes from its index.
-	start := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
-	end := start.AddDate(0, 0, 7*stream.Weeks-1)
+	// Pick the stream and the panel span: the generated market scenario
+	// covers its own weeks (recorded to disk first with -record, then
+	// replayed from there); a replayed spool's span comes from its index.
+	var (
+		start, end time.Time
+		packets    []honeypot.Packet
+		m          *scenario.Manifest
+	)
 	spoolDir := rep.Dir
-	var packets []honeypot.Packet
 	if rep.Dir != "" {
 		start, end, err = rep.Span()
+		cli.Check(err)
 	} else {
-		packets, err = stream.Generate(slg, start)
+		run, err := wl.Generate(slg)
+		cli.Check(err)
+		start, end, packets, m = run.Config.Start, run.Config.End(), run.Stream(), run.Manifest
 	}
-	cli.Check(err)
 	if rec.Dir != "" {
-		cli.Check(rec.Write(logs, prof.Progress, packets, nil))
+		cli.Check(rec.Write(logs, prof.Progress, packets, m))
 		spoolDir = rec.Dir
 	}
 
@@ -259,12 +268,12 @@ func main() {
 // over real HTTP that the model fit recovers every injected effect
 // inside its tolerance — the networked end of the scenario regression
 // loop.
-func collectorMode(listen *cli.Wire, sc *cli.Scenario, addr string, shards, weeks, wmEvery int, progressEvery time.Duration, logs *obs.Log, tr *trace.Tracer) {
+func collectorMode(listen *cli.Wire, wl *cli.Workload, addr string, shards, wmEvery int, progressEvery time.Duration, logs *obs.Log, tr *trace.Tracer) {
 	slg := logs.Logger("collector")
-	start := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
+	start, weeks := streamStart, wl.Weeks
 	var manifest *scenario.Manifest
-	if sc.Spec != "" {
-		run, err := sc.Generate(slg)
+	if wl.Spec != "" {
+		run, err := wl.Generate(slg)
 		cli.Check(err)
 		manifest = run.Manifest
 		start = run.Config.Start

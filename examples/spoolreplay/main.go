@@ -1,8 +1,9 @@
-// Spool replay: records a market-driven capture to a compressed on-disk
-// spool once, then replays it twice through the streaming pipeline — the
-// whole capture, and a two-week intervention window around a takedown —
-// using the spool's per-segment index to skip everything outside the
-// window and parallel segment readers to decode it.
+// Spool replay: records a market scenario's capture to a compressed
+// on-disk spool once, then replays it twice through the streaming
+// pipeline — the whole capture, and a two-week intervention window
+// around a takedown — using the spool's per-segment index to skip
+// everything outside the window and parallel segment readers to decode
+// it.
 //
 // This is the paper's before/after-intervention workflow at capture
 // scale: the expensive stream is generated (or captured) exactly once,
@@ -16,7 +17,7 @@ import (
 	"time"
 
 	"booters"
-	"booters/internal/ingest"
+	"booters/internal/scenario"
 )
 
 func main() {
@@ -25,13 +26,15 @@ func main() {
 	start := time.Date(2018, time.July, 2, 0, 0, 0, 0, time.UTC)
 	const weeks = 8
 
-	// Generate the capture once: a synthetic reflected-UDP stream shaped
-	// by the booter-market simulator.
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           20191021,
-		Start:          start,
-		Weeks:          weeks,
-		AttacksPerWeek: 400,
+	// Generate the capture once: a market scenario, whose reflected-UDP
+	// stream the booter-market simulator shapes.
+	run, err := scenario.Generate(scenario.Config{
+		Name:            "market",
+		Seed:            20191021,
+		Start:           start,
+		Weeks:           weeks,
+		BaselineAttacks: 400,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -46,7 +49,7 @@ func main() {
 
 	// Record it compressed. Small segments keep the example's index
 	// interesting; production captures use the 64 MiB default.
-	n, err := booters.RecordSpoolWith(spoolDir, packets, booters.SpoolRecordOptions{
+	n, err := booters.RecordSpoolWith(spoolDir, run.Packets, booters.SpoolRecordOptions{
 		Codec:        "lz4",
 		SegmentBytes: 256 << 10,
 	})

@@ -11,6 +11,7 @@ import (
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
 	"booters/internal/protocols"
+	"booters/internal/scenario"
 )
 
 // TestIngestorFeedsPanel checks the facade bridge: a stream ingested via
@@ -18,15 +19,17 @@ import (
 // sliceable over the model window, with the stream's attacks in place.
 func TestIngestorFeedsPanel(t *testing.T) {
 	streamStart := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           DefaultSeed,
-		Start:          streamStart,
-		Weeks:          8,
-		AttacksPerWeek: 60,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            DefaultSeed,
+		Start:           streamStart,
+		Weeks:           8,
+		BaselineAttacks: 60,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	in, err := NewIngestor(3)
 	if err != nil {
 		t.Fatal(err)
@@ -109,15 +112,17 @@ func TestIngestorFeedsPanel(t *testing.T) {
 // it through a fresh ingestor with a top-K sink attached, and check the
 // replayed panel matches a direct in-memory run.
 func TestSpoolRecordReplayFacade(t *testing.T) {
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           DefaultSeed,
-		Start:          time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC),
-		Weeks:          4,
-		AttacksPerWeek: 50,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            DefaultSeed,
+		Start:           time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC),
+		Weeks:           4,
+		BaselineAttacks: 50,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 
 	dir := filepath.Join(t.TempDir(), "capture")
 	n, err := RecordSpool(dir, packets)
@@ -199,15 +204,17 @@ func newTolerantIngestor(t *testing.T, shards int) *ingest.Ingestor {
 // order-tolerant ingestor, and check the panel is identical to an
 // ordered in-memory run with nothing dropped as late.
 func TestUnorderedReplayFacade(t *testing.T) {
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           DefaultSeed,
-		Start:          time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC),
-		Weeks:          4,
-		AttacksPerWeek: 50,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            DefaultSeed,
+		Start:           time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC),
+		Weeks:           4,
+		BaselineAttacks: 50,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	dir := filepath.Join(t.TempDir(), "capture")
 	n, err := RecordSpoolWith(dir, packets, SpoolRecordOptions{SegmentBytes: 64 << 10})
 	if err != nil {
@@ -255,15 +262,17 @@ func TestUnorderedReplayFacade(t *testing.T) {
 // open until the end.
 func TestReplaySpoolWindowExpiresMidReplay(t *testing.T) {
 	start := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           DefaultSeed,
-		Start:          start,
-		Weeks:          6,
-		AttacksPerWeek: 60,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            DefaultSeed,
+		Start:           start,
+		Weeks:           6,
+		BaselineAttacks: 60,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	dir := filepath.Join(t.TempDir(), "capture")
 	if _, err := RecordSpoolWith(dir, packets, SpoolRecordOptions{SegmentBytes: 64 << 10}); err != nil {
 		t.Fatal(err)
@@ -313,15 +322,17 @@ func TestReplaySpoolWindowExpiresMidReplay(t *testing.T) {
 // subset.
 func TestSpoolWindowFacade(t *testing.T) {
 	start := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           DefaultSeed,
-		Start:          start,
-		Weeks:          6,
-		AttacksPerWeek: 50,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            DefaultSeed,
+		Start:           start,
+		Weeks:           6,
+		BaselineAttacks: 50,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 
 	dir := filepath.Join(t.TempDir(), "capture")
 	n, err := RecordSpoolWith(dir, packets, SpoolRecordOptions{Codec: "lz4", SegmentBytes: 64 << 10})

@@ -308,7 +308,7 @@ func TestScenarioMitigationRecovery(t *testing.T) {
 	if m.Mitigation == nil {
 		t.Fatal("mitigation-cap manifest carries no mitigation truth")
 	}
-	sink := scenario.NewMitigationSink(run.Config.Mitigation.PerVictimWeekly)
+	sink := ingest.NewMitigationSink(run.Config.Mitigation.PerVictimWeekly)
 	res, err := ReplayScenario(run, 3, sink)
 	if err != nil {
 		t.Fatal(err)

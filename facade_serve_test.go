@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"booters/internal/ingest"
+	"booters/internal/scenario"
 )
 
 // serveGet fetches one endpoint from a live server and decodes the JSON.
@@ -76,15 +77,17 @@ func promValue(t *testing.T, text, series string) float64 {
 // non-final panel. After Close the final panel and model fits are served.
 func TestServeLiveDuringReplay(t *testing.T) {
 	start := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           DefaultSeed,
-		Start:          start,
-		Weeks:          6,
-		AttacksPerWeek: 60,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            DefaultSeed,
+		Start:           start,
+		Weeks:           6,
+		BaselineAttacks: 60,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	dir := filepath.Join(t.TempDir(), "capture")
 	if _, err := RecordSpool(dir, packets); err != nil {
 		t.Fatal(err)
@@ -206,15 +209,17 @@ func TestServeModelOverHTTP(t *testing.T) {
 		t.Skip("model fit over 30 ingested weeks")
 	}
 	start := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           DefaultSeed,
-		Start:          start,
-		Weeks:          30,
-		AttacksPerWeek: 40,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            DefaultSeed,
+		Start:           start,
+		Weeks:           30,
+		BaselineAttacks: 40,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	in, err := ingest.New(ingest.Config{
 		Shards:  2,
 		Start:   start,

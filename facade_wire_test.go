@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"booters/internal/ingest"
+	"booters/internal/scenario"
 )
 
 // TestWireFacade drives the networked capture path end to end through
@@ -13,15 +13,17 @@ import (
 // loopback TCP to a collector feeding a fresh ingestor, and check the
 // resulting panel matches a direct in-memory run.
 func TestWireFacade(t *testing.T) {
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           DefaultSeed,
-		Start:          time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC),
-		Weeks:          4,
-		AttacksPerWeek: 50,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            DefaultSeed,
+		Start:           time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC),
+		Weeks:           4,
+		BaselineAttacks: 50,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	dir := filepath.Join(t.TempDir(), "capture")
 	n, err := RecordSpool(dir, packets)
 	if err != nil {

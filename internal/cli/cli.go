@@ -1,11 +1,13 @@
 // Package cli holds the command-line setup the booters commands share:
-// the flag groups two or more of them declare (-seed/-weeks/-attacks,
-// -scenario, -record/-compress, -replay/-replay-workers, -shards,
-// -pprof/-progress, -log/-trace-sample/-trace-slow and the wire session
-// endpoint), the usage boilerplate, one explicit-flag check that rejects
-// flags the chosen mode would silently ignore, and the setup steps built
-// on the groups: synthetic-stream generation, spool recording, the panel
-// span taken from a spool's index, and the scenario verification report.
+// the flag groups two or more of them declare (the workload:
+// -scenario with -seed/-weeks/-attacks, -record/-compress,
+// -replay/-replay-workers, -shards, -pprof/-progress,
+// -log/-trace-sample/-trace-slow and the wire session endpoint), the
+// usage boilerplate, one explicit-flag check that rejects flags the
+// chosen mode would silently ignore, and the setup steps built on the
+// groups: workload generation (every generated stream is a scenario
+// run), spool recording, the panel span taken from a spool's index, and
+// the scenario verification report.
 //
 // Every group defines its flags on a caller-supplied flag.FlagSet with the
 // caller's defaults where commands differ, so each flag name is declared

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,7 +46,7 @@ func TestOnlyRejectsExplicitFlagsOutsideTheirMode(t *testing.T) {
 			name: "seed with a spool feed",
 			check: func(fs *flag.FlagSet) error {
 				spoolDir := fs.String("spool", "", "")
-				StreamFlags(fs, 4, 500)
+				WorkloadFlags(fs, "", time.Time{}, 4, 500)
 				fs.Parse([]string{"-spool", "dir", "-seed", "5"})
 				return Only(fs, *spoolDir == "", "generated streams", "seed", "weeks", "attacks")
 			},
@@ -57,7 +58,7 @@ func TestOnlyRejectsExplicitFlagsOutsideTheirMode(t *testing.T) {
 			name: "weeks with replay",
 			check: func(fs *flag.FlagSet) error {
 				rep := ReplayFlags(fs, "")
-				StreamFlags(fs, 12, 1000)
+				WorkloadFlags(fs, "", time.Time{}, 12, 1000)
 				fs.Parse([]string{"-replay", "dir", "-weeks", "30"})
 				return Only(fs, rep.Dir == "", "the market-driven stream", "seed", "weeks", "attacks")
 			},
@@ -69,7 +70,7 @@ func TestOnlyRejectsExplicitFlagsOutsideTheirMode(t *testing.T) {
 			name: "explicit default value",
 			check: func(fs *flag.FlagSet) error {
 				rep := ReplayFlags(fs, "")
-				StreamFlags(fs, 52, 500)
+				WorkloadFlags(fs, "", time.Time{}, 52, 500)
 				fs.Parse([]string{"-replay", "dir", "-weeks", "52", "-attacks", "500"})
 				return Only(fs, rep.Dir == "", "generated streams", "seed", "weeks", "attacks")
 			},
@@ -87,7 +88,7 @@ func TestOnlyRejectsExplicitFlagsOutsideTheirMode(t *testing.T) {
 			name: "defaults left alone pass",
 			check: func(fs *flag.FlagSet) error {
 				rep := ReplayFlags(fs, "")
-				StreamFlags(fs, 12, 1000)
+				WorkloadFlags(fs, "", time.Time{}, 12, 1000)
 				fs.Parse([]string{"-replay", "dir"})
 				return Only(fs, rep.Dir == "", "the market-driven stream", "seed", "weeks", "attacks")
 			},
@@ -121,12 +122,44 @@ func TestExclusive(t *testing.T) {
 	}
 }
 
+// TestWorkloadMarketScenario pins the default workload: -seed/-weeks/
+// -attacks parameterise the market scenario, and a non-positive -attacks
+// is rejected instead of being silently replaced by a default rate.
+func TestWorkloadMarketScenario(t *testing.T) {
+	lg := slog.New(slog.NewTextHandler(io.Discard, nil))
+	start := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
+	for _, attacks := range []string{"0", "-5"} {
+		fs := newFlagSet()
+		w := WorkloadFlags(fs, "", start, 4, 500)
+		fs.Parse([]string{"-attacks", attacks})
+		if _, err := w.Generate(lg); err == nil || !strings.Contains(err.Error(), "-attacks must be positive") {
+			t.Errorf("-attacks %s: err = %v, want a rejection", attacks, err)
+		}
+	}
+
+	fs := newFlagSet()
+	w := WorkloadFlags(fs, "", start, 4, 500)
+	fs.Parse([]string{"-seed", "5", "-weeks", "2", "-attacks", "40"})
+	run, err := w.Generate(lg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := run.Manifest
+	if m.Name != "market" || m.Seed != 5 || m.Weeks != 2 || !m.Start.Equal(start) || run.Config.Market == nil {
+		t.Fatalf("default workload: manifest %s seed %d, %d weeks from %v, market %v",
+			m.Name, m.Seed, m.Weeks, m.Start, run.Config.Market)
+	}
+	if m.Scans != 2*20 {
+		t.Errorf("scans = %d, want half the attack rate per week (40)", m.Scans)
+	}
+}
+
 func TestScenarioList(t *testing.T) {
 	var out bytes.Buffer
-	if (&Scenario{Spec: "takedown-sharp"}).List(&out) || out.Len() != 0 {
+	if (&Workload{Spec: "takedown-sharp"}).List(&out) || out.Len() != 0 {
 		t.Fatal("List printed the catalog for a scenario name")
 	}
-	if !(&Scenario{Spec: "list"}).List(&out) || !strings.Contains(out.String(), "takedown-sharp") {
+	if !(&Workload{Spec: "list"}).List(&out) || !strings.Contains(out.String(), "takedown-sharp") {
 		t.Fatalf("List did not print the catalog:\n%s", out.String())
 	}
 }
@@ -137,7 +170,7 @@ func TestScenarioList(t *testing.T) {
 // verifies the panel of the recorded stream.
 func TestRecordReplaySpanAndManifest(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "spool")
-	sc := &Scenario{Spec: "takedown-sharp"}
+	sc := &Workload{Spec: "takedown-sharp"}
 	logs, err := obs.NewLog(io.Discard, "")
 	if err != nil {
 		t.Fatal(err)

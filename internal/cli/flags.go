@@ -34,68 +34,75 @@ func seedVar(fs *flag.FlagSet, p *int64) {
 	fs.Int64Var(p, "seed", 20191021, "generator seed")
 }
 
-// Stream is the -seed/-weeks/-attacks group: the synthetic packet stream
-// the booter-market simulator drives.
-type Stream struct {
+// Workload is the -scenario group and, for the commands that generate
+// their own packet stream, -seed/-weeks/-attacks: the parameters of the
+// market scenario that runs when no -scenario is given. Either way the
+// workload is a scenario run with a manifest to verify against.
+type Workload struct {
+	// Spec is -scenario: a catalog name, the path of a JSON config
+	// (docs/SCENARIOS.md), or "list" for the catalog.
+	Spec    string
 	Seed    int64
 	Weeks   int
 	Attacks float64
+	// start is the command's fixed first day of the market scenario.
+	start time.Time
 }
 
-// StreamFlags defines -seed, -weeks and -attacks with the command's
-// default stream length and weekly attack rate.
-func StreamFlags(fs *flag.FlagSet, weeks int, attacks float64) *Stream {
-	s := &Stream{}
-	seedVar(fs, &s.Seed)
-	fs.IntVar(&s.Weeks, "weeks", weeks, "generated stream length in weeks")
-	fs.Float64Var(&s.Attacks, "attacks", attacks, "mean attack flows per week")
-	return s
+// ScenarioFlag defines -scenario alone, with the command's help text.
+func ScenarioFlag(fs *flag.FlagSet, usage string) *Workload {
+	w := &Workload{}
+	fs.StringVar(&w.Spec, "scenario", "", usage)
+	return w
 }
 
-// Generate builds the stream starting at start and logs its size.
-func (s *Stream) Generate(lg *slog.Logger, start time.Time) ([]honeypot.Packet, error) {
-	t0 := time.Now()
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           s.Seed,
-		Start:          start,
-		Weeks:          s.Weeks,
-		AttacksPerWeek: s.Attacks,
-	})
-	if err != nil {
-		return nil, err
-	}
-	lg.Info("generated stream", "packets", len(packets), "weeks", s.Weeks,
-		"elapsed", time.Since(t0).Round(time.Millisecond))
-	return packets, nil
+// WorkloadFlags defines -scenario, with the command's help text, and
+// -seed, -weeks and -attacks with the command's default stream length
+// and weekly attack rate for a market scenario starting at start.
+func WorkloadFlags(fs *flag.FlagSet, usage string, start time.Time, weeks int, attacks float64) *Workload {
+	w := ScenarioFlag(fs, usage)
+	w.start = start
+	seedVar(fs, &w.Seed)
+	fs.IntVar(&w.Weeks, "weeks", weeks, "generated stream length in weeks")
+	fs.Float64Var(&w.Attacks, "attacks", attacks, "mean attack flows per week")
+	return w
 }
 
-// Scenario is the -scenario flag: a catalog name, the path of a JSON
-// config (docs/SCENARIOS.md), or "list" for the catalog.
-type Scenario struct{ Spec string }
-
-// ScenarioFlag defines -scenario with the command's help text.
-func ScenarioFlag(fs *flag.FlagSet, usage string) *Scenario {
-	s := &Scenario{}
-	fs.StringVar(&s.Spec, "scenario", "", usage)
-	return s
-}
-
-// List prints the catalog to w when -scenario list was given and reports
+// List prints the catalog to out when -scenario list was given and reports
 // whether it did, so the command can exit.
-func (s *Scenario) List(w io.Writer) bool {
-	if s.Spec != "list" {
+func (w *Workload) List(out io.Writer) bool {
+	if w.Spec != "list" {
 		return false
 	}
 	for _, name := range scenario.Names() {
-		fmt.Fprintf(w, "%-20s %s\n", name, scenario.Describe(name))
+		fmt.Fprintf(out, "%-20s %s\n", name, scenario.Describe(name))
 	}
 	return true
 }
 
-// Generate generates the scenario run and logs its size.
-func (s *Scenario) Generate(lg *slog.Logger) (*scenario.Run, error) {
+// Generate generates the workload and logs its size: the -scenario run
+// when one was given, otherwise the market scenario of -seed/-weeks/
+// -attacks, with half as many scans as attacks.
+func (w *Workload) Generate(lg *slog.Logger) (*scenario.Run, error) {
 	t0 := time.Now()
-	run, err := booters.GenerateScenario(s.Spec)
+	var run *scenario.Run
+	var err error
+	switch {
+	case w.Spec != "":
+		run, err = booters.GenerateScenario(w.Spec)
+	case !(w.Attacks > 0):
+		err = fmt.Errorf("-attacks must be positive, got %v", w.Attacks)
+	default:
+		run, err = scenario.Generate(scenario.Config{
+			Name:            "market",
+			Seed:            w.Seed,
+			Start:           w.start,
+			Weeks:           w.Weeks,
+			BaselineAttacks: w.Attacks,
+			ScansPerWeek:    int(w.Attacks / 2),
+			Market:          &scenario.MarketDynamics{},
+		})
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -251,7 +251,7 @@ func (f *Fleet) DrainLogs() []Packet {
 // ComparePackets orders packets by time, breaking ties by victim,
 // protocol, sensor and finally size. That is a total order on packets, so
 // sorting by it gives one sequence whatever order the packets arrived in.
-// Fleet logs and ingest.SortStream both sort by it.
+// Fleet logs and the scenario generator's streams both sort by it.
 func ComparePackets(a, b Packet) int {
 	if c := a.Time.Compare(b.Time); c != 0 {
 		return c

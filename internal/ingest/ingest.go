@@ -20,13 +20,13 @@
 // interval-merge aggregator.
 //
 // Closed flows fan out to any number of Sinks — the weekly-panel
-// accumulator is built in; TopKSink and NDJSONSink ship alongside — via
-// per-shard branches, so multi-sink runs add no locks to the per-packet
-// hot path. A branch borrows each flow for the length of Consume only:
-// the shard recycles it into its flow table afterwards. Overload
-// behaviour is configurable: a full shard queue either blocks producers
-// (lossless backpressure, the default) or sheds load (drop-newest /
-// drop-oldest) with per-sensor drop accounting in Stats.
+// accumulator is built in; TopKSink, NDJSONSink and MitigationSink ship
+// alongside — via per-shard branches, so multi-sink runs add no locks to
+// the per-packet hot path. A branch borrows each flow for the length of
+// Consume only: the shard recycles it into its flow table afterwards.
+// Overload behaviour is configurable: a full shard queue either blocks
+// producers (lossless backpressure, the default) or sheds load
+// (drop-newest / drop-oldest) with per-sensor drop accounting in Stats.
 //
 // Because flows are keyed by (victim, protocol) and shards are chosen by
 // victim address, every packet of a flow lands on the same shard, so the
@@ -77,6 +77,27 @@ type Datagram struct {
 	Port int
 	// Payload is the raw request payload.
 	Payload []byte
+}
+
+// Datagrams re-encodes decoded packets as wire-format datagrams carrying
+// each protocol's canonical request payload on its well-known port, for
+// replays that exercise the decode path.
+func Datagrams(packets []honeypot.Packet) []Datagram {
+	out := make([]Datagram, len(packets))
+	reqs := make(map[protocols.Protocol][]byte, protocols.Count())
+	for _, p := range protocols.All() {
+		reqs[p] = p.Request()
+	}
+	for i, p := range packets {
+		out[i] = Datagram{
+			Time:    p.Time,
+			Sensor:  p.Sensor,
+			Victim:  p.Victim,
+			Port:    p.Proto.Port(),
+			Payload: reqs[p.Proto],
+		}
+	}
+	return out
 }
 
 // ShedPolicy selects what a producer does when its destination shard's

@@ -12,8 +12,8 @@ import (
 
 	"booters/internal/geo"
 	"booters/internal/honeypot"
-	"booters/internal/market"
 	"booters/internal/protocols"
+	"booters/internal/scenario"
 	"booters/internal/timeseries"
 )
 
@@ -33,16 +33,18 @@ func testConfig(shards int, weeks int) Config {
 
 func testStream(t testing.TB, weeks int, attacksPerWeek float64) []honeypot.Packet {
 	t.Helper()
-	packets, err := SyntheticStream(StreamConfig{
-		Seed:           7,
-		Start:          testStart,
-		Weeks:          weeks,
-		Sensors:        6,
-		AttacksPerWeek: attacksPerWeek,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            7,
+		Start:           testStart,
+		Weeks:           weeks,
+		Sensors:         6,
+		BaselineAttacks: attacksPerWeek,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	if len(packets) == 0 {
 		t.Fatal("synthetic stream is empty")
 	}
@@ -234,16 +236,19 @@ func TestCountryProtocolMarginals(t *testing.T) {
 // TestStreamingMatchesBatchWithShocks replays a market takedown so the
 // stream's volume drops mid-span, and checks equivalence plus the drop.
 func TestStreamingMatchesBatchWithShocks(t *testing.T) {
-	packets, err := SyntheticStream(StreamConfig{
-		Seed:           11,
-		Start:          testStart,
-		Weeks:          6,
-		AttacksPerWeek: 80,
-		Shocks:         []market.Shock{{Week: 3, KillLargest: 4, KillFraction: 0.95, Permanent: true}},
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            11,
+		Start:           testStart,
+		Weeks:           6,
+		BaselineAttacks: 80,
+		// In market mode a takedown acts as a supply shock.
+		Takedowns: []scenario.Takedown{{Name: "takedown", Week: 3, Weeks: 3, DropPct: 95}},
+		Market:    &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	want, err := Batch(testConfig(1, 6), packets)
 	if err != nil {
 		t.Fatal(err)
@@ -419,8 +424,5 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Start: testStart, End: testStart.AddDate(0, 0, -7)}); err == nil {
 		t.Error("inverted span: want error")
-	}
-	if _, err := SyntheticStream(StreamConfig{Start: testStart}); err == nil {
-		t.Error("zero weeks: want error")
 	}
 }

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"time"
 
 	"booters/internal/dataset"
 	"booters/internal/geo"
 	"booters/internal/honeypot"
-	"booters/internal/ingest"
 	"booters/internal/protocols"
 )
 
@@ -86,7 +86,7 @@ func Generate(cfg Config) (*Run, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tbl := geo.NewTable()
-	countries, weights := ingest.CountryWeights()
+	countries, weights := countryWeights()
 
 	// Victim allocation. Unique mode gives every attack its own victim
 	// address (a sequential host counter), so no two attacks can ever
@@ -103,7 +103,7 @@ func Generate(cfg Config) (*Run, error) {
 		for i := range pool {
 			c := pickCountry(rng, countries, weights)
 			// Bit 21 clear keeps attack victims disjoint from the
-			// scanner address space (as in ingest.SyntheticStream).
+			// scanner address space.
 			addr, err := tbl.AddrFor(c, uint32(i)&0x1FFFFF)
 			if err != nil {
 				return nil, err
@@ -155,7 +155,7 @@ func Generate(cfg Config) (*Run, error) {
 				v = victim{addr, c}
 				t = weekStart.Add(weekMargin + time.Duration(rng.Int63n(int64(span))))
 			}
-			proto := ingest.PickProtocol(rng, v.country, mid)
+			proto := pickProtocol(rng, v.country, mid)
 			packets = emitAttack(packets, rng, t, v.addr, proto, cfg.Sensors)
 			attacksTotal++
 		}
@@ -176,7 +176,7 @@ func Generate(cfg Config) (*Run, error) {
 				return nil, err
 			}
 			nextScanner++
-			proto := ingest.PickProtocol(rng, c, mid)
+			proto := pickProtocol(rng, c, mid)
 			t := weekStart.Add(weekMargin + time.Duration(rng.Int63n(int64(span))))
 			packets = append(packets, honeypot.Packet{
 				Time:   t,
@@ -188,7 +188,7 @@ func Generate(cfg Config) (*Run, error) {
 			scansTotal++
 		}
 	}
-	ingest.SortStream(packets)
+	slices.SortFunc(packets, honeypot.ComparePackets)
 
 	run := &Run{Config: cfg, Packets: packets}
 	if cfg.Hostile != nil {
@@ -205,8 +205,8 @@ func Generate(cfg Config) (*Run, error) {
 
 // emitAttack appends one attack flow starting at t: a hot sensor pushed
 // past the classification threshold plus light spray across the fleet,
-// spaced well inside the quiet gap (same shape as the synthetic stream's
-// flows; total duration stays under ~90 seconds, far inside weekMargin).
+// spaced well inside the quiet gap (total duration stays under ~90
+// seconds, far inside weekMargin).
 func emitAttack(packets []honeypot.Packet, rng *rand.Rand, t time.Time, victim netip.Addr, proto protocols.Protocol, sensors int) []honeypot.Packet {
 	hot := rng.Intn(sensors)
 	n := honeypot.AttackThreshold + 1 + rng.Intn(10)
@@ -227,8 +227,34 @@ func emitAttack(packets []honeypot.Packet, rng *rand.Rand, t time.Time, victim n
 	return packets
 }
 
-// pickCountry draws one country code proportional to its weight.
-func pickCountry(rng *rand.Rand, countries []string, weights []float64) string {
+// countryWeights returns the victim-country mix (the paper's Table 3
+// skew: the US dominates, with a long tail) as parallel name and weight
+// slices for weighted draws.
+func countryWeights() ([]string, []float64) {
+	countries := geo.Countries()
+	weights := make([]float64, len(countries))
+	for i, c := range countries {
+		switch c {
+		case geo.US:
+			weights[i] = 45
+		case geo.FR:
+			weights[i] = 10
+		case geo.CN:
+			weights[i] = 8
+		case geo.UK:
+			weights[i] = 7
+		case geo.DE:
+			weights[i] = 6
+		default:
+			weights[i] = 2.5
+		}
+	}
+	return countries, weights
+}
+
+// pickIndex draws an index proportional to its weight (the last index
+// when all weights are zero). It consumes one rng.Float64.
+func pickIndex(rng *rand.Rand, weights []float64) int {
 	var total float64
 	for _, w := range weights {
 		total += w
@@ -237,8 +263,28 @@ func pickCountry(rng *rand.Rand, countries []string, weights []float64) string {
 	for i, w := range weights {
 		r -= w
 		if r < 0 {
-			return countries[i]
+			return i
 		}
 	}
-	return countries[len(countries)-1]
+	return len(weights) - 1
+}
+
+// pickCountry draws one country code proportional to its weight.
+func pickCountry(rng *rand.Rand, countries []string, weights []float64) string {
+	return countries[pickIndex(rng, weights)]
+}
+
+// pickProtocol draws an amplification protocol from the popularity mix at
+// time t (the China-specific mix for Chinese victims).
+func pickProtocol(rng *rand.Rand, country string, t time.Time) protocols.Protocol {
+	all := protocols.All()
+	weights := make([]float64, len(all))
+	for i, p := range all {
+		if country == geo.CN {
+			weights[i] = p.ChinaPopularity(t)
+		} else {
+			weights[i] = p.Popularity(t)
+		}
+	}
+	return all[pickIndex(rng, weights)]
 }

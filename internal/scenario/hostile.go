@@ -5,12 +5,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"booters/internal/honeypot"
-	"booters/internal/ingest"
 )
 
 // buildHostile derives the hostile twin of a clean, time-sorted stream:
@@ -26,7 +26,7 @@ func buildHostile(cfg Config, clean []honeypot.Packet) ([]honeypot.Packet, []tim
 	var skew []time.Duration
 	if h.SkewSeconds > 0 {
 		skew = SkewSensors(stream, rng, cfg.Sensors, time.Duration(h.SkewSeconds*float64(time.Second)))
-		ingest.SortStream(stream)
+		slices.SortFunc(stream, honeypot.ComparePackets)
 	}
 	if h.DuplicatePct > 0 {
 		stream = Duplicate(stream, rng, h.DuplicatePct)

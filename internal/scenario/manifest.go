@@ -40,8 +40,9 @@ type InjectedEffect struct {
 	CoefTolerance float64 `json:"coef_tolerance,omitempty"`
 }
 
-// MitigationTruth is the per-victim mitigation ground truth: what a
-// MitigationSink with this cap must report over the scenario's stream.
+// MitigationTruth is the per-victim mitigation ground truth: what an
+// ingest.MitigationSink with this cap must report over the scenario's
+// stream.
 type MitigationTruth struct {
 	// PerVictimWeekly is the admitted-attacks cap per victim per week.
 	PerVictimWeekly int `json:"per_victim_weekly"`

@@ -6,21 +6,27 @@
 // takedown waves with a configurable effect size and attacker migration
 // back to surviving services (Kopp et al.), booter market dynamics:
 // churn, capacity caps and flash sales (Karami et al., via
-// internal/market), a per-victim mitigation sink capping what traffic
-// gets through (MiddlePolice-style what-if), and hostile inputs:
-// duplicate and reordered floods, cross-sensor clock skew, adversarial
-// spool-segment corruption. Generate turns the config into a Run: a
-// time-sorted packet stream, an optional hostile-transformed twin, an
-// optional scrape-event stream, and a Manifest recording the injected
-// ground truth (planned weekly panel, expected NB2 coefficients with
-// tolerances, mitigation and self-report truths).
+// internal/market), a per-victim mitigation cap on what traffic gets
+// through (MiddlePolice-style what-if, answered by ingest.MitigationSink),
+// and hostile inputs: duplicate and reordered floods, cross-sensor clock
+// skew, adversarial spool-segment corruption. Generate turns the config
+// into a Run: a time-sorted packet stream, an optional
+// hostile-transformed twin, an optional scrape-event stream, and a
+// Manifest recording the injected ground truth (planned weekly panel,
+// expected NB2 coefficients with tolerances, mitigation and self-report
+// truths).
 //
 // The streams are built so the pipeline's weekly attack panel equals the
 // planned counts exactly: every planned attack becomes exactly one
 // classified attack flow (unique or gap-spaced victims, margins that keep
 // flows inside their week under bounded clock skew), which is what lets
 // the same scenarios serve as intervention-fit regression fixtures, as
-// hostile-input property tests, and as bench load profiles. See
+// hostile-input property tests, and as bench load profiles.
+//
+// It is the repo's only packet-stream generator: the commands'
+// -seed/-weeks/-attacks stream is a Config with Market set, and the
+// tests and benches build their streams the same way, so every
+// generated stream carries a Manifest to verify against. See
 // docs/SCENARIOS.md for the config format and manifest schema.
 package scenario
 
@@ -123,8 +129,8 @@ type MarketDynamics struct {
 
 // MitigationSpec configures the per-victim mitigation what-if: the
 // scenario draws victims from a fixed pool (so per-victim weekly attack
-// counts exceed one) and the manifest records how many attack flows a
-// MitigationSink with this cap would admit and mitigate.
+// counts exceed one) and the manifest records how many attack flows an
+// ingest.MitigationSink with this cap would admit and mitigate.
 type MitigationSpec struct {
 	// PerVictimWeekly is the cap on admitted attack flows per victim per
 	// week; must be positive.

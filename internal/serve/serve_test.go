@@ -8,6 +8,7 @@ import (
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
 	"booters/internal/protocols"
+	"booters/internal/scenario"
 )
 
 var testStart = time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
@@ -28,17 +29,18 @@ func testIngestConfig(shards, weeks int) ingest.Config {
 // testStream generates a deterministic packet stream.
 func testStream(t testing.TB, weeks int, attacksPerWeek float64) []honeypot.Packet {
 	t.Helper()
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           3,
-		Start:          testStart,
-		Weeks:          weeks,
-		Sensors:        4,
-		AttacksPerWeek: attacksPerWeek,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            3,
+		Start:           testStart,
+		Weeks:           weeks,
+		Sensors:         4,
+		BaselineAttacks: attacksPerWeek,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return packets
+	return run.Packets
 }
 
 // servedRun feeds a stream through a rolling pipeline wired into a fresh

@@ -15,6 +15,7 @@ import (
 
 	"booters/internal/ingest"
 	"booters/internal/obs"
+	"booters/internal/scenario"
 )
 
 // testCodecs enumerates the codec matrix every replay property is pinned
@@ -138,16 +139,18 @@ func TestWindowedReplaySkipsSegments(t *testing.T) {
 // and the order-tolerant one with OnWatermark driving a registered
 // low-watermark source, wired exactly as production does it.
 func TestParallelReplayPanelEquivalence(t *testing.T) {
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           13,
-		Start:          testStart,
-		Weeks:          3,
-		Sensors:        6,
-		AttacksPerWeek: 90,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            13,
+		Start:           testStart,
+		Weeks:           3,
+		Sensors:         6,
+		BaselineAttacks: 90,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	cfg := func(shards int, unordered bool) ingest.Config {
 		return ingest.Config{
 			Shards:         shards,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"booters/internal/ingest"
+	"booters/internal/scenario"
 )
 
 var testStart = time.Date(2018, time.October, 1, 0, 0, 0, 0, time.UTC)
@@ -21,16 +22,18 @@ var testStart = time.Date(2018, time.October, 1, 0, 0, 0, 0, time.UTC)
 // wire datagrams, the shape booteringest -record spools.
 func testDatagrams(t testing.TB, weeks int, attacksPerWeek float64) []ingest.Datagram {
 	t.Helper()
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           13,
-		Start:          testStart,
-		Weeks:          weeks,
-		Sensors:        6,
-		AttacksPerWeek: attacksPerWeek,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            13,
+		Start:           testStart,
+		Weeks:           weeks,
+		Sensors:         6,
+		BaselineAttacks: attacksPerWeek,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	return ingest.Datagrams(packets)
 }
 
@@ -99,16 +102,18 @@ func TestRoundTripAcrossSegments(t *testing.T) {
 // pipeline at two shard counts, and require a panel byte-identical to the
 // batch reference computed from the original in-memory packets.
 func TestReplayPanelEquivalence(t *testing.T) {
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           13,
-		Start:          testStart,
-		Weeks:          3,
-		Sensors:        6,
-		AttacksPerWeek: 90,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            13,
+		Start:           testStart,
+		Weeks:           3,
+		Sensors:         6,
+		BaselineAttacks: 90,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	cfg := func(shards int) ingest.Config {
 		return ingest.Config{
 			Shards:         shards,

@@ -6,6 +6,7 @@ import (
 
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
+	"booters/internal/scenario"
 )
 
 // blockSink parks shard workers in Consume until release is closed —
@@ -48,13 +49,14 @@ func (b *blockBranch) Consume(f *honeypot.Flow, c honeypot.Classification) error
 // blocking sink while `extras` more records pile into the shard queue.
 func backpressureRecords(extras int) []ingest.Datagram {
 	packets := []honeypot.Packet{}
-	base, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed: 3, Start: testStart, Weeks: 1, Sensors: 2, AttacksPerWeek: 5,
+	run, err := scenario.Generate(scenario.Config{
+		Seed: 3, Start: testStart, Weeks: 1, Sensors: 2, BaselineAttacks: 5,
+		Market: &scenario.MarketDynamics{},
 	})
-	if err != nil || len(base) == 0 {
+	if err != nil || len(run.Packets) == 0 {
 		panic("synthetic stream failed")
 	}
-	tmpl := base[0]
+	tmpl := run.Packets[0]
 	tmpl.Sensor = 7
 	at := func(d time.Duration) honeypot.Packet {
 		p := tmpl

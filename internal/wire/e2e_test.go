@@ -10,6 +10,7 @@ import (
 	"booters/internal/ingest"
 	"booters/internal/obs"
 	"booters/internal/obs/trace"
+	"booters/internal/scenario"
 )
 
 var testStart = time.Date(2018, time.October, 1, 0, 0, 0, 0, time.UTC)
@@ -18,16 +19,18 @@ var testStart = time.Date(2018, time.October, 1, 0, 0, 0, 0, time.UTC)
 // the repo's equivalence tests use.
 func testPackets(t testing.TB, weeks int, attacksPerWeek float64) []honeypot.Packet {
 	t.Helper()
-	packets, err := ingest.SyntheticStream(ingest.StreamConfig{
-		Seed:           21,
-		Start:          testStart,
-		Weeks:          weeks,
-		Sensors:        6,
-		AttacksPerWeek: attacksPerWeek,
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            21,
+		Start:           testStart,
+		Weeks:           weeks,
+		Sensors:         6,
+		BaselineAttacks: attacksPerWeek,
+		Market:          &scenario.MarketDynamics{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	packets := run.Packets
 	if len(packets) == 0 {
 		t.Fatal("synthetic stream is empty")
 	}
