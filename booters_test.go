@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"booters/internal/dataset"
 	"booters/internal/geo"
@@ -237,6 +238,11 @@ func TestSelfReportStructure(t *testing.T) {
 	if share <= preShare {
 		t.Errorf("market should concentrate after Xmas2018: share %.2f <= pre %.2f", share, preShare)
 	}
+}
+
+// mustDate builds a UTC midnight date.
+func mustDate(y, m, d int) time.Time {
+	return time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC)
 }
 
 // weeksFrom returns the week index of a date inside the self-report panel.

@@ -166,7 +166,7 @@ func main() {
 		cli.Check(err)
 		// A reordered recording needs the order-tolerant path, exactly
 		// as the scenario run that recorded it did.
-		unordered = m != nil && m.Hostile != nil && m.Hostile.ReorderSeconds > 0
+		unordered = m != nil && m.RequiresUnordered()
 		if m != nil && (!from.IsZero() || !to.IsZero()) {
 			fmt.Printf("spool manifest %s: verification skipped (a -from/-to window covers part of the scenario)\n", m.Name)
 			m = nil

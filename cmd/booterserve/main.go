@@ -24,7 +24,13 @@
 // finishes the pipeline closes, the final panel is published, a
 // self-check queries the server over HTTP, and the server keeps
 // answering until interrupted (-exit-after-replay exits instead, for
-// smoke tests).
+// smoke tests). A run with a scenario manifest — the generated one, or
+// the manifest.json recorded next to a replayed spool — serves the
+// manifest's injected interventions as the /v1/model catalogue, and the
+// final check asserts the panel equals the planned counts and the served
+// fit recovers every injected effect, failing the process if not; a
+// spool without a manifest is served with the paper's Table 1
+// catalogue, unverified.
 //
 // -listen HOST:PORT is the collector mode: instead of feeding itself,
 // the process accepts networked sensor sessions (bootersensor, speaking
@@ -71,6 +77,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -83,6 +90,7 @@ import (
 	"booters/internal/scenario"
 	"booters/internal/serve"
 	"booters/internal/spool"
+	"booters/internal/timeseries"
 	"booters/internal/wire"
 )
 
@@ -96,7 +104,11 @@ first (-record DIR, the spool then replays from disk and its index is
 served at /v1/spool), or replayed from an existing spool (-replay DIR,
 panel span sized from the spool index). Ingestion can be paced with
 -throttle so live queries have something to watch; after the stream
-ends the final panel keeps being served until interrupt.
+ends the final panel keeps being served until interrupt. With a
+scenario manifest (generated, or recorded next to the spool) /v1/model
+fits the scenario's injected interventions, and the run exits non-zero
+unless the final panel equals the planned counts and the served fit
+recovers every injected effect.
 
 Usage:
 
@@ -168,6 +180,9 @@ func main() {
 	// Pick the stream and the panel span: the generated market scenario
 	// covers its own weeks (recorded to disk first with -record, then
 	// replayed from there); a replayed spool's span comes from its index.
+	// Either way the scenario manifest — generated, or recorded next to
+	// the spool — sets the /v1/model catalogue and is the ground truth
+	// the final panel is verified against.
 	var (
 		start, end time.Time
 		packets    []honeypot.Packet
@@ -176,6 +191,8 @@ func main() {
 	spoolDir := rep.Dir
 	if rep.Dir != "" {
 		start, end, err = rep.Span()
+		cli.Check(err)
+		m, err = rep.Manifest()
 		cli.Check(err)
 	} else {
 		run, err := wl.Generate(slg)
@@ -186,18 +203,27 @@ func main() {
 		cli.Check(rec.Write(logs, prof.Progress, packets, m))
 		spoolDir = rec.Dir
 	}
+	// A reordered recording needs the order-tolerant path, driven by the
+	// segment trailers' low-watermark.
+	unordered := m != nil && m.RequiresUnordered()
 
 	in, err := ingest.New(ingest.Config{
 		Shards:         *shards,
 		Start:          start,
 		End:            end,
 		Rolling:        true,
+		Unordered:      unordered,
 		WatermarkEvery: *wmEvery,
 		Metrics:        obs.Default(),
 		Trace:          tr,
 	})
 	cli.Check(err)
-	srv, err := booters.Serve(in, *addr, spoolDir)
+	var srv *serve.Server
+	if m != nil {
+		srv, err = booters.ServeScenario(in, *addr, m, spoolDir)
+	} else {
+		srv, err = booters.Serve(in, *addr, spoolDir)
+	}
 	cli.Check(err)
 	defer srv.Close()
 	slg.Info("serving", "url", "http://"+srv.Addr(),
@@ -218,11 +244,20 @@ func main() {
 	feedStart := time.Now()
 	pace := newPacer(*throttle)
 	if spoolDir != "" {
-		stats, err := spool.ReplayWindow(spoolDir, spool.ReplayOptions{Workers: rep.Workers, Metrics: obs.Default(), Trace: tr}, func(d ingest.Datagram) error {
+		opts := spool.ReplayOptions{Workers: rep.Workers, Metrics: obs.Default(), Trace: tr}
+		var src *ingest.Source
+		if unordered {
+			src = in.RegisterSource()
+			opts.OnWatermark = src.Advance
+		}
+		stats, err := spool.ReplayWindow(spoolDir, opts, func(d ingest.Datagram) error {
 			in.IngestDatagram(d) // decode drops are counted in Stats
 			pace.tick()
 			return nil
 		})
+		if src != nil {
+			src.Close()
+		}
 		cli.Check(err)
 		splg := logs.Logger("spool")
 		for _, w := range stats.Warnings {
@@ -248,6 +283,9 @@ func main() {
 		"flows", res.Stats.Flows, "attacks", res.Stats.Attacks, "scans", res.Stats.Scans)
 	logFinalFreshness(slg, in)
 	selfCheck(slg, srv.Addr())
+	if m != nil {
+		cli.Check(verifyScenario(slg, srv.Addr(), m, res.Global))
+	}
 
 	if *exitAfter {
 		return
@@ -339,9 +377,7 @@ func collectorMode(listen *cli.Wire, wl *cli.Workload, addr string, shards, wmEv
 	logFinalFreshness(slg, in)
 	selfCheck(slg, srv.Addr())
 	if manifest != nil {
-		cli.Check(manifest.VerifyPanel(res.Global))
-		slg.Info("scenario panel verified", "name", manifest.Name, "weeks", manifest.Weeks)
-		cli.Check(verifyModelHTTP(slg, srv.Addr(), manifest))
+		cli.Check(verifyScenario(slg, srv.Addr(), manifest, res.Global))
 	}
 }
 
@@ -381,6 +417,21 @@ func logFinalFreshness(slg *slog.Logger, in *ingest.Ingestor) {
 		attrs = append(attrs, "watermark_lag_s", fmt.Sprintf("%.1f", lag))
 	}
 	slg.Info("final freshness", attrs...)
+}
+
+// verifyScenario checks a finished run against its scenario manifest:
+// the final weekly panel must equal the planned counts, and when the
+// manifest stakes a tolerance on any effect the served /v1/model fit
+// must recover it (verifyModelHTTP).
+func verifyScenario(slg *slog.Logger, addr string, m *scenario.Manifest, global *timeseries.Series) error {
+	if err := m.VerifyPanel(global); err != nil {
+		return err
+	}
+	slg.Info("scenario panel verified", "name", m.Name, "weeks", m.Weeks)
+	if !slices.ContainsFunc(m.Effects, func(e scenario.InjectedEffect) bool { return e.CoefTolerance > 0 }) {
+		return nil
+	}
+	return verifyModelHTTP(slg, addr, m)
 }
 
 // verifyModelHTTP asserts over real HTTP that the served /v1/model fit

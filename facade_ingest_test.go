@@ -12,6 +12,7 @@ import (
 	"booters/internal/ingest"
 	"booters/internal/protocols"
 	"booters/internal/scenario"
+	"booters/internal/spool"
 )
 
 // TestIngestorFeedsPanel checks the facade bridge: a stream ingested via
@@ -256,10 +257,10 @@ func TestUnorderedReplayFacade(t *testing.T) {
 }
 
 // TestReplaySpoolWindowExpiresMidReplay pins the low-watermark wiring:
-// a parallel replay into a rolling order-tolerant ingestor must expire
-// flows while it runs, so the pipeline seals weeks and publishes
-// snapshots before Close instead of holding every flow of the capture
-// open until the end.
+// a replay into a rolling order-tolerant ingestor — parallel through
+// ReplaySpoolWindow, strict through ReplaySpool — must expire flows while
+// it runs, so the pipeline seals weeks and publishes snapshots before
+// Close instead of holding every flow of the capture open until the end.
 func TestReplaySpoolWindowExpiresMidReplay(t *testing.T) {
 	start := time.Date(2018, time.January, 1, 0, 0, 0, 0, time.UTC)
 	run, err := scenario.Generate(scenario.Config{
@@ -277,42 +278,55 @@ func TestReplaySpoolWindowExpiresMidReplay(t *testing.T) {
 	if _, err := RecordSpoolWith(dir, packets, SpoolRecordOptions{SegmentBytes: 64 << 10}); err != nil {
 		t.Fatal(err)
 	}
-	in, err := ingest.New(ingest.Config{
-		Shards:         2,
-		Start:          start,
-		End:            start.AddDate(0, 0, 7*6-1),
-		Rolling:        true,
-		Unordered:      true,
-		BatchSize:      32,
-		WatermarkEvery: 128,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if idx, err := spool.LoadIndex(dir); err != nil || len(idx.Segments) < 3 {
+		t.Fatalf("spool index %v (err %v): fewer than 3 segments makes mid-replay expiry coverage vacuous", idx, err)
 	}
-	var sealed atomic.Int64
-	if err := in.OnSnapshot(func(s *ingest.Snapshot) {
-		if s.Sealed && !s.Final {
-			sealed.Add(1)
-		}
-	}); err != nil {
-		t.Fatal(err)
+	replays := map[string]func(in *ingest.Ingestor) error{
+		"ReplaySpoolWindow": func(in *ingest.Ingestor) error {
+			_, err := ReplaySpoolWindow(in, dir, SpoolReplayOptions{Workers: 2})
+			return err
+		},
+		"ReplaySpool": func(in *ingest.Ingestor) error {
+			_, err := ReplaySpool(in, dir)
+			return err
+		},
 	}
-	rep, err := ReplaySpoolWindow(in, dir, SpoolReplayOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SegmentsRead < 3 {
-		t.Fatalf("only %d segments: mid-replay expiry coverage is vacuous", rep.SegmentsRead)
-	}
-	res, err := in.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sealed.Load() == 0 {
-		t.Error("no sealed snapshot published before Close: flows never expired mid-replay")
-	}
-	if res.Stats.Late != 0 {
-		t.Errorf("%d packets dropped as late", res.Stats.Late)
+	for name, replay := range replays {
+		t.Run(name, func(t *testing.T) {
+			in, err := ingest.New(ingest.Config{
+				Shards:         2,
+				Start:          start,
+				End:            start.AddDate(0, 0, 7*6-1),
+				Rolling:        true,
+				Unordered:      true,
+				BatchSize:      32,
+				WatermarkEvery: 128,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sealed atomic.Int64
+			if err := in.OnSnapshot(func(s *ingest.Snapshot) {
+				if s.Sealed && !s.Final {
+					sealed.Add(1)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := replay(in); err != nil {
+				t.Fatal(err)
+			}
+			res, err := in.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sealed.Load() == 0 {
+				t.Error("no sealed snapshot published before Close: flows never expired mid-replay")
+			}
+			if res.Stats.Late != 0 {
+				t.Errorf("%d packets dropped as late", res.Stats.Late)
+			}
+		})
 	}
 }
 

@@ -133,18 +133,13 @@ func RecordSpoolWith(dir string, packets []honeypot.Packet, opts SpoolRecordOpti
 // payload) are counted in its Stats and skipped, mirroring a live sensor
 // that logs and keeps capturing; the replay only stops for spool errors or
 // a closed ingestor. It is strict: a torn or corrupt segment fails the
-// replay. Use ReplaySpoolWindow for time windows, parallel segment
-// readers, and replays that tolerate and report corruption instead.
+// replay. Like ReplaySpoolWindow it drives an order-tolerant ingestor's
+// watermark from the segment trailers, so flows expire mid-replay. Use
+// ReplaySpoolWindow for time windows, parallel segment readers, and
+// replays that tolerate and report corruption instead.
 func ReplaySpool(in *ingest.Ingestor, dir string) (uint64, error) {
-	var n uint64
-	err := spool.Replay(dir, func(d ingest.Datagram) error {
-		n++
-		if err := in.IngestDatagram(d); errors.Is(err, ingest.ErrClosed) {
-			return err
-		}
-		return nil
-	})
-	return n, err
+	rep, err := replaySpool(in, dir, spool.ReplayOptions{Strict: true})
+	return rep.Datagrams, err
 }
 
 // SpoolReplayOptions tunes ReplaySpoolWindow.
@@ -191,22 +186,25 @@ type SpoolReplayReport struct {
 // segment trailers as segments complete, so flows expire mid-replay even
 // when the recording is not time-sorted.
 func ReplaySpoolWindow(in *ingest.Ingestor, dir string, opts SpoolReplayOptions) (*SpoolReplayReport, error) {
-	replayOpts := spool.ReplayOptions{
-		From:    opts.From,
-		To:      opts.To,
-		Workers: opts.Workers,
-		// Replay counters and segment read spans land in the same
-		// registry and flight recorder as the ingest families and spans
-		// the replay feeds (nil when metrics or tracing are off).
-		Metrics: in.Metrics(),
-		Trace:   in.Trace(),
-	}
+	return replaySpool(in, dir, spool.ReplayOptions{From: opts.From, To: opts.To, Workers: opts.Workers})
+}
+
+// replaySpool is the one spool-to-pipeline replay behind ReplaySpool and
+// ReplaySpoolWindow: it wires the ingestor's registry, tracer and (for
+// an order-tolerant ingestor) a low-watermark source into opts, replays,
+// and summarises the run.
+func replaySpool(in *ingest.Ingestor, dir string, opts spool.ReplayOptions) (*SpoolReplayReport, error) {
+	// Replay counters and segment read spans land in the same registry
+	// and flight recorder as the ingest families and spans the replay
+	// feeds (nil when metrics or tracing are off).
+	opts.Metrics = in.Metrics()
+	opts.Trace = in.Trace()
 	if in.Unordered() {
 		src := in.RegisterSource()
 		defer src.Close()
-		replayOpts.OnWatermark = src.Advance
+		opts.OnWatermark = src.Advance
 	}
-	stats, err := spool.ReplayWindow(dir, replayOpts, func(d ingest.Datagram) error {
+	stats, err := spool.ReplayWindow(dir, opts, func(d ingest.Datagram) error {
 		if err := in.IngestDatagram(d); errors.Is(err, ingest.ErrClosed) {
 			return err
 		}

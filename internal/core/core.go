@@ -1,12 +1,16 @@
-// Package core is the reproduction's experiment engine: one runner per
-// table and figure in the paper's evaluation section. Each runner consumes
-// the generated panel, executes the paper's analysis for that exhibit
-// through the library's pipelines, and returns both the rendered exhibit
-// and a set of paper-vs-measured checks recorded in EXPERIMENTS.md.
+// Package core is the reproduction's analysis and experiment engine. It
+// is the one home of the paper's model definitions — the Table 1
+// intervention catalogue, the model window, the NB2 global and
+// per-country fits, §4 intervention discovery, the Figure 5 NCA
+// comparison and the Table 3 shares (analysis.go) — and holds one runner
+// per table and figure in the paper's evaluation section. Each runner
+// consumes the generated panel, executes that exhibit's analysis through
+// those definitions, and returns both the rendered exhibit and a set of
+// paper-vs-measured checks recorded in EXPERIMENTS.md.
 //
 // The runners are what cmd/booterreport and the root benchmark harness
-// execute; they are the single source of truth for "does the reproduction
-// show the paper's shape".
+// execute, and the root package's analysis functions delegate to the
+// definitions here, so every reproduced number is computed once.
 package core
 
 import (
@@ -17,7 +21,6 @@ import (
 
 	"booters/internal/dataset"
 	"booters/internal/geo"
-	"booters/internal/glm"
 	"booters/internal/interventions"
 	"booters/internal/its"
 	"booters/internal/protocols"
@@ -252,40 +255,35 @@ func runTable2(env *Env) (*Result, error) {
 
 func runTable3(env *Env) (*Result, error) {
 	res := &Result{ID: "Table 3", Title: "Share of attacks by country of victim over time"}
-	countries := []string{geo.US, geo.FR, geo.DE, geo.CN, geo.UK, geo.PL, geo.RU, geo.NL}
-	years := []int{2015, 2016, 2017, 2018, 2019}
+	shares := Table3(env.Panel)
 	tbl := &report.Table{
 		Title:  "Table 3: share of attacks by country (February of each year)",
-		Header: append([]string{"country"}, yearsHeader(years)...),
+		Header: append([]string{"country"}, yearsHeader(Table3Years)...),
 	}
-	shares := make(map[int]map[string]float64)
-	for _, y := range years {
-		shares[y] = countryShares(env.Panel, y, 2)
-	}
-	for _, c := range countries {
+	for _, c := range Table3Countries {
 		cells := []string{c}
-		for _, y := range years {
-			cells = append(cells, fmt.Sprintf("%.0f%%", shares[y][c]))
+		for _, y := range Table3Years {
+			cells = append(cells, fmt.Sprintf("%.0f%%", shares[c][y]))
 		}
 		tbl.AddRow(cells...)
 	}
 	totals := []string{"Total"}
-	for _, y := range years {
+	for _, y := range Table3Years {
 		var sum float64
-		for _, c := range countries {
-			sum += shares[y][c]
+		for _, c := range Table3Countries {
+			sum += shares[c][y]
 		}
 		totals = append(totals, fmt.Sprintf("%.0f%%", sum))
 	}
 	tbl.AddRow(totals...)
 	res.Rendered = tbl.String()
 
+	us, cn := shares[geo.US], shares[geo.CN]
 	res.check("US dominates by Feb 2019", "47%",
-		fmt.Sprintf("%.0f%%", shares[2019][geo.US]), shares[2019][geo.US] > 30)
+		fmt.Sprintf("%.0f%%", us[2019]), us[2019] > 30)
 	res.check("CN spike at Feb 2017", "55% (scaled down in reproduction; spike-and-fall shape)",
-		fmt.Sprintf("Feb16 %.0f%% -> Feb17 %.0f%% -> Feb18 %.0f%%",
-			shares[2016][geo.CN], shares[2017][geo.CN], shares[2018][geo.CN]),
-		shares[2017][geo.CN] >= 1.6*shares[2016][geo.CN] && shares[2018][geo.CN] <= 0.6*shares[2017][geo.CN])
+		fmt.Sprintf("Feb16 %.0f%% -> Feb17 %.0f%% -> Feb18 %.0f%%", cn[2016], cn[2017], cn[2018]),
+		cn[2017] >= 1.6*cn[2016] && cn[2018] <= 0.6*cn[2017])
 	// The paper's column totals range from 81% to 108%: the listed eight
 	// countries cover most but not all attacks, while conservative
 	// multi-attribution adds double counting. The double counting itself
@@ -318,8 +316,8 @@ func runFigure1(env *Env) (*Result, error) {
 	res.Rendered = b.String()
 
 	first := stats.Mean(env.Panel.Global.Values[:26])
-	peakEra := env.Panel.Global.Slice(
-		timeseries.WeekOf(dataset.ModelStart).Next(), env.Panel.Global.Week(env.Panel.Weeks))
+	from, _ := ModelWindow()
+	peakEra := env.Panel.Global.Slice(from.Next(), env.Panel.Global.Week(env.Panel.Weeks))
 	last := stats.Mean(peakEra.Values[len(peakEra.Values)-26:])
 	res.check("attack volume grows over the five years", "from ~tens of thousands to >100k per week",
 		fmt.Sprintf("first half-year mean %.0f, last half-year mean %.0f", first, last), last > 2*first)
@@ -386,7 +384,7 @@ func runFigure4(env *Env) (*Result, error) {
 	res := &Result{ID: "Figure 4", Title: "Correlation of attack series between countries"}
 	names := []string{geo.UK, geo.US, geo.CN, geo.RU, geo.FR, geo.DE, geo.PL, geo.NL}
 	series := make(map[string]*timeseries.Series, len(names))
-	from, to := timeseries.WeekOf(dataset.ModelStart), timeseries.WeekOf(dataset.SpanEnd)
+	from, to := ModelWindow()
 	for _, c := range names {
 		series[c] = env.Panel.ByCountry[c].Slice(from, to)
 	}
@@ -426,35 +424,21 @@ func runFigure4(env *Env) (*Result, error) {
 
 func runFigure5(env *Env) (*Result, error) {
 	res := &Result{ID: "Figure 5", Title: "US vs UK indexed attacks and the NCA advert campaign"}
-	// The facade's NCA analysis is reimplemented here against the env so
-	// core does not depend on the root package.
-	from, to := timeseries.WeekOf(dataset.ModelStart), timeseries.WeekOf(dataset.SpanEnd)
-	uk := env.Panel.ByCountry[geo.UK].Slice(from, to)
-	us := env.Panel.ByCountry[geo.US].Slice(from, to)
-	rescaleToMeanBase(uk, 100, 4)
-	rescaleToMeanBase(us, 100, 4)
-
+	nca, err := AnalyzeNCA(env.Panel)
+	if err != nil {
+		return nil, err
+	}
 	var b strings.Builder
-	b.WriteString(report.SeriesChart("Figure 5a: UK attacks indexed to 100 at Jun 2016", uk, 9))
-	b.WriteString(report.SeriesChart("Figure 5b: US attacks indexed to 100 at Jun 2016", us, 9))
+	b.WriteString(report.SeriesChart("Figure 5a: UK attacks indexed to 100 at Jun 2016", nca.UK, 9))
+	b.WriteString(report.SeriesChart("Figure 5b: US attacks indexed to 100 at Jun 2016", nca.US, 9))
 	res.Rendered = b.String()
 
-	pre := func(s *timeseries.Series) float64 {
-		_, slope := stats.LinearTrend(s.Slice(timeseries.WeekOf(mkdate(2017, 1, 2)), timeseries.WeekOf(mkdate(2017, 12, 18))).Values)
-		return slope
-	}
-	camp := func(s *timeseries.Series) float64 {
-		_, slope := stats.LinearTrend(s.Slice(timeseries.WeekOf(mkdate(2017, 12, 20)), timeseries.WeekOf(mkdate(2018, 4, 23))).Values)
-		return slope
-	}
-	preUK, preUS := pre(uk), pre(us)
-	campUK, campUS := camp(uk), camp(us)
-	did := (campUK - preUK) - (campUS - preUS)
+	did := (nca.CampaignUKSlope - nca.PreUKSlope) - (nca.CampaignUSSlope - nca.PreUSSlope)
 	res.check("pre-campaign growth in both", "UK slope 3.2, US slope 5.3 (2017)",
-		fmt.Sprintf("UK %.2f, US %.2f", preUK, preUS), preUK > 0 && preUS > 0)
+		fmt.Sprintf("UK %.2f, US %.2f", nca.PreUKSlope, nca.PreUSSlope), nca.PreUKSlope > 0 && nca.PreUSSlope > 0)
 	res.check("UK flattens during NCA adverts while US rises", "UK slope -0.1 vs US 6.8",
-		fmt.Sprintf("campaign UK %.2f vs US %.2f (diff-in-diff %.2f)", campUK, campUS, did),
-		campUK < campUS && did < 0)
+		fmt.Sprintf("campaign UK %.2f vs US %.2f (diff-in-diff %.2f)", nca.CampaignUKSlope, nca.CampaignUSSlope, did),
+		nca.CampaignUKSlope < nca.CampaignUSSlope && did < 0)
 	return res, nil
 }
 
@@ -692,30 +676,18 @@ func runScreens(env *Env) (*Result, error) {
 
 func runDetection(env *Env) (*Result, error) {
 	res := &Result{ID: "Section 4", Title: "Residual-drop intervention discovery"}
-	from, to := timeseries.WeekOf(dataset.ModelStart), timeseries.WeekOf(dataset.SpanEnd)
-	s := env.Panel.Global.Slice(from, to)
-	cands, err := its.DetectDrops(s, glm.NegativeBinomial, 1.0, 2)
+	cands, matched, err := DetectInterventions(env.Panel)
 	if err != nil {
 		return nil, err
 	}
-	var events []its.Intervention
-	for _, ev := range interventions.Catalogue() {
-		events = append(events, its.Intervention{Name: ev.Name, Start: ev.Date})
-	}
-	matches := its.MatchCandidates(cands, events, 3)
-
 	tbl := &report.Table{
 		Title:  "Candidate drop windows and matched interventions",
 		Header: []string{"window start", "weeks", "mean residual", "matched event"},
 	}
 	found := map[string]bool{}
 	for i, c := range cands {
-		name := ""
-		if matches[i] >= 0 {
-			name = events[matches[i]].Name
-			found[name] = true
-		}
-		tbl.AddRow(c.Start.String(), fmt.Sprintf("%d", c.Weeks), fmt.Sprintf("%.2f", c.MeanResidual), name)
+		found[matched[i]] = true
+		tbl.AddRow(c.Start.String(), fmt.Sprintf("%d", c.Weeks), fmt.Sprintf("%.2f", c.MeanResidual), matched[i])
 	}
 	res.Rendered = tbl.String()
 
@@ -775,11 +747,8 @@ func runCoverage(env *Env) (*Result, error) {
 // design-based robustness check beyond the paper's parametric inference.
 func runPlacebo(env *Env) (*Result, error) {
 	res := &Result{ID: "Robustness", Title: "Placebo-window inference for the headline effect"}
-	spec := env.Global.Spec
-	from := timeseries.WeekOf(dataset.ModelStart)
-	to := timeseries.WeekOf(dataset.SpanEnd)
-	s := env.Panel.Global.Slice(from, to)
-	pt, err := its.PlaceboTest(s, spec, "Xmas2018")
+	from, to := ModelWindow()
+	pt, err := its.PlaceboTest(env.Panel.Global.Slice(from, to), env.Global.Spec, "Xmas2018")
 	if err != nil {
 		return nil, err
 	}
@@ -830,18 +799,6 @@ func yearTotal(s *timeseries.Series, year int) float64 {
 	return total
 }
 
-// countryShares computes Table 3 shares for one calendar month.
-func countryShares(p *dataset.Panel, year, month int) map[string]float64 {
-	from := timeseries.WeekOf(mkdate(year, month, 1))
-	to := timeseries.WeekOf(mkdate(year, month, 1).AddDate(0, 1, 0))
-	total := p.Global.Slice(from, to).Total()
-	out := make(map[string]float64, len(p.ByCountry))
-	for c, s := range p.ByCountry {
-		out[c] = geo.Shares(map[string]float64{c: s.Slice(from, to).Total()}, total)[c]
-	}
-	return out
-}
-
 // protocolWindowDrop returns the percentage change of a protocol's counts in
 // the window vs the preceding equally long span.
 func protocolWindowDrop(p *dataset.Panel, proto protocols.Protocol, start time.Time, weeks int) float64 {
@@ -860,24 +817,4 @@ func protocolWindowDrop(p *dataset.Panel, proto protocols.Protocol, start time.T
 		return 0
 	}
 	return 100 * (in/pre - 1)
-}
-
-// rescaleToMeanBase rescales a series so the mean of its first baseWeeks
-// values equals base (a noise-robust version of indexing to the first
-// observation).
-func rescaleToMeanBase(s *timeseries.Series, base float64, baseWeeks int) {
-	if s.Len() == 0 {
-		return
-	}
-	if baseWeeks > s.Len() {
-		baseWeeks = s.Len()
-	}
-	m := stats.Mean(s.Values[:baseWeeks])
-	if m == 0 {
-		return
-	}
-	f := base / m
-	for i := range s.Values {
-		s.Values[i] *= f
-	}
 }

@@ -2,27 +2,12 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"booters/internal/dataset"
 	"booters/internal/geo"
 	"booters/internal/its"
-	"booters/internal/timeseries"
 )
-
-// table1Interventions mirrors the facade's Table 1 window definitions; core
-// cannot import the root package (the root package imports core's siblings)
-// so the five modelled windows are defined here from the catalogue dates.
-func table1Interventions() []its.Intervention {
-	return []its.Intervention{
-		{Name: "Xmas2018", Start: mkdate(2018, 12, 19), Weeks: 10},
-		{Name: "Webstresser", Start: mkdate(2018, 4, 24), Weeks: 3, LagWeeks: 2},
-		{Name: "Mirai", Start: mkdate(2018, 10, 26), Weeks: 8},
-		{Name: "HackForums", Start: mkdate(2016, 10, 28), Weeks: 13},
-		{Name: "vDOS", Start: mkdate(2017, 12, 19), Weeks: 3},
-	}
-}
 
 // NewEnv generates the panel for the given seed and fits the shared global
 // and per-country models once.
@@ -34,26 +19,17 @@ func NewEnv(seed int64) (*Env, error) {
 	return NewEnvFromPanel(panel)
 }
 
-// NewEnvFromPanel fits the shared models on an existing panel.
+// NewEnvFromPanel fits the shared models on an existing panel: the
+// Table 1 global model and one per-country model for each Table 2
+// country.
 func NewEnvFromPanel(panel *dataset.Panel) (*Env, error) {
-	from := timeseries.WeekOf(dataset.ModelStart)
-	to := timeseries.WeekOf(dataset.SpanEnd)
-	global, err := its.SearchAllDurations(panel.Global.Slice(from, to), its.DefaultSpec(table1Interventions()), 3)
+	global, err := FitGlobal(panel)
 	if err != nil {
 		return nil, fmt.Errorf("core: global model: %w", err)
 	}
 	env := &Env{Panel: panel, Global: global, PerCountry: make(map[string]*its.Model)}
 	for _, c := range geo.Table2Countries() {
-		ivs := table1Interventions()
-		if c == geo.NL {
-			for i := range ivs {
-				if ivs[i].Name == "Webstresser" {
-					ivs[i].LagWeeks = 0
-					ivs[i].Weeks = 4
-				}
-			}
-		}
-		m, err := its.SearchAllDurations(panel.ByCountry[c].Slice(from, to), its.DefaultSpec(ivs), 3)
+		m, err := FitCountry(panel, c)
 		if err != nil {
 			return nil, fmt.Errorf("core: country model %s: %w", c, err)
 		}
@@ -126,10 +102,4 @@ func Markdown(seed int64, results []*Result) string {
 
 func mdEscape(s string) string {
 	return strings.NewReplacer("|", "\\|", "\n", " ").Replace(s)
-}
-
-// SortChecksByName orders a result's checks deterministically (helper for
-// stable test output).
-func SortChecksByName(r *Result) {
-	sort.Slice(r.Checks, func(i, j int) bool { return r.Checks[i].Name < r.Checks[j].Name })
 }

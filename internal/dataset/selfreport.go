@@ -79,48 +79,7 @@ func generateSelfReport(cfg Config, p *Panel, rng *rand.Rand) (*SelfReportPanel,
 
 	// Collect: one observation per provider per week, exactly what the
 	// scraper sees (a page with a counter, or a dead site).
-	recs := sim.Records()
-	served := make([]map[int]float64, len(recs))
-	for i, r := range recs {
-		served[i] = r.ServedByProvider
-	}
-	var sites []*scrape.SiteHistory
-	for _, prov := range sim.Providers() {
-		h := &scrape.SiteHistory{Name: prov.Name}
-		var running float64
-		aliveAt := make([]bool, weeks)
-		totalAt := make([]float64, weeks)
-		for w := 0; w < weeks; w++ {
-			n := served[w][prov.ID]
-			running += n
-			aliveAt[w] = n > 0
-			totalAt[w] = running
-		}
-		// Replay the provider's counter style on the running totals.
-		var base float64
-		if prov.Counter == market.Inflated {
-			base = prov.InflationOffset
-		}
-		wipeRng := rand.New(rand.NewSource(cfg.Seed + int64(prov.ID)*7919))
-		for w := 0; w < weeks; w++ {
-			if prov.BornWeek > w {
-				h.Obs = append(h.Obs, scrape.Observation{Week: w, Up: false})
-				continue
-			}
-			up := aliveAt[w]
-			total := totalAt[w] + base
-			if prov.Counter == market.Wiping && up && wipeRng.Float64() < prov.WipeRate {
-				base = -totalAt[w]
-				total = 0
-			}
-			if prov.Counter == market.Rounded {
-				total = float64(int(total/1000) * 1000)
-			}
-			h.Obs = append(h.Obs, scrape.Observation{Week: w, Up: up, Total: total})
-		}
-		sites = append(sites, h)
-	}
-
+	sites := scrape.Observe(sim, cfg.Seed)
 	return &SelfReportPanel{
 		Start:  start,
 		Weeks:  weeks,

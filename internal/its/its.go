@@ -291,6 +291,11 @@ func SearchDuration(s *timeseries.Series, spec ModelSpec, name string, minWeeks,
 	return fits[len(fits)-1].weeks, fits[len(fits)-1].model, nil
 }
 
+// SearchRadius is the duration-search radius every model fit in the
+// reproduction passes to SearchAllDurations: each window may move up to
+// three weeks either side of its initial duration.
+const SearchRadius = 3
+
 // SearchAllDurations greedily refines every intervention's duration in
 // chronological window order, holding the others fixed while scanning
 // durations within radius weeks of each intervention's initial value for

@@ -25,7 +25,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -299,12 +298,6 @@ func (r *Registry) AppendText(dst []byte) []byte {
 		}
 	}
 	return dst
-}
-
-// WriteText writes AppendText's output to w.
-func (r *Registry) WriteText(w io.Writer) error {
-	_, err := w.Write(r.AppendText(nil))
-	return err
 }
 
 // Counter is a monotone atomic counter.

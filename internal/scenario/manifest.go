@@ -229,6 +229,13 @@ func (m *Manifest) Window() (from, to time.Time) {
 	return m.Start, m.Start.AddDate(0, 0, 7*m.Weeks)
 }
 
+// RequiresUnordered reports whether the recorded stream was reordered
+// (Run.RequiresUnordered at generation time), so a replay of it needs an
+// order-tolerant pipeline.
+func (m *Manifest) RequiresUnordered() bool {
+	return m.Hostile != nil && m.Hostile.ReorderSeconds > 0
+}
+
 // Interventions returns the manifest's effects as model dummy windows.
 func (m *Manifest) Interventions() []its.Intervention {
 	ivs := make([]its.Intervention, 0, len(m.Effects))

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 
 	"booters/internal/dataset"
 	"booters/internal/market"
@@ -60,48 +59,9 @@ func generateSelfReport(cfg Config, planned []float64, run *Run) error {
 		}
 	}
 
-	recs := sim.Records()
-	served := make([]map[int]float64, len(recs))
-	for i, r := range recs {
-		served[i] = r.ServedByProvider
-	}
-	var sites []*scrape.SiteHistory
-	for _, prov := range sim.Providers() {
-		h := &scrape.SiteHistory{Name: prov.Name}
-		var running float64
-		aliveAt := make([]bool, cfg.Weeks)
-		totalAt := make([]float64, cfg.Weeks)
-		for w := 0; w < cfg.Weeks; w++ {
-			n := served[w][prov.ID]
-			running += n
-			aliveAt[w] = n > 0
-			totalAt[w] = running
-		}
-		// Replay the provider's counter style on the running totals
-		// (the same games dataset.Generate's scraper sees).
-		var base float64
-		if prov.Counter == market.Inflated {
-			base = prov.InflationOffset
-		}
-		wipeRng := rand.New(rand.NewSource(cfg.Seed + int64(prov.ID)*7919))
-		for w := 0; w < cfg.Weeks; w++ {
-			if prov.BornWeek > w {
-				h.Obs = append(h.Obs, scrape.Observation{Week: w, Up: false})
-				continue
-			}
-			up := aliveAt[w]
-			total := totalAt[w] + base
-			if prov.Counter == market.Wiping && up && wipeRng.Float64() < prov.WipeRate {
-				base = -totalAt[w]
-				total = 0
-			}
-			if prov.Counter == market.Rounded {
-				total = float64(int(total/1000) * 1000)
-			}
-			h.Obs = append(h.Obs, scrape.Observation{Week: w, Up: up, Total: total})
-		}
-		sites = append(sites, h)
-	}
+	// Each provider's weekly counter, replayed through its counter style
+	// — the same scraper dataset.Generate's self-report panel uses.
+	sites := scrape.Observe(sim, cfg.Seed)
 
 	// Emit the event stream in week-major order, sites in provider order.
 	events := make([]ScrapeEvent, 0, cfg.Weeks*len(sites))

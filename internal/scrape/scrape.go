@@ -8,20 +8,14 @@ package scrape
 
 import (
 	"fmt"
+	"math/rand"
 	"regexp"
 	"strconv"
 	"strings"
 
+	"booters/internal/market"
 	"booters/internal/stats"
 )
-
-// CounterPage is the interface a booter's public page exposes to the
-// collector: a snapshot of its footer counters, or an error when the site
-// is down. The market simulator implements this; a live scraper would too.
-type CounterPage interface {
-	// Fetch returns the raw page body, or an error when unreachable.
-	Fetch() (string, error)
-}
 
 // RenderPage formats the PHP-style footer the paper quotes booter source
 // code producing ("<li>Users: ... Attacks: ...</li>").
@@ -69,6 +63,48 @@ type SiteHistory struct {
 	Name string
 	// Obs holds one observation per collection week.
 	Obs []Observation
+}
+
+// Observe collects a stepped market simulation the way the paper's weekly
+// scraper did: one SiteHistory per provider, in provider order, with one
+// Observation per simulated week — the site down before the provider was
+// born and in weeks it served nothing, otherwise up with its published
+// lifetime counter. The counter replays the provider's style on its
+// running total: inflated counters start from an offset, wiping counters
+// reset to zero at random (drawn from seed and the provider ID), and
+// rounded counters show only whole thousands.
+func Observe(sim *market.Simulation, seed int64) []*SiteHistory {
+	recs := sim.Records()
+	weeks := len(recs)
+	var sites []*SiteHistory
+	for _, prov := range sim.Providers() {
+		h := &SiteHistory{Name: prov.Name, Obs: make([]Observation, 0, weeks)}
+		var base, running float64
+		if prov.Counter == market.Inflated {
+			base = prov.InflationOffset
+		}
+		wipeRng := rand.New(rand.NewSource(seed + int64(prov.ID)*7919))
+		for w, rec := range recs {
+			n := rec.ServedByProvider[prov.ID]
+			running += n
+			if prov.BornWeek > w {
+				h.Obs = append(h.Obs, Observation{Week: w, Up: false})
+				continue
+			}
+			up := n > 0
+			total := running + base
+			if prov.Counter == market.Wiping && up && wipeRng.Float64() < prov.WipeRate {
+				base = -running
+				total = 0
+			}
+			if prov.Counter == market.Rounded {
+				total = float64(int(total/1000) * 1000)
+			}
+			h.Obs = append(h.Obs, Observation{Week: w, Up: up, Total: total})
+		}
+		sites = append(sites, h)
+	}
+	return sites
 }
 
 // WeeklyAttacks differences the cumulative counter into per-week attack

@@ -40,8 +40,7 @@ type Server struct {
 	lis    net.Listener
 	routes []*route
 
-	tr         *trace.Tracer
-	stallAfter time.Duration
+	tr *trace.Tracer
 	// lastHead and lastChange back the healthz stall detector: the last
 	// watermark head observed and when it last moved.
 	lastHead   atomic.Int64
@@ -60,10 +59,7 @@ type route struct {
 // New builds a server (and its engine) from cfg; call Start to listen or
 // Handler to mount it elsewhere (tests mount it on httptest servers).
 func New(cfg Config) *Server {
-	s := &Server{eng: NewEngine(cfg), mux: http.NewServeMux(), tr: cfg.Trace, stallAfter: cfg.StallAfter}
-	if s.stallAfter <= 0 {
-		s.stallAfter = DefaultStallAfter
-	}
+	s := &Server{eng: NewEngine(cfg), mux: http.NewServeMux(), tr: cfg.Trace}
 	s.handle("/v1/status", s.handleStatus)
 	s.handle("/v1/panel", s.handlePanel)
 	s.handle("/v1/series", s.handleSeries)
@@ -276,7 +272,7 @@ func (s *Server) live(now time.Time) (string, bool) {
 		return "", true
 	}
 	since := now.Sub(time.Unix(0, s.lastChange.Load()))
-	if since > s.stallAfter {
+	if since > DefaultStallAfter {
 		return fmt.Sprintf("serve: watermark stalled at %s for %s",
 			head.UTC().Format(time.RFC3339), since.Round(time.Second)), false
 	}

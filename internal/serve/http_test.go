@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"booters/internal/geo"
 	"booters/internal/ingest"
@@ -467,4 +468,68 @@ func TestServerStartAddrClose(t *testing.T) {
 	if _, err := http.Get("http://" + srv.Addr() + "/v1/status"); err == nil {
 		t.Error("server still answering after Close")
 	}
+}
+
+// TestHealthzStallRule drives the /v1/healthz liveness rule on an
+// injected clock: a watermark head that stops moving is healthy until
+// DefaultStallAfter has passed and unhealthy after, a head that advances
+// restarts the stall clock, and a server holding the Final snapshot is
+// healthy however long the head has stood still.
+func TestHealthzStallRule(t *testing.T) {
+	const weeks = 2
+	packets := testStream(t, weeks, 100)
+	in, err := ingest.New(testIngestConfig(1, weeks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Ingest: in})
+	if err := in.OnSnapshot(srv.Publish); err != nil {
+		t.Fatal(err)
+	}
+	// feedUntilHeadMoves ingests packets until the pipeline's watermark
+	// head changes (heads move per flushed batch, not per packet).
+	next := 0
+	feedUntilHeadMoves := func() {
+		t.Helper()
+		before := in.Head()
+		for ; in.Head().Equal(before); next++ {
+			if next == len(packets) {
+				t.Fatal("stream exhausted before the head moved")
+			}
+			if err := in.Ingest(packets[next]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(now time.Time, want bool, what string) {
+		t.Helper()
+		msg, ok := srv.live(now)
+		if ok != want {
+			t.Errorf("%s: live = %v (%q), want %v", what, ok, msg, want)
+		}
+		if !ok && !strings.Contains(msg, "stalled") {
+			t.Errorf("%s: unhealthy message %q does not name the stall", what, msg)
+		}
+	}
+
+	t0 := time.Date(2030, time.January, 1, 0, 0, 0, 0, time.UTC)
+	check(t0, true, "no packets yet")
+	feedUntilHeadMoves()
+	check(t0, true, "first head")
+	check(t0.Add(DefaultStallAfter-time.Second), true, "head still, inside the window")
+	check(t0.Add(DefaultStallAfter+time.Second), false, "head still, past the window")
+
+	t1 := t0.Add(2 * DefaultStallAfter)
+	feedUntilHeadMoves()
+	check(t1, true, "head advanced")
+	check(t1.Add(DefaultStallAfter-time.Second), true, "clock restarted by the advance")
+	check(t1.Add(DefaultStallAfter+time.Second), false, "head still again, past the window")
+
+	if _, err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snap := srv.Engine().Snapshot(); snap == nil || !snap.Final {
+		t.Fatal("Close did not publish a Final snapshot")
+	}
+	check(t1.Add(100*DefaultStallAfter), true, "final snapshot")
 }

@@ -82,9 +82,6 @@ type Config struct {
 	// fit the subset whose (lag-adjusted) windows start inside the
 	// requested span. The facade passes the paper's Table 1 five.
 	Interventions []its.Intervention
-	// SearchRadius is the duration-search radius Model passes to
-	// its.SearchAllDurations; <= 0 means 3, the facade's value.
-	SearchRadius int
 	// SpoolDir, when set, lets SpoolInfo report the capture store's
 	// segment index alongside the live panel.
 	SpoolDir string
@@ -101,13 +98,11 @@ type Config struct {
 	// pipeline's tracer so query spans land in the same flight recorder
 	// as ingest spans. nil disables both at one pointer test.
 	Trace *trace.Tracer
-	// StallAfter is the /v1/healthz liveness window: with a pipeline
-	// attached, a non-final watermark that has not advanced for this
-	// long reports unhealthy. <= 0 means DefaultStallAfter.
-	StallAfter time.Duration
 }
 
-// DefaultStallAfter is the default healthz watermark-stall window.
+// DefaultStallAfter is the /v1/healthz liveness window: with a pipeline
+// attached, a non-final watermark that has not advanced for this long
+// reports unhealthy.
 const DefaultStallAfter = 2 * time.Minute
 
 // Engine answers analytics queries against the store's current snapshot.
@@ -124,9 +119,6 @@ type Engine struct {
 // NewEngine returns an engine with an empty store; wire snapshots in with
 // Publish (typically via ingest.Ingestor.OnSnapshot).
 func NewEngine(cfg Config) *Engine {
-	if cfg.SearchRadius <= 0 {
-		cfg.SearchRadius = 3
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
@@ -446,5 +438,5 @@ func (e *Engine) fit(snap *ingest.Snapshot, from, to time.Time) (*its.Model, err
 	if len(ivs) == 0 {
 		return its.Fit(s, its.DefaultSpec(nil))
 	}
-	return its.SearchAllDurations(s, its.DefaultSpec(ivs), e.cfg.SearchRadius)
+	return its.SearchAllDurations(s, its.DefaultSpec(ivs), its.SearchRadius)
 }

@@ -459,31 +459,3 @@ func (r *Reader) Close() error {
 	r.sr = nil
 	return err
 }
-
-// Replay streams every datagram in the spool through fn in recorded
-// order, stopping at the first error fn returns. It is strict: any
-// corruption fails the replay with an error wrapping ErrCorrupt. Use
-// ReplayWindow for time windows, parallel segment readers, or replays
-// that should survive a torn tail and report it instead.
-//
-// Payloads are borrowed for the duration of each fn call (see
-// Reader.Next); fn must copy any payload it keeps.
-func Replay(dir string, fn func(ingest.Datagram) error) error {
-	r, err := Open(dir)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	for {
-		d, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(d); err != nil {
-			return err
-		}
-	}
-}

@@ -466,12 +466,9 @@ func TestTornTailSurfacedNotSilent(t *testing.T) {
 				}
 			}
 
-			// Strict mode (and the legacy Replay entry point) still fail.
+			// Strict mode still fails.
 			if _, err := ReplayWindow(dir, ReplayOptions{Strict: true}, func(ingest.Datagram) error { return nil }); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("strict replay: got %v, want ErrCorrupt", err)
-			}
-			if err := Replay(dir, func(ingest.Datagram) error { return nil }); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("Replay: got %v, want ErrCorrupt", err)
 			}
 		})
 	}
@@ -500,9 +497,6 @@ func TestTornTailSurfacedNotSilent(t *testing.T) {
 			}
 			if _, err := ReplayWindow(dir, ReplayOptions{Strict: true}, func(ingest.Datagram) error { return nil }); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("strict replay: got %v, want ErrCorrupt", err)
-			}
-			if err := Replay(dir, func(ingest.Datagram) error { return nil }); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("Replay: got %v, want ErrCorrupt", err)
 			}
 		})
 	}
@@ -699,7 +693,7 @@ func TestEmptySpoolReplays(t *testing.T) {
 	if len(got) != 0 || stats.DataLost() {
 		t.Errorf("empty spool: delivered %d, stats %+v", len(got), stats)
 	}
-	if err := Replay(dir, func(ingest.Datagram) error { return errors.New("unexpected datagram") }); err != nil {
+	if _, err := ReplayWindow(dir, ReplayOptions{Strict: true}, func(ingest.Datagram) error { return errors.New("unexpected datagram") }); err != nil {
 		t.Errorf("strict replay of empty spool: %v", err)
 	}
 }

@@ -141,7 +141,7 @@ func TestReplayPanelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			var n uint64
-			err = Replay(dir, func(d ingest.Datagram) error {
+			_, err = ReplayWindow(dir, ReplayOptions{Strict: true}, func(d ingest.Datagram) error {
 				n++
 				return in.IngestDatagram(d)
 			})
@@ -196,7 +196,7 @@ func TestTruncatedTailDetected(t *testing.T) {
 	}
 
 	sawCorrupt := false
-	err = Replay(dir, func(ingest.Datagram) error { return nil })
+	_, err = ReplayWindow(dir, ReplayOptions{Strict: true}, func(ingest.Datagram) error { return nil })
 	if errors.Is(err, ErrCorrupt) {
 		sawCorrupt = true
 	}
@@ -270,7 +270,7 @@ func TestIPv6VictimRoundTrip(t *testing.T) {
 		{Time: testStart, Victim: v4, Port: 123},
 	}, Options{})
 	var got []netip.Addr
-	if err := Replay(dir, func(d ingest.Datagram) error {
+	if _, err := ReplayWindow(dir, ReplayOptions{Strict: true}, func(d ingest.Datagram) error {
 		got = append(got, d.Victim)
 		return nil
 	}); err != nil {

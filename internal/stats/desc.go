@@ -54,9 +54,6 @@ func PopVariance(xs []float64) float64 {
 	return ss / float64(n)
 }
 
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Skewness returns the sample skewness g1 = m3 / m2^{3/2} (moment
 // definition, n denominators), or NaN if len(xs) < 3 or the variance is 0.
 func Skewness(xs []float64) float64 {

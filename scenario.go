@@ -62,9 +62,15 @@ func ReplayScenario(run *scenario.Run, shards int, sinks ...ingest.Sink) (*inges
 // so /v1/model queries over the scenario span fit — and should recover —
 // the run's ground-truth effects. The ingestor must be rolling and sized
 // to the scenario span (ingest.Config.Rolling over Manifest.Start to
-// Manifest.End, or a collector built that way).
-func ServeScenario(in *ingest.Ingestor, addr string, m *scenario.Manifest) (*serve.Server, error) {
-	return serveWith(in, addr, "", m.Interventions())
+// Manifest.End, or a collector built that way). An optional spool
+// directory names the capture spool the scenario is recorded to or
+// replayed from, as Serve's spoolDir does, for /v1/spool.
+func ServeScenario(in *ingest.Ingestor, addr string, m *scenario.Manifest, spoolDir ...string) (*serve.Server, error) {
+	dir := ""
+	if len(spoolDir) > 0 {
+		dir = spoolDir[0]
+	}
+	return serveWith(in, addr, dir, m.Interventions())
 }
 
 // ScenarioPanel bridges a scenario's completed ingest result into a

@@ -1,11 +1,8 @@
 package booters
 
 import (
-	"time"
-
+	"booters/internal/core"
 	"booters/internal/dataset"
-	"booters/internal/geo"
-	"booters/internal/timeseries"
 )
 
 // CountrySharesAt computes each country's percentage share of globally
@@ -13,32 +10,12 @@ import (
 // the paper's Table 3. Because attacks can be attributed to more than one
 // country, the shares may sum above 100%.
 func CountrySharesAt(p *dataset.Panel, year, month int) map[string]float64 {
-	from := timeseries.WeekOf(time.Date(year, time.Month(month), 1, 0, 0, 0, 0, time.UTC))
-	to := timeseries.WeekOf(time.Date(year, time.Month(month), 1, 0, 0, 0, 0, time.UTC).AddDate(0, 1, 0))
-	total := p.Global.Slice(from, to).Total()
-	counts := make(map[string]float64, len(p.ByCountry))
-	for c, s := range p.ByCountry {
-		counts[c] = s.Slice(from, to).Total()
-	}
-	return geo.Shares(counts, total)
+	return core.CountrySharesAt(p, year, month)
 }
 
 // Table3Years are the February snapshots the paper tabulates.
-var Table3Years = []int{2015, 2016, 2017, 2018, 2019}
+var Table3Years = core.Table3Years
 
 // Table3 computes the full share table: country -> year -> percent share,
 // for the eight Table 3 countries, using each year's February.
-func Table3(p *dataset.Panel) map[string]map[int]float64 {
-	countries := []string{geo.US, geo.FR, geo.DE, geo.CN, geo.UK, geo.PL, geo.RU, geo.NL}
-	out := make(map[string]map[int]float64, len(countries))
-	for _, c := range countries {
-		out[c] = make(map[int]float64, len(Table3Years))
-	}
-	for _, y := range Table3Years {
-		shares := CountrySharesAt(p, y, 2)
-		for _, c := range countries {
-			out[c][y] = shares[c]
-		}
-	}
-	return out
-}
+func Table3(p *dataset.Panel) map[string]map[int]float64 { return core.Table3(p) }
