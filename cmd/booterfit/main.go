@@ -17,7 +17,6 @@ import (
 	"booters/internal/dataset"
 	"booters/internal/glm"
 	"booters/internal/its"
-	"booters/internal/timeseries"
 )
 
 const usageText = `booterfit fits the paper's global Table 1 model — a negative binomial
@@ -53,8 +52,7 @@ func main() {
 
 	if family == glm.Poisson {
 		// Ablation: refit the chosen windows under Poisson.
-		from := timeseries.WeekOf(dataset.ModelStart)
-		to := timeseries.WeekOf(dataset.SpanEnd)
+		from, to := core.ModelWindow()
 		spec := env.Global.Spec
 		spec.Family = family
 		m, err := its.Fit(panel.Global.Slice(from, to), spec)

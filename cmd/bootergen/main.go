@@ -3,18 +3,14 @@
 // the booter self-report panel. With -scenario it instead generates a
 // named (or config-file) scenario workload, replays it through the batch
 // pipeline, and writes the same CSVs plus the scenario's ground-truth
-// manifest.
-//
-// With -record DIR the scenario's wire-format datagrams are spooled to
-// disk instead (optionally compressed with -compress lz4) for the
-// record-once-replay-many workflow: replay the spool with
-// booteringest -replay and verify against the manifest.json written next
-// to the segments.
+// manifest. To record a scenario to an on-disk spool instead, use
+// booteringest -scenario NAME -record DIR: it spools the delivery stream
+// a live sensor would see (a scenario's hostile twin included) next to
+// the manifest.
 //
 // Usage:
 //
 //	bootergen [-seed N] [-out DIR] [-scenario NAME|FILE|list]
-//	bootergen -scenario NAME -record DIR [-compress CODEC]
 package main
 
 import (
@@ -44,17 +40,12 @@ panel is verified against the scenario's planned weekly counts, and
 manifest.json records the injected ground truth (effect sizes, expected
 NB2 coefficients with tolerances) next to the CSVs. The self-report CSVs
 are then populated from the scenario's streaming scrape source, when the
-scenario carries one. -scenario list prints the catalog.
-
--record DIR spools the scenario's wire-format datagrams to disk instead
-of replaying them (-compress picks the spool block codec: none or lz4),
-with the ground-truth manifest.json written next to the segments —
-replay the spool with booteringest -replay DIR.
+scenario carries one. -scenario list prints the catalog. To record a
+scenario to a spool, use booteringest -scenario NAME -record DIR.
 
 Usage:
 
   bootergen [-seed N] [-out DIR] [-scenario NAME|FILE|list]
-  bootergen -scenario NAME -record DIR [-compress CODEC]
 
 Flags:
 
@@ -66,28 +57,17 @@ func main() {
 	seed := cli.Seed(fs)
 	out := flag.String("out", ".", "output directory")
 	sc := cli.ScenarioFlag(fs, "generate a scenario workload: catalog name, config file, or list")
-	rec := cli.RecordFlags(fs, "spool the scenario's wire-format datagrams to this directory and exit (requires -scenario)")
 	flag.Parse()
 
 	if sc.List(os.Stdout) {
 		return
 	}
-	cli.Check(
-		cli.Only(fs, sc.Spec != "", "-scenario (the CSV datasets carry no packet stream)", "record"),
-		cli.Only(fs, sc.Spec == "", "the paper-calibrated dataset (the scenario config fixes the workload)", "seed"),
-		cli.Only(fs, rec.Dir == "", "the CSV outputs (not -record)", "out"),
-		cli.Only(fs, rec.Dir != "", "-record", "compress"),
-	)
+	cli.Check(cli.Only(fs, sc.Spec == "", "the paper-calibrated dataset (the scenario config fixes the workload)", "seed"))
 	logs, err := obs.NewLog(os.Stderr, "")
 	cli.Check(err)
 	if sc.Spec != "" {
 		run, err := sc.Generate(logs.Logger("gen"))
 		cli.Check(err)
-		if rec.Dir != "" {
-			cli.Check(rec.Write(logs, 0, run.Packets, run.Manifest))
-			fmt.Printf("wrote %s; replay with: booteringest -replay %s\n", filepath.Join(rec.Dir, cli.ManifestFile), rec.Dir)
-			return
-		}
 		cli.Check(os.MkdirAll(*out, 0o755))
 		runScenario(run, *out)
 		return
@@ -119,7 +99,7 @@ func runScenario(run *scenario.Run, out string) {
 	cli.Check(err)
 
 	writeCSVs(p, out)
-	manifestPath := filepath.Join(out, cli.ManifestFile)
+	manifestPath := filepath.Join(out, scenario.ManifestFile)
 	cli.Check(m.WriteFile(manifestPath))
 	fmt.Printf("wrote %s (%d weeks), %s\n",
 		filepath.Join(out, "weekly_panel.csv"), p.Weeks, manifestPath)

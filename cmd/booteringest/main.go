@@ -162,7 +162,7 @@ func main() {
 	if rep.Dir != "" {
 		start, end, err = rep.Span()
 		cli.Check(err)
-		m, err = rep.Manifest()
+		m, err = scenario.ReadSpoolManifest(rep.Dir)
 		cli.Check(err)
 		// A reordered recording needs the order-tolerant path, exactly
 		// as the scenario run that recorded it did.

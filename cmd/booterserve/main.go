@@ -13,39 +13,36 @@
 //	            [-throttle PPS] [-exit-after-replay] [-pprof ADDR] [-progress DUR]
 //	            [-log SPEC] [-trace-sample N] [-trace-slow DUR] [-watermark-every N]
 //
-// Without a spool flag the generated stream — the market scenario of
-// -seed/-weeks/-attacks — is fed straight to the pipeline. -record DIR
-// spools it to disk first, next to its scenario manifest.json, and then
-// replays it from disk (the record-once-replay-many workflow, with the
-// spool's segment index served at /v1/spool); -replay DIR replays an
-// existing spool, sizing the served panel from the spool index's time
-// range. -throttle paces ingestion to roughly PPS packets/sec so a
-// multi-week capture takes long enough to watch live. When the replay
-// finishes the pipeline closes, the final panel is published, a
-// self-check queries the server over HTTP, and the server keeps
-// answering until interrupted (-exit-after-replay exits instead, for
-// smoke tests). A run with a scenario manifest — the generated one, or
-// the manifest.json recorded next to a replayed spool — serves the
-// manifest's injected interventions as the /v1/model catalogue, and the
-// final check asserts the panel equals the planned counts and the served
-// fit recovers every injected effect, failing the process if not; a
-// spool without a manifest is served with the paper's Table 1
-// catalogue, unverified.
+// Every run has one shape; only the feed differs. Without a spool flag
+// the generated stream — the market scenario of -seed/-weeks/-attacks —
+// is fed straight to the pipeline. -record DIR spools it to disk first,
+// next to its scenario manifest.json, and then replays it from disk (the
+// record-once-replay-many workflow, with the spool's segment index
+// served at /v1/spool); -replay DIR replays an existing spool, sizing
+// the served panel from the spool index's time range. -throttle paces
+// ingestion to roughly PPS packets/sec so a multi-week capture takes
+// long enough to watch live. -listen HOST:PORT feeds the pipeline from
+// networked sensor sessions instead (bootersensor, speaking the framed
+// protocol of docs/WIRE_PROTOCOL.md, authenticated with -wire-token):
+// the pipeline is order-tolerant — sensors deliver in per-sensor time
+// order but interleave arbitrarily — sensors that disconnect resume
+// exactly from their last acknowledged record, and the feed ends on
+// interrupt, when the collector drains. -scenario NAME|FILE tells the
+// collector which scenario workload the sensor fleet is shipping
+// (bootersensor -scenario, docs/SCENARIOS.md) and sizes the panel to it.
 //
-// -listen HOST:PORT is the collector mode: instead of feeding itself,
-// the process accepts networked sensor sessions (bootersensor, speaking
-// the framed protocol of docs/WIRE_PROTOCOL.md, authenticated with
-// -wire-token) on that address and serves the accumulating panel while
-// the fleet ships. The pipeline is order-tolerant — sensors deliver in
-// per-sensor time order but interleave arbitrarily — and sensors that
-// disconnect resume exactly from their last acknowledged record.
-// Interrupt to stop: the collector drains, the pipeline closes, and the
-// final panel is published and self-checked. -scenario NAME|FILE tells
-// the collector which scenario workload the sensor fleet is shipping
-// (bootersensor -scenario, docs/SCENARIOS.md): the panel span and the
-// /v1/model intervention catalogue come from the scenario manifest, and
-// the final self-check asserts the served model fit recovers the
-// injected effects — failing the process if it does not.
+// When the feed ends the pipeline closes, the final panel is published,
+// the end-of-run freshness is logged and a self-check queries the server
+// over HTTP. A run with a scenario manifest — the generated one, the
+// collector's -scenario, or the manifest.json recorded next to a
+// replayed spool (booters.Serve reads it) — serves the manifest's
+// injected interventions as the /v1/model catalogue, and the final check
+// asserts the panel equals the planned counts and the served fit
+// recovers every injected effect, failing the process if not; a spool
+// without a manifest is served with the paper's Table 1 catalogue,
+// unverified. A local feed then keeps answering until interrupted
+// (-exit-after-replay exits instead, for smoke tests); the collector
+// exits.
 //
 // The whole pipeline is instrumented through internal/obs: /v1/metrics
 // serves the Prometheus text exposition (ingest, spool, wire, serving
@@ -67,13 +64,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"log/slog"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -86,7 +81,6 @@ import (
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
 	"booters/internal/obs"
-	"booters/internal/obs/trace"
 	"booters/internal/scenario"
 	"booters/internal/serve"
 	"booters/internal/spool"
@@ -101,14 +95,17 @@ rankings, spool index stats, and on-demand intervention-model fits over
 any week window (memoized per snapshot). The stream is generated from
 the booter-market simulator, optionally recorded to an on-disk spool
 first (-record DIR, the spool then replays from disk and its index is
-served at /v1/spool), or replayed from an existing spool (-replay DIR,
-panel span sized from the spool index). Ingestion can be paced with
--throttle so live queries have something to watch; after the stream
-ends the final panel keeps being served until interrupt. With a
-scenario manifest (generated, or recorded next to the spool) /v1/model
-fits the scenario's injected interventions, and the run exits non-zero
-unless the final panel equals the planned counts and the served fit
-recovers every injected effect.
+served at /v1/spool), replayed from an existing spool (-replay DIR,
+panel span sized from the spool index), or shipped by networked sensors
+(-listen, below). Ingestion can be paced with -throttle so live queries
+have something to watch.
+
+When the stream ends the final panel is self-checked over HTTP. With a
+scenario manifest (generated, -scenario, or recorded next to the spool)
+/v1/model fits the scenario's injected interventions, and the run exits
+non-zero unless the final panel equals the planned counts and the
+served fit recovers every injected effect. A local feed keeps serving
+the final panel until interrupt; the collector exits.
 
 Usage:
 
@@ -121,10 +118,11 @@ Usage:
 -listen turns the process into a collector: networked sensors
 (bootersensor) ship record batches over the framed session protocol of
 docs/WIRE_PROTOCOL.md, authenticated with -wire-token, resumable after
-disconnects, while the panel they feed is served live. -scenario sizes
-the collector to a scenario workload (docs/SCENARIOS.md) and makes the
-final self-check assert that /v1/model recovers the scenario's injected
-intervention effects.
+disconnects, while the panel they feed is served live; interrupt drains
+the collector and ends the stream. -scenario sizes the collector to a
+scenario workload (docs/SCENARIOS.md) and makes the final self-check
+assert that /v1/model recovers the scenario's injected intervention
+effects.
 
 Endpoints: /v1/status /v1/panel /v1/series /v1/top /v1/model /v1/spool
 /v1/metrics (Prometheus text exposition) /v1/trace (Chrome trace-event
@@ -172,67 +170,89 @@ func main() {
 	cli.Check(err)
 	slg := logs.Logger("serve")
 	cli.Check(prof.ServePprof(slg))
-	if collector {
-		collectorMode(listen, wl, *addr, *shards, *wmEvery, prof.Progress, logs, tr)
-		return
-	}
 
-	// Pick the stream and the panel span: the generated market scenario
-	// covers its own weeks (recorded to disk first with -record, then
-	// replayed from there); a replayed spool's span comes from its index.
-	// Either way the scenario manifest — generated, or recorded next to
-	// the spool — sets the /v1/model catalogue and is the ground truth
-	// the final panel is verified against.
+	// Pick the panel span and the scenario manifest, the ground truth
+	// the final panel is verified against: a replayed spool's span comes
+	// from its index and its manifest from the file recorded next to it;
+	// a generated workload (the -scenario run, or the market scenario of
+	// -seed/-weeks/-attacks) covers its own weeks; the collector without
+	// -scenario serves -weeks from streamStart and verifies nothing.
 	var (
 		start, end time.Time
 		packets    []honeypot.Packet
 		m          *scenario.Manifest
 	)
-	spoolDir := rep.Dir
-	if rep.Dir != "" {
+	switch {
+	case rep.Dir != "":
 		start, end, err = rep.Span()
 		cli.Check(err)
-		m, err = rep.Manifest()
+		m, err = scenario.ReadSpoolManifest(rep.Dir)
 		cli.Check(err)
-	} else {
+	case collector && wl.Spec == "":
+		start, end = streamStart, streamStart.AddDate(0, 0, 7*wl.Weeks-1)
+	default:
 		run, err := wl.Generate(slg)
 		cli.Check(err)
-		start, end, packets, m = run.Config.Start, run.Config.End(), run.Stream(), run.Manifest
+		start, end, m = run.Config.Start, run.Config.End(), run.Manifest
+		if !collector {
+			packets = run.Stream()
+		}
 	}
+	spoolDir := rep.Dir
 	if rec.Dir != "" {
 		cli.Check(rec.Write(logs, prof.Progress, packets, m))
 		spoolDir = rec.Dir
 	}
-	// A reordered recording needs the order-tolerant path, driven by the
-	// segment trailers' low-watermark.
-	unordered := m != nil && m.RequiresUnordered()
 
 	in, err := ingest.New(ingest.Config{
-		Shards:         *shards,
-		Start:          start,
-		End:            end,
-		Rolling:        true,
-		Unordered:      unordered,
+		Shards:  *shards,
+		Start:   start,
+		End:     end,
+		Rolling: true,
+		// Sensors deliver in per-sensor time order but interleave
+		// arbitrarily; a reordered recording is fed the segment
+		// trailers' low-watermark.
+		Unordered:      collector || (m != nil && m.RequiresUnordered()),
 		WatermarkEvery: *wmEvery,
 		Metrics:        obs.Default(),
 		Trace:          tr,
 	})
 	cli.Check(err)
+	// Serve fits a spool's recorded manifest (the Table 1 catalogue when
+	// it has none); an unrecorded scenario run brings its manifest along.
 	var srv *serve.Server
-	if m != nil {
-		srv, err = booters.ServeScenario(in, *addr, m, spoolDir)
+	if m != nil && spoolDir == "" {
+		srv, err = booters.ServeScenario(in, *addr, m)
 	} else {
 		srv, err = booters.Serve(in, *addr, spoolDir)
 	}
 	cli.Check(err)
 	defer srv.Close()
+	var col *wire.Collector
+	if collector {
+		col, err = wire.Listen(listen.Addr, wire.CollectorConfig{
+			Ingest:  in,
+			Token:   listen.Token,
+			Metrics: in.Metrics(),
+			Trace:   tr,
+			Logf:    cli.Logf(logs.Logger("wire")),
+		})
+		cli.Check(err)
+		slg.Info("collecting sensor sessions", "addr", col.Addr().String(),
+			"panel_start", start.Format("2006-01-02"), "panel_end", end.Format("2006-01-02"))
+	}
 	slg.Info("serving", "url", "http://"+srv.Addr(),
-		"endpoints", "/v1/status /v1/panel /v1/top /v1/model /v1/trace /v1/healthz /v1/readyz")
+		"endpoints", "/v1/status /v1/panel /v1/top /v1/model /v1/spool /v1/metrics /v1/trace /v1/healthz /v1/readyz")
 
-	// Feed the pipeline while the server answers queries.
+	reg := in.Metrics()
 	stopProgress := logs.StartProgress(prof.Progress, func() []obs.Field {
 		fields := []obs.Field{obs.F("packets", in.Packets()), obs.F("late", in.Late())}
-		reg := in.Metrics()
+		if col != nil {
+			fields = append(fields, obs.F("sessions", col.Sessions()))
+		}
+		if n, ok := reg.Sum("booters_wire_records_total"); ok {
+			fields = append(fields, obs.F("records", uint64(n)))
+		}
 		if seq, ok := reg.Sum("booters_snapshot_seq"); ok {
 			fields = append(fields, obs.F("seq", uint64(seq)))
 		}
@@ -241,12 +261,20 @@ func main() {
 		}
 		return fields
 	})
+
+	// Feed the pipeline while the server answers queries: the sensor
+	// fleet until interrupt, the spool replay, or the generated stream.
 	feedStart := time.Now()
 	pace := newPacer(*throttle)
-	if spoolDir != "" {
+	switch {
+	case col != nil:
+		waitForInterrupt()
+		slg.Info("interrupt: draining collector and sealing the panel")
+		col.Close()
+	case spoolDir != "":
 		opts := spool.ReplayOptions{Workers: rep.Workers, Metrics: obs.Default(), Trace: tr}
 		var src *ingest.Source
-		if unordered {
+		if in.Unordered() {
 			src = in.RegisterSource()
 			opts.OnWatermark = src.Advance
 		}
@@ -266,119 +294,38 @@ func main() {
 		for _, torn := range stats.Torn {
 			splg.Error("data loss", "segment", torn.Segment, "reason", torn.Reason, "recovered", torn.Records)
 		}
-	} else {
+	default:
 		for _, p := range packets {
 			cli.Check(in.Ingest(p))
 			pace.tick()
 		}
 	}
-	fed := in.Packets()
 	res, err := in.Close()
 	cli.Check(err)
 	stopProgress()
 	elapsed := time.Since(feedStart)
 	slg.Info("ingest finished",
-		"packets", fed, "elapsed", elapsed.Round(time.Millisecond),
+		"packets", res.Stats.Packets, "elapsed", elapsed.Round(time.Millisecond),
 		"rate", fmt.Sprintf("%.0f/s", float64(res.Stats.Packets)/elapsed.Seconds()),
 		"flows", res.Stats.Flows, "attacks", res.Stats.Attacks, "scans", res.Stats.Scans)
 	logFinalFreshness(slg, in)
 	selfCheck(slg, srv.Addr())
 	if m != nil {
-		cli.Check(verifyScenario(slg, srv.Addr(), m, res.Global))
+		cli.Check(verifyScenario(slg, srv, m, res.Global))
 	}
 
-	if *exitAfter {
+	if collector || *exitAfter {
 		return
 	}
 	slg.Info("final panel published; serving until interrupt", "url", "http://"+srv.Addr())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	waitForInterrupt()
 }
 
-// collectorMode runs the sensor-fed half of the reproduction: a wire
-// collector accepting bootersensor sessions on the -listen address,
-// feeding an order-tolerant rolling pipeline whose panel is served on
-// addr until interrupt. On interrupt the collector drains, the pipeline
-// closes and the final panel is published and self-checked. With a
-// scenario the panel span and the /v1/model intervention catalogue come
-// from the scenario's manifest, and the self-check additionally asserts
-// over real HTTP that the model fit recovers every injected effect
-// inside its tolerance — the networked end of the scenario regression
-// loop.
-func collectorMode(listen *cli.Wire, wl *cli.Workload, addr string, shards, wmEvery int, progressEvery time.Duration, logs *obs.Log, tr *trace.Tracer) {
-	slg := logs.Logger("collector")
-	start, weeks := streamStart, wl.Weeks
-	var manifest *scenario.Manifest
-	if wl.Spec != "" {
-		run, err := wl.Generate(slg)
-		cli.Check(err)
-		manifest = run.Manifest
-		start = run.Config.Start
-		weeks = manifest.Weeks
-	}
-	in, err := ingest.New(ingest.Config{
-		Shards:         shards,
-		Start:          start,
-		End:            start.AddDate(0, 0, 7*weeks-1),
-		Rolling:        true,
-		Unordered:      true,
-		WatermarkEvery: wmEvery,
-		Metrics:        obs.Default(),
-		Trace:          tr,
-	})
-	cli.Check(err)
-	var srv *serve.Server
-	if manifest != nil {
-		srv, err = booters.ServeScenario(in, addr, manifest)
-	} else {
-		srv, err = booters.Serve(in, addr, "")
-	}
-	cli.Check(err)
-	defer srv.Close()
-	col, err := wire.Listen(listen.Addr, wire.CollectorConfig{
-		Ingest:  in,
-		Token:   listen.Token,
-		Metrics: in.Metrics(),
-		Trace:   tr,
-		Logf:    cli.Logf(logs.Logger("wire")),
-	})
-	cli.Check(err)
-	slg.Info("collecting sensor sessions", "addr", col.Addr().String(),
-		"panel_start", start.Format("2006-01-02"), "weeks", weeks)
-	slg.Info("serving", "url", "http://"+srv.Addr(),
-		"endpoints", "/v1/status /v1/panel /v1/metrics /v1/trace /v1/healthz /v1/readyz")
-
-	reg := in.Metrics()
-	stopProgress := logs.StartProgress(progressEvery, func() []obs.Field {
-		fields := []obs.Field{
-			obs.F("packets", in.Packets()),
-			obs.F("sessions", col.Sessions()),
-		}
-		if n, ok := reg.Sum("booters_wire_records_total"); ok {
-			fields = append(fields, obs.F("records", uint64(n)))
-		}
-		if lag, ok := reg.Sum("booters_ingest_watermark_lag_seconds"); ok {
-			fields = append(fields, obs.F("lag_s", fmt.Sprintf("%.1f", lag)))
-		}
-		return fields
-	})
-
+// waitForInterrupt blocks until the process receives SIGINT or SIGTERM.
+func waitForInterrupt() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	slg.Info("interrupt: draining collector and sealing the panel")
-	col.Close()
-	res, err := in.Close()
-	cli.Check(err)
-	stopProgress()
-	slg.Info("collection finished", "packets", res.Stats.Packets,
-		"flows", res.Stats.Flows, "attacks", res.Stats.Attacks, "scans", res.Stats.Scans)
-	logFinalFreshness(slg, in)
-	selfCheck(slg, srv.Addr())
-	if manifest != nil {
-		cli.Check(verifyScenario(slg, srv.Addr(), manifest, res.Global))
-	}
 }
 
 // selfCheck asserts that the final panel is queryable over real HTTP and
@@ -421,9 +368,11 @@ func logFinalFreshness(slg *slog.Logger, in *ingest.Ingestor) {
 
 // verifyScenario checks a finished run against its scenario manifest:
 // the final weekly panel must equal the planned counts, and when the
-// manifest stakes a tolerance on any effect the served /v1/model fit
-// must recover it (verifyModelHTTP).
-func verifyScenario(slg *slog.Logger, addr string, m *scenario.Manifest, global *timeseries.Series) error {
+// manifest stakes a tolerance on any effect the served model must
+// recover it. The model check GETs /v1/model over the scenario span
+// through real HTTP, then holds the memoized fit that response encodes
+// to Manifest.VerifyFit.
+func verifyScenario(slg *slog.Logger, srv *serve.Server, m *scenario.Manifest, global *timeseries.Series) error {
 	if err := m.VerifyPanel(global); err != nil {
 		return err
 	}
@@ -431,48 +380,25 @@ func verifyScenario(slg *slog.Logger, addr string, m *scenario.Manifest, global 
 	if !slices.ContainsFunc(m.Effects, func(e scenario.InjectedEffect) bool { return e.CoefTolerance > 0 }) {
 		return nil
 	}
-	return verifyModelHTTP(slg, addr, m)
-}
-
-// verifyModelHTTP asserts over real HTTP that the served /v1/model fit
-// over the scenario span recovers every effect the manifest stakes a
-// tolerance on: the fitted percent change is folded back to the log
-// coefficient and compared against the injected ground truth.
-func verifyModelHTTP(slg *slog.Logger, addr string, m *scenario.Manifest) error {
 	from, to := m.Window()
 	path := fmt.Sprintf("/v1/model?from=%s&to=%s", from.Format("2006-01-02"), to.Format("2006-01-02"))
-	body, err := get(addr, path)
-	if err != nil {
+	if _, err := get(srv.Addr(), path); err != nil {
 		return fmt.Errorf("scenario model check %s: %w", path, err)
 	}
-	var fit struct {
-		Effects []struct {
-			Name    string  `json:"name"`
-			Percent float64 `json:"percent"`
-		} `json:"effects"`
+	model, err := srv.Engine().Model(from, to)
+	if err == nil {
+		err = m.VerifyFit(model)
 	}
-	if err := json.Unmarshal(body, &fit); err != nil {
-		return fmt.Errorf("scenario model check: decode %s: %w", path, err)
-	}
-	fitted := make(map[string]float64, len(fit.Effects))
-	for _, e := range fit.Effects {
-		fitted[e.Name] = e.Percent
+	if err != nil {
+		return fmt.Errorf("scenario model check %s: %w", path, err)
 	}
 	for _, want := range m.Effects {
 		if want.CoefTolerance <= 0 {
 			continue
 		}
-		pct, ok := fitted[want.Name]
-		if !ok {
-			return fmt.Errorf("scenario model check: /v1/model fit has no effect %q", want.Name)
-		}
-		coef := math.Log(1 + pct/100)
-		if diff := math.Abs(coef - want.ExpectedCoef); diff > want.CoefTolerance {
-			return fmt.Errorf("scenario model check: effect %q: served fit %.4f vs injected %.4f (|diff| %.4f > tolerance %.4f)",
-				want.Name, coef, want.ExpectedCoef, diff, want.CoefTolerance)
-		}
+		got, _ := model.Effect(want.Name) // VerifyFit found every asserted effect
 		slg.Info("scenario effect recovered", "path", path, "effect", want.Name,
-			"fitted_pct", fmt.Sprintf("%.1f", pct), "injected_pct", fmt.Sprintf("%.1f", want.ExpectedMeanPct))
+			"fitted_pct", fmt.Sprintf("%.1f", got.Mean), "injected_pct", fmt.Sprintf("%.1f", want.ExpectedMeanPct))
 	}
 	return nil
 }

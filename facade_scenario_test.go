@@ -271,7 +271,12 @@ func TestScenarioCorruptSpoolSurfacesDataLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	in, err := NewScenarioIngestor(run, 2)
+	in, err := ingest.New(ingest.Config{
+		Shards:    2,
+		Start:     run.Config.Start,
+		End:       run.Config.End(),
+		Unordered: run.RequiresUnordered(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +14,7 @@ import (
 
 	"booters/internal/ingest"
 	"booters/internal/scenario"
+	"booters/internal/serve"
 )
 
 // serveGet fetches one endpoint from a live server and decodes the JSON.
@@ -265,5 +268,90 @@ func TestServeModelOverHTTP(t *testing.T) {
 	if promValue(t, metrics, "booters_model_cache_hits_total") < 1 ||
 		promValue(t, metrics, "booters_model_cache_misses_total") < 1 {
 		t.Fatal("model cache counters missing from exposition")
+	}
+}
+
+// TestServeFitsSpoolManifest pins the served model catalogue of a
+// recorded spool: Serve fits the interventions of the scenario manifest
+// recorded next to the segments, so a replayed takedown-sharp capture
+// recovers its injected Takedown on /v1/model; without a manifest the
+// same spool is fitted with the paper's Table 1 windows; and a manifest
+// that cannot be read fails Serve instead of falling back to Table 1.
+func TestServeFitsSpoolManifest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("model fits over a 104-week replay")
+	}
+	run := cachedScenarioRun(t, "takedown-sharp")
+	m := run.Manifest
+	dir := filepath.Join(t.TempDir(), "capture")
+	if _, err := RecordSpool(dir, run.Stream()); err != nil {
+		t.Fatal(err)
+	}
+	manifestPath := filepath.Join(dir, scenario.ManifestFile)
+	if err := m.WriteFile(manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	from, to := m.Window()
+	modelPath := "/v1/model?from=" + from.Format("2006-01-02") + "&to=" + to.Format("2006-01-02")
+	newIngestor := func() *ingest.Ingestor {
+		in, err := ingest.New(ingest.Config{Shards: 2, Start: m.Start, End: m.End(), Rolling: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	// served replays the spool into a fresh pipeline served by Serve and
+	// returns the effect names of the final /v1/model fit.
+	served := func() (*serve.Server, []string) {
+		in := newIngestor()
+		srv, err := Serve(in, "127.0.0.1:0", dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		if _, err := ReplaySpool(in, dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		body, code := serveGet(t, srv.Addr(), modelPath)
+		if code != 200 {
+			t.Fatalf("%s: %v (code %d)", modelPath, body, code)
+		}
+		var names []string
+		for _, e := range body["effects"].([]any) {
+			names = append(names, e.(map[string]any)["name"].(string))
+		}
+		return srv, names
+	}
+
+	srv, names := served()
+	if !slices.Contains(names, "Takedown") {
+		t.Fatalf("/v1/model over a recorded takedown-sharp spool fit %v, want the manifest's Takedown", names)
+	}
+	model, err := srv.Engine().Model(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.VerifyFit(model); err != nil {
+		t.Fatalf("served fit of the recorded spool: %v", err)
+	}
+
+	if err := os.Remove(manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, names := served(); !slices.Contains(names, "Webstresser") || slices.Contains(names, "Takedown") {
+		t.Fatalf("/v1/model over a spool without a manifest fit %v, want the Table 1 windows in its span", names)
+	}
+
+	if err := os.WriteFile(manifestPath, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in := newIngestor()
+	defer in.Close()
+	if srv, err := Serve(in, "127.0.0.1:0", dir); err == nil {
+		srv.Close()
+		t.Fatal("Serve accepted a spool whose manifest cannot be read")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
 	"booters/internal/its"
+	"booters/internal/scenario"
 	"booters/internal/serve"
 	"booters/internal/spool"
 )
@@ -38,22 +39,36 @@ func NewIngestor(shards int, sinks ...ingest.Sink) (*ingest.Ingestor, error) {
 // on addr (host:port; port 0 picks a free one, reported by the returned
 // server's Addr). Queries — current panel, weekly series by
 // country/protocol, top-K rankings, on-demand intervention-model fits
-// over any week window (memoized per snapshot, using the paper's Table 1
-// catalogue) — are served lock-free from the pipeline's latest snapshot
-// while ingestion is still running; after the ingestor's Close the
-// server keeps answering from the final panel until its own Close.
-// A non-empty spoolDir names the capture spool being recorded or
-// replayed; the server's /v1/spool endpoint reports its segment index.
-// See internal/serve for the endpoint reference.
+// over any week window (memoized per snapshot) — are served lock-free
+// from the pipeline's latest snapshot while ingestion is still running;
+// after the ingestor's Close the server keeps answering from the final
+// panel until its own Close. A non-empty spoolDir names the capture
+// spool being recorded or replayed; the server's /v1/spool endpoint
+// reports its segment index. Model fits use the interventions of the
+// scenario manifest recorded next to the spool's segments
+// (scenario.ManifestFile) when there is one — the recording's own
+// ground truth — and the paper's Table 1 catalogue otherwise; a manifest
+// that cannot be read is an error. See internal/serve for the endpoint
+// reference.
 func Serve(in *ingest.Ingestor, addr, spoolDir string) (*serve.Server, error) {
-	return serveWith(in, addr, spoolDir, Table1Interventions())
+	ivs := Table1Interventions()
+	if spoolDir != "" {
+		m, err := scenario.ReadSpoolManifest(spoolDir)
+		if err != nil {
+			return nil, fmt.Errorf("booters: Serve: %w", err)
+		}
+		if m != nil {
+			ivs = m.Interventions()
+		}
+	}
+	return serveWith(in, addr, spoolDir, ivs)
 }
 
 // serveWith is the shared serving harness: bind, subscribe to the
 // pipeline's snapshot feed, seed with the current snapshot. The
 // intervention catalogue parameterises /v1/model fits — the paper's
 // Table 1 for real spans, a scenario manifest's injected effects for
-// scenario runs (ServeScenario).
+// scenario runs.
 func serveWith(in *ingest.Ingestor, addr, spoolDir string, ivs []its.Intervention) (*serve.Server, error) {
 	if !in.Rolling() {
 		return nil, errors.New("booters: Serve requires a rolling ingestor (ingest.Config.Rolling)")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"booters/internal/obs"
+	"booters/internal/scenario"
 )
 
 // newFlagSet returns a silent, error-returning flag set for parsing
@@ -196,7 +197,7 @@ func TestRecordReplaySpanAndManifest(t *testing.T) {
 	if start.Before(run.Config.Start) || end.After(run.Config.End().Add(24*time.Hour)) {
 		t.Fatalf("Span %v..%v outside the scenario span %v..%v", start, end, run.Config.Start, run.Config.End())
 	}
-	m, err := rep.Manifest()
+	m, err := scenario.ReadSpoolManifest(dir)
 	if err != nil || m == nil {
 		t.Fatalf("Manifest = %v, %v; want the recorded manifest", m, err)
 	}
@@ -214,10 +215,10 @@ func TestRecordReplaySpanAndManifest(t *testing.T) {
 	if err := (&Record{Dir: plain, Codec: "none"}).Write(logs, 0, run.Packets[:100], nil); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := (&Replay{Dir: plain}).Manifest(); err != nil || m != nil {
+	if m, err := scenario.ReadSpoolManifest(plain); err != nil || m != nil {
 		t.Fatalf("Manifest of a plain spool = %v, %v; want nil, nil", m, err)
 	}
-	if _, err := os.Stat(filepath.Join(plain, ManifestFile)); !os.IsNotExist(err) {
-		t.Fatalf("plain recording wrote %s", ManifestFile)
+	if _, err := os.Stat(filepath.Join(plain, scenario.ManifestFile)); !os.IsNotExist(err) {
+		t.Fatalf("plain recording wrote %s", scenario.ManifestFile)
 	}
 }

@@ -1,12 +1,10 @@
 package cli
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"path/filepath"
 	"slices"
 	"sync/atomic"
@@ -143,11 +141,6 @@ func Verify(w io.Writer, m *scenario.Manifest, global *timeseries.Series) error 
 	return nil
 }
 
-// ManifestFile is the name of the scenario manifest recorded next to a
-// spool's segments. Segment discovery reads only .seg files, so the
-// manifest is inert to replay.
-const ManifestFile = "manifest.json"
-
 // Record is the -record/-compress group: spool a stream to disk.
 type Record struct{ Dir, Codec string }
 
@@ -163,9 +156,9 @@ func RecordFlags(fs *flag.FlagSet, usage string) *Record {
 // Write spools packets to the -record directory as wire-format datagrams
 // under the -compress codec, counting into obs.Default()'s spool
 // families, and logs the recording with its on-disk footprint. With a
-// manifest it also writes ManifestFile next to the segments, so a later
-// replay can verify the recorded ground truth. progress > 0 emits a
-// progress line that often while recording.
+// manifest it also writes scenario.ManifestFile next to the segments, so
+// a later replay can verify the recorded ground truth. progress > 0
+// emits a progress line that often while recording.
 func (r *Record) Write(logs *obs.Log, progress time.Duration, packets []honeypot.Packet, m *scenario.Manifest) error {
 	codec, err := spool.CodecByName(r.Codec)
 	if err != nil {
@@ -205,7 +198,7 @@ func (r *Record) Write(logs *obs.Log, progress time.Duration, packets []honeypot
 	if m == nil {
 		return nil
 	}
-	return m.WriteFile(filepath.Join(r.Dir, ManifestFile))
+	return m.WriteFile(filepath.Join(r.Dir, scenario.ManifestFile))
 }
 
 // Replay is the -replay/-replay-workers group: replay a recorded spool.
@@ -245,16 +238,6 @@ func (r *Replay) Span() (start, end time.Time, err error) {
 		return start, end, fmt.Errorf("spool %s has no indexed time range; record it with -record", r.Dir)
 	}
 	return start, end, nil
-}
-
-// Manifest returns the scenario manifest recorded next to the spool, or
-// nil when the spool was not recorded from a scenario.
-func (r *Replay) Manifest() (*scenario.Manifest, error) {
-	m, err := scenario.ReadManifest(filepath.Join(r.Dir, ManifestFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	return m, err
 }
 
 // Shards defines -shards.

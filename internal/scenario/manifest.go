@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"time"
 
 	"booters/internal/its"
@@ -323,6 +325,24 @@ func (m *Manifest) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)
+}
+
+// ManifestFile is the name of the manifest recorded next to a spool's
+// segments: the ground truth a replay of the spool is verified and
+// fitted against. Segment discovery reads only .seg files, so the
+// manifest is inert to replay.
+const ManifestFile = "manifest.json"
+
+// ReadSpoolManifest returns the manifest recorded in the spool directory
+// dir, or nil when the spool has none (it was not recorded from a
+// scenario). A manifest that exists but cannot be read or decoded is an
+// error, never a silent nil.
+func ReadSpoolManifest(dir string) (*Manifest, error) {
+	m, err := ReadManifest(filepath.Join(dir, ManifestFile))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	return m, err
 }
 
 // ReadManifest loads a manifest written by WriteFile.

@@ -23,20 +23,6 @@ func GenerateScenario(spec string) (*scenario.Run, error) {
 	return scenario.Generate(cfg)
 }
 
-// NewScenarioIngestor builds a streaming pipeline sized to the run's
-// scenario span, order-tolerant when the run's delivery stream demands
-// it (a reordered hostile twin). Feed it the run's Stream and Close it,
-// or let ReplayScenario do both.
-func NewScenarioIngestor(run *scenario.Run, shards int, sinks ...ingest.Sink) (*ingest.Ingestor, error) {
-	return ingest.New(ingest.Config{
-		Shards:    shards,
-		Start:     run.Config.Start,
-		End:       run.Config.End(),
-		Sinks:     sinks,
-		Unordered: run.RequiresUnordered(),
-	})
-}
-
 // ReplayScenario replays the run's delivery stream — the hostile twin
 // when one was generated, the clean stream otherwise — through a fresh
 // pipeline over the scenario span and returns the closed result. For
@@ -46,7 +32,13 @@ func NewScenarioIngestor(run *scenario.Run, shards int, sinks ...ingest.Sink) (*
 // against the run's manifest: Manifest.VerifyPanel for the weekly panel,
 // Manifest.Fit + VerifyFit for intervention recovery.
 func ReplayScenario(run *scenario.Run, shards int, sinks ...ingest.Sink) (*ingest.Result, error) {
-	in, err := NewScenarioIngestor(run, shards, sinks...)
+	in, err := ingest.New(ingest.Config{
+		Shards:    shards,
+		Start:     run.Config.Start,
+		End:       run.Config.End(),
+		Sinks:     sinks,
+		Unordered: run.RequiresUnordered(),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -62,15 +54,11 @@ func ReplayScenario(run *scenario.Run, shards int, sinks ...ingest.Sink) (*inges
 // so /v1/model queries over the scenario span fit — and should recover —
 // the run's ground-truth effects. The ingestor must be rolling and sized
 // to the scenario span (ingest.Config.Rolling over Manifest.Start to
-// Manifest.End, or a collector built that way). An optional spool
-// directory names the capture spool the scenario is recorded to or
-// replayed from, as Serve's spoolDir does, for /v1/spool.
-func ServeScenario(in *ingest.Ingestor, addr string, m *scenario.Manifest, spoolDir ...string) (*serve.Server, error) {
-	dir := ""
-	if len(spoolDir) > 0 {
-		dir = spoolDir[0]
-	}
-	return serveWith(in, addr, dir, m.Interventions())
+// Manifest.End, or a collector built that way). It reads nothing from
+// disk; to serve a recorded spool, pass its directory to Serve, which
+// fits the manifest recorded next to the segments.
+func ServeScenario(in *ingest.Ingestor, addr string, m *scenario.Manifest) (*serve.Server, error) {
+	return serveWith(in, addr, "", m.Interventions())
 }
 
 // ScenarioPanel bridges a scenario's completed ingest result into a
