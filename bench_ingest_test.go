@@ -13,17 +13,22 @@ package booters
 
 import (
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"booters/internal/dataset"
+	"booters/internal/geo"
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
 	"booters/internal/obs"
 	"booters/internal/obs/trace"
+	"booters/internal/protocols"
 	"booters/internal/scenario"
 	"booters/internal/spool"
 )
@@ -139,6 +144,124 @@ func BenchmarkIngest4ShardMetrics(b *testing.B) { runIngestBenchmark(b, 4, true,
 // BenchmarkIngest1ShardTraced the same way (≤3% ns/op).
 func BenchmarkIngest1ShardTraced(b *testing.B) { runIngestBenchmark(b, 1, false, true) }
 func BenchmarkIngest4ShardTraced(b *testing.B) { runIngestBenchmark(b, 4, false, true) }
+
+var (
+	paperScaleOnce    sync.Once
+	paperScaleStream  []honeypot.Packet
+	paperScaleStreamE error
+)
+
+// paperScaleWeeks is the span of the paper-volume rolling benchmark.
+const paperScaleWeeks = 4
+
+// paperScalePackets builds (once) a stream at the paper's weekly attack
+// volume, dataset.DefaultConfig's GlobalScale (45,000 attacks a week),
+// over paperScaleWeeks. Each attack is the smallest flow the classifier
+// books, AttackThreshold+1 packets at one sensor, so the stream carries
+// as many bookings per packet as it can: shard work per booking is at
+// its lowest and any per-booking cost of the week seal at its most
+// visible. Victims are unique per attack, spread over every country and
+// protocol, with one attack in 16 on a dual-attributed block.
+func paperScalePackets(b *testing.B) []honeypot.Packet {
+	b.Helper()
+	paperScaleOnce.Do(func() {
+		perWeek := int(dataset.DefaultConfig(DefaultSeed).GlobalScale)
+		tbl := geo.NewTable()
+		countries, protos := geo.Countries(), protocols.All()
+		rng := rand.New(rand.NewPCG(uint64(DefaultSeed), 0))
+		const perAttack = honeypot.AttackThreshold + 1
+		window := 7*24*time.Hour - 20*time.Minute - perAttack*time.Second
+		out := make([]honeypot.Packet, 0, paperScaleWeeks*perWeek*perAttack)
+		for i := 0; i < paperScaleWeeks*perWeek; i++ {
+			week := ingestBenchStart.AddDate(0, 0, 7*(i/perWeek))
+			first := week.Add(10*time.Minute + time.Duration(rng.Int64N(int64(window))))
+			victim, err := tbl.AddrFor(countries[rng.IntN(len(countries))], uint32(i))
+			if err != nil {
+				paperScaleStreamE = err
+				return
+			}
+			if i%16 == 0 {
+				victim = tbl.DualAddrFor(i, uint16(i/16))
+			}
+			proto, sensor := protos[rng.IntN(len(protos))], rng.IntN(8)
+			for k := 0; k < perAttack; k++ {
+				out = append(out, honeypot.Packet{
+					Time: first.Add(time.Duration(k) * time.Second), Victim: victim,
+					Proto: proto, Sensor: sensor, Size: 64,
+				})
+			}
+		}
+		slices.SortStableFunc(out, func(x, y honeypot.Packet) int { return x.Time.Compare(y.Time) })
+		paperScaleStream = out
+	})
+	if paperScaleStreamE != nil {
+		b.Fatal(paperScaleStreamE)
+	}
+	return paperScaleStream
+}
+
+// BenchmarkIngestRollingPaperScale runs a rolling 4-shard pipeline at the
+// paper's weekly attack volume, the regime where the attacks booked
+// between two week seals far outnumber the panel's cells, so a seal whose
+// cost grows with attack volume shows here first. Besides throughput it
+// reports, per published snapshot, the seal-to-publish latency (seal-ms:
+// the booters_ingest_seal_publish_seconds histogram's mean) and, from the
+// always-recorded trace spans, the mean shard-side seal (seal-ns,
+// week.seal) and collector-side publish (publish-ns, snapshot.publish).
+func BenchmarkIngestRollingPaperScale(b *testing.B) {
+	packets := paperScalePackets(b)
+	var publishes uint64
+	var lag time.Duration
+	spans := map[string]*struct{ n, ns int64 }{"week.seal": {}, "snapshot.publish": {}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := ingest.Config{
+			Shards:  4,
+			Start:   ingestBenchStart,
+			End:     ingestBenchStart.AddDate(0, 0, 7*paperScaleWeeks-1),
+			Rolling: true,
+			Metrics: obs.NewRegistry(),
+			// Seals and publishes are always recorded; sampling almost no
+			// batch keeps them from being crowded out of the rings.
+			Trace: trace.New(trace.Config{SampleEvery: 1 << 30, SlowThreshold: -1}),
+		}
+		in, err := ingest.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range packets {
+			if err := in.Ingest(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		res, err := in.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Attacks == 0 {
+			b.Fatal("no attacks classified")
+		}
+		h := cfg.Metrics.Histogram("booters_ingest_seal_publish_seconds", "")
+		publishes += h.Count()
+		lag += h.Sum()
+		for _, sp := range cfg.Trace.Snapshot() {
+			if t := spans[sp.Name]; t != nil {
+				t.n++
+				t.ns += sp.Dur
+			}
+		}
+	}
+	b.StopTimer()
+	if publishes == 0 || spans["week.seal"].n == 0 || spans["snapshot.publish"].n == 0 {
+		b.Fatal("no week sealed before Close")
+	}
+	b.ReportMetric(float64(lag.Nanoseconds())/float64(publishes)/1e6, "seal-ms")
+	b.ReportMetric(float64(spans["week.seal"].ns)/float64(spans["week.seal"].n), "seal-ns")
+	b.ReportMetric(float64(spans["snapshot.publish"].ns)/float64(spans["snapshot.publish"].n), "publish-ns")
+	b.ReportMetric(float64(publishes)/float64(b.N), "publishes/op")
+	b.ReportMetric(float64(len(packets))*float64(b.N)/b.Elapsed().Seconds(), "packets/sec")
+}
 
 // BenchmarkIngestBatchBaseline runs the same replay through the
 // single-threaded batch reference — the number the sharded pipeline has to

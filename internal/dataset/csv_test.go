@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,6 +44,40 @@ func TestPanelCSVRoundTrip(t *testing.T) {
 				t.Fatalf("protocol %v week %d differs", proto, w)
 			}
 		}
+	}
+}
+
+// TestLoadedPanelClones checks that a panel loaded from CSV clones into
+// an equal panel that shares no storage with it: writing to every series
+// of the clone leaves the loaded panel as it was.
+func TestLoadedPanelClones(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WritePanelCSV(&buf, genPanel(t, 55, true)); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadPanelCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := loaded.Clone()
+	if !reflect.DeepEqual(c, loaded.Panel) {
+		t.Fatal("clone of the loaded panel differs from it")
+	}
+	want := loaded.Clone()
+	for _, s := range c.ByCountry {
+		s.Values[0] = -1
+	}
+	for _, s := range c.ByProtocol {
+		s.Values[len(s.Values)-1] = -1
+	}
+	for _, cp := range c.CountryProtocol {
+		for _, s := range cp {
+			s.Values[1] = -1
+		}
+	}
+	c.Global.Values[2] = -1
+	if !reflect.DeepEqual(loaded.Panel, want) {
+		t.Fatal("writing to the clone changed the loaded panel")
 	}
 }
 

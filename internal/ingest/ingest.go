@@ -323,12 +323,13 @@ type shard struct {
 	late atomic.Uint64
 
 	// Rolling-emission state, touched only by the shard's worker: the
-	// shard's own panel accumulator (for boundary clones) and the last
-	// week it sealed.
+	// shard's own panel accumulator, the last week it sealed and what
+	// its seals have handed the collector so far.
 	index       int
 	acc         *accumulator
 	rollSealed  bool
 	rollThrough timeseries.Week
+	rollSent    sent
 
 	// lastTC is the most recent sampled apply span on this shard,
 	// touched only by the worker; week seals adopt it as their parent so

@@ -55,18 +55,21 @@ type Result struct {
 // accumulator folds closed flows into a shard-local weekly panel; it is
 // panelSink's branch type, so shards own one each, accumulation needs no
 // locks, and Flush sums them. Of stats it keeps only the flow counters
-// (Flows, Attacks, Scans, Unattributed, OutOfSpan).
+// (Flows, Attacks, Scans, Unattributed, OutOfSpan). lo and hi bound the
+// week indices booked since the last rolling seal (lo > hi: none), so a
+// seal hands over only those weeks (see rolling.go).
 type accumulator struct {
-	tbl   *geo.Table
-	panel *timeseries.Panel
-	stats Stats
+	tbl    *geo.Table
+	panel  *timeseries.Panel
+	stats  Stats
+	lo, hi int
 }
 
 // newAccumulator allocates the weekly panel for the configured span.
 func newAccumulator(cfg *Config) *accumulator {
 	start := timeseries.WeekOf(cfg.Start)
 	weeks := timeseries.WeeksBetween(start, timeseries.WeekOf(cfg.End)) + 1
-	return &accumulator{tbl: cfg.geo, panel: timeseries.NewPanel(start, weeks)}
+	return &accumulator{tbl: cfg.geo, panel: timeseries.NewPanel(start, weeks), lo: weeks, hi: -1}
 }
 
 // Consume books one closed flow: count it, and for attacks credit the
@@ -88,6 +91,7 @@ func (a *accumulator) Consume(f *honeypot.Flow, c honeypot.Classification) error
 		a.stats.OutOfSpan++
 		return nil
 	}
+	a.lo, a.hi = min(a.lo, w), max(a.hi, w)
 	p.Global.Values[w]++
 	p.ByProtocol[f.Key.Proto].Values[w]++
 	countries, ok := a.tbl.Lookup(f.Key.Victim)
@@ -109,17 +113,29 @@ func (a *accumulator) Consume(f *honeypot.Flow, c honeypot.Classification) error
 func (a *accumulator) add(others ...*accumulator) {
 	for _, o := range others {
 		a.panel.Add(o.panel)
-		a.stats.Flows += o.stats.Flows
-		a.stats.Attacks += o.stats.Attacks
-		a.stats.Scans += o.stats.Scans
-		a.stats.Unattributed += o.stats.Unattributed
-		a.stats.OutOfSpan += o.stats.OutOfSpan
+		a.stats.addFlows(o.stats)
 	}
 }
 
-// clone deep-copies the accumulator's panel and counters.
-func (a *accumulator) clone() *accumulator {
-	return &accumulator{tbl: a.tbl, panel: a.panel.Clone(), stats: a.stats}
+// addFlows adds d's flow counters (Flows, Attacks, Scans, Unattributed,
+// OutOfSpan) to s's.
+func (s *Stats) addFlows(d Stats) {
+	s.Flows += d.Flows
+	s.Attacks += d.Attacks
+	s.Scans += d.Scans
+	s.Unattributed += d.Unattributed
+	s.OutOfSpan += d.OutOfSpan
+}
+
+// flowsSince returns the flow counters cur gained over prev.
+func flowsSince(cur, prev Stats) Stats {
+	return Stats{
+		Flows:        cur.Flows - prev.Flows,
+		Attacks:      cur.Attacks - prev.Attacks,
+		Scans:        cur.Scans - prev.Scans,
+		Unattributed: cur.Unattributed - prev.Unattributed,
+		OutOfSpan:    cur.OutOfSpan - prev.OutOfSpan,
+	}
 }
 
 // Batch is the single-threaded reference implementation: the same packets

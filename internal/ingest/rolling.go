@@ -11,16 +11,19 @@ package ingest
 // side:
 //
 //  1. Each shard worker, while processing a watermark envelope it was
-//     already receiving, notices the horizon entered a new week, deep-clones
-//     its private panel accumulator (the clone is a few hundred KB and
-//     happens at most once per week boundary, not per packet) and hands the
-//     clone to the collector goroutine.
-//  2. The collector keeps the newest clone per shard and, whenever the
-//     minimum sealed week across all shards advances, merges the clones
-//     into one fresh Snapshot — never mutating a clone, so re-merges stay
-//     correct — and publishes it: an atomic pointer swap plus subscriber
-//     callbacks. Readers of Snapshot never take a lock and never observe a
-//     partially merged panel.
+//     already receiving, notices the horizon entered a new week and hands
+//     the collector goroutine a week-range delta: for the weeks its panel
+//     accumulator booked into since its previous seal, how much every
+//     series grew, plus the growth of its flow counters. The delta is the
+//     panel's 132 series times the weeks touched (usually one or two),
+//     however many attacks were booked, and is sent at most once per
+//     boundary, never per packet.
+//  2. The collector holds the deltas received since its last publish.
+//     Whenever the minimum sealed week across all shards advances, it
+//     clones the last published panel, adds the held deltas into the
+//     clone and publishes that as a fresh Snapshot: an atomic pointer
+//     swap plus subscriber callbacks. Readers of Snapshot never take a
+//     lock and never observe a partially applied panel.
 //  3. Close still drains and flushes exactly as before and then publishes
 //     one last Snapshot marked Final, built from the same merged Result the
 //     caller receives — so the final rolling snapshot is byte-identical to
@@ -39,8 +42,10 @@ import (
 	"sync"
 	"time"
 
+	"booters/internal/geo"
 	"booters/internal/honeypot"
 	"booters/internal/obs/trace"
+	"booters/internal/protocols"
 	"booters/internal/timeseries"
 )
 
@@ -61,58 +66,98 @@ type Snapshot struct {
 	Final bool
 	// Panel is the weekly attack panel over the configured span.
 	*timeseries.Panel
-	// Stats carries the pipeline counters as of the merge. Until Final,
+	// Stats carries the pipeline counters as of the publish. Until Final,
 	// Packets/UnknownPort/Malformed/Late are live readings and Shed and
 	// ShedBySensor are zero (their ledgers are only settled at Close).
 	Stats Stats
 }
 
-// rollPartial is one shard's sealed contribution: a deep clone of its
-// panel accumulator, made by the shard worker, owned by the collector.
-// sealedAt is the wall-clock instant the worker took the clone, the start
+// handoff is one shard's week seal as the collector receives it: for the
+// weeks [lo, lo+weeks) the shard booked into since its previous seal, how
+// much every series of its panel grew over that stretch (delta, series by
+// series in seriesOf order, weeks values each), and the growth of its flow
+// counters. sealedAt is the wall-clock instant the shard sealed, the start
 // of the seal-to-publish latency the metrics histogram tracks.
-type rollPartial struct {
-	shard    int
-	through  timeseries.Week
-	acc      *accumulator
-	sealedAt time.Time
+type handoff struct {
+	lo, weeks int
+	delta     []float64
+	flows     Stats
+	shard     int
+	through   timeseries.Week
+	sealedAt  time.Time
 	// tc is the seal span's trace context (zero without a tracer); the
 	// publish span it unlocks adopts it as parent.
 	tc trace.Context
 }
 
-// roller owns rolling emission for one pipeline: the partial channel, the
-// collector goroutine, the subscriber list and the sequence counter.
+// sent is what one shard's seals have handed the collector so far: its
+// flow counters, and every series of its panel (series, in seriesOf
+// order) as of the seal that last covered each week (values, series by
+// series, Weeks values each). Only the shard's worker touches it.
+type sent struct {
+	flows  Stats
+	series []*timeseries.Series
+	values []float64
+}
+
+// seriesOf lists every series of a NewPanel panel in one fixed order:
+// global, per protocol, then per country followed by its protocol
+// breakdown.
+func seriesOf(p *timeseries.Panel) []*timeseries.Series {
+	out := []*timeseries.Series{p.Global}
+	for _, proto := range protocols.All() {
+		out = append(out, p.ByProtocol[proto])
+	}
+	for _, c := range geo.Countries() {
+		out = append(out, p.ByCountry[c])
+		for _, proto := range protocols.All() {
+			out = append(out, p.CountryProtocol[c][proto])
+		}
+	}
+	return out
+}
+
+// roller owns rolling emission for one pipeline: the hand-off channel,
+// the collector goroutine, the subscriber list and the sequence counter.
 type roller struct {
 	in   *Ingestor
-	ch   chan rollPartial
+	ch   chan *handoff
 	done chan struct{}
 
 	subMu sync.Mutex
 	subs  []func(*Snapshot)
 
 	// Collector-goroutine state (moved to Close's goroutine only after
-	// done is closed).
-	seq      uint64
-	partials []*accumulator
-	through  []timeseries.Week
-	sealed   []bool
-	pubBase  timeseries.Week // last published Through
-	pubAny   bool
+	// done is closed): last is the last published panel, which is never
+	// written again; pending holds the deltas received since it was
+	// published, and flows the flow counters of every delta received.
+	seq     uint64
+	last    *timeseries.Panel
+	pending []*handoff
+	flows   Stats
+	through []timeseries.Week
+	sealed  []bool
+	pubBase timeseries.Week // last published Through
+	pubAny  bool
 }
 
-// newRoller starts the collector and publishes the initial (unsealed,
-// empty) snapshot so readers always have a panel to serve.
+// newRoller gives every shard its record of what it has sent, starts the
+// collector and publishes the initial (unsealed, empty) snapshot so
+// readers always have a panel to serve.
 func newRoller(in *Ingestor, shards int) *roller {
 	r := &roller{
-		in:       in,
-		ch:       make(chan rollPartial, shards),
-		done:     make(chan struct{}),
-		partials: make([]*accumulator, shards),
-		through:  make([]timeseries.Week, shards),
-		sealed:   make([]bool, shards),
+		in:      in,
+		ch:      make(chan *handoff, shards),
+		done:    make(chan struct{}),
+		last:    newAccumulator(&in.cfg).panel,
+		through: make([]timeseries.Week, shards),
+		sealed:  make([]bool, shards),
 	}
-	r.publish(r.merge([]*accumulator{newAccumulator(&in.cfg)}, timeseries.Week{}, false))
+	for _, s := range in.shards {
+		series := seriesOf(s.acc.panel)
+		s.rollSent = sent{series: series, values: make([]float64, len(series)*s.acc.panel.Weeks)}
+	}
+	r.publish(r.snapshot(timeseries.Week{}, false))
 	go r.collect()
 	return r
 }
@@ -128,9 +173,9 @@ func sealHorizon(mark time.Time, gap time.Duration) timeseries.Week {
 
 // maybeSeal runs on the shard worker after it applied a watermark
 // advance: if the horizon entered a new week since the shard last sealed,
-// clone the shard's panel accumulator and hand it to the collector. The
-// clone is taken after Advance closed everything expirable, so it holds
-// every flow the sealed weeks can claim from this shard.
+// hand the collector the shard's growth since its previous seal. The
+// hand-off is taken after Advance closed everything expirable, so it holds
+// every booking the sealed weeks can claim from this shard.
 func (r *roller) maybeSeal(s *shard, mark time.Time) {
 	through := sealHorizon(mark, honeypot.FlowGap)
 	if through.Before(timeseries.WeekOf(r.in.cfg.Start)) {
@@ -141,30 +186,57 @@ func (r *roller) maybeSeal(s *shard, mark time.Time) {
 	}
 	s.rollSealed, s.rollThrough = true, through
 	sealedAt := time.Now()
-	acc := s.acc.clone()
-	var sealTC trace.Context
+	h := s.handoff()
+	h.shard, h.through, h.sealedAt = s.index, through, sealedAt
 	if tr := r.in.cfg.Trace; tr != nil {
 		// Week seals are rare and load-bearing, so they are always on
 		// record: parented under the shard's last sampled apply span when
 		// one exists, a forced root otherwise.
-		sealTC = tr.Child(s.lastTC)
-		if !sealTC.Sampled() {
-			sealTC = tr.RootAlways()
+		h.tc = tr.Child(s.lastTC)
+		if !h.tc.Sampled() {
+			h.tc = tr.RootAlways()
 		}
-		tr.Record(trace.NameWeekSeal, s.index, sealTC, s.lastTC.Span,
-			sealedAt.UnixNano(), time.Since(sealedAt).Nanoseconds(), uint64(acc.stats.Flows))
+		tr.Record(trace.NameWeekSeal, s.index, h.tc, s.lastTC.Span,
+			sealedAt.UnixNano(), time.Since(sealedAt).Nanoseconds(), uint64(h.flows.Attacks-h.flows.OutOfSpan))
 	}
-	r.ch <- rollPartial{shard: s.index, through: through, acc: acc, sealedAt: sealedAt, tc: sealTC}
+	r.ch <- h
 }
 
-// collect is the collector goroutine: fold incoming partials and publish
-// a merged snapshot whenever the cross-shard sealed frontier advances.
+// handoff builds the shard's seal: the delta of every series over the
+// weeks booked since the previous seal, and the flow-counter growth. It
+// brings s.rollSent up to date and empties the booked-week range.
+func (s *shard) handoff() *handoff {
+	a, rec := s.acc, &s.rollSent
+	h := &handoff{flows: flowsSince(a.stats, rec.flows)}
+	rec.flows = a.stats
+	if a.lo > a.hi {
+		return h // no week booked since the previous seal
+	}
+	weeks := a.panel.Weeks
+	h.lo, h.weeks = a.lo, a.hi-a.lo+1
+	h.delta = make([]float64, len(rec.series)*h.weeks)
+	for i, ser := range rec.series {
+		cur := ser.Values[a.lo : a.hi+1]
+		old := rec.values[i*weeks+a.lo : i*weeks+a.hi+1]
+		d := h.delta[i*h.weeks : (i+1)*h.weeks]
+		for j, v := range cur {
+			d[j], old[j] = v-old[j], v
+		}
+	}
+	a.lo, a.hi = weeks, -1
+	return h
+}
+
+// collect is the collector goroutine: hold incoming deltas and publish
+// a snapshot with them added whenever the cross-shard sealed frontier
+// advances.
 func (r *roller) collect() {
 	defer close(r.done)
-	for p := range r.ch {
-		r.partials[p.shard] = p.acc
-		r.through[p.shard] = p.through
-		r.sealed[p.shard] = true
+	for h := range r.ch {
+		recv := time.Now()
+		r.pending = append(r.pending, h)
+		r.flows.addFlows(h.flows)
+		r.through[h.shard], r.sealed[h.shard] = h.through, true
 		frontier, ok := r.frontier()
 		if !ok {
 			continue // some shard has not sealed its first week yet
@@ -173,10 +245,9 @@ func (r *roller) collect() {
 			continue // frontier did not advance
 		}
 		r.pubAny, r.pubBase = true, frontier
-		pubStart := time.Now()
-		r.publish(r.merge(r.partials, frontier, true))
+		r.publish(r.snapshot(frontier, true))
 		if r.in.m != nil {
-			r.in.m.sealLatency.Observe(time.Since(p.sealedAt))
+			r.in.m.sealLatency.Observe(time.Since(h.sealedAt))
 			// Event-time freshness: when the frontier week became
 			// queryable, the stream head had advanced this far past the
 			// week's end — the stream-time wait between an event landing
@@ -189,13 +260,15 @@ func (r *roller) collect() {
 		}
 		if tr := r.in.cfg.Trace; tr != nil {
 			// Like seals, publishes are always recorded, chained under the
-			// seal span that advanced the frontier.
-			tc := tr.Child(p.tc)
+			// seal span that advanced the frontier. The span covers the
+			// collector's whole turn: cloning, adding the deltas,
+			// publishing.
+			tc := tr.Child(h.tc)
 			if !tc.Sampled() {
 				tc = tr.RootAlways()
 			}
-			tr.Record(trace.NameSnapshotPublish, p.shard, tc, p.tc.Span,
-				pubStart.UnixNano(), time.Since(pubStart).Nanoseconds(), r.seq)
+			tr.Record(trace.NameSnapshotPublish, h.shard, tc, h.tc.Span,
+				recv.UnixNano(), time.Since(recv).Nanoseconds(), r.seq)
 		}
 	}
 }
@@ -215,14 +288,23 @@ func (r *roller) frontier() (timeseries.Week, bool) {
 	return min, true
 }
 
-// merge sums accumulator clones into a fresh Snapshot without mutating
-// any of them, so the same clones can be re-merged when only one shard
-// advanced. Counters the accumulators cannot know are read live from the
-// pipeline's atomics.
-func (r *roller) merge(accs []*accumulator, through timeseries.Week, sealedYet bool) *Snapshot {
-	sum := accs[0].clone()
-	sum.add(accs[1:]...)
-	snap := &Snapshot{Through: through, Sealed: sealedYet, Panel: sum.panel, Stats: sum.stats}
+// snapshot builds a fresh Snapshot: a clone of the last published panel
+// with the pending deltas added. Counters the deltas cannot know are read
+// live from the pipeline's atomics.
+func (r *roller) snapshot(through timeseries.Week, sealedYet bool) *Snapshot {
+	p := r.last.Clone()
+	series := seriesOf(p)
+	for _, h := range r.pending {
+		for i, ser := range series {
+			v := ser.Values[h.lo : h.lo+h.weeks]
+			for j, d := range h.delta[i*h.weeks : (i+1)*h.weeks] {
+				v[j] += d
+			}
+		}
+	}
+	clear(r.pending)
+	r.pending, r.last = r.pending[:0], p
+	snap := &Snapshot{Through: through, Sealed: sealedYet, Panel: p, Stats: r.flows}
 	snap.Stats.Packets = r.in.packets.Load()
 	snap.Stats.UnknownPort = r.in.unknown.Load()
 	snap.Stats.Malformed = r.in.malformed.Load()

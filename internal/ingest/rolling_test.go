@@ -10,6 +10,7 @@ import (
 
 	"booters/internal/honeypot"
 	"booters/internal/protocols"
+	"booters/internal/scenario"
 	"booters/internal/timeseries"
 )
 
@@ -339,5 +340,125 @@ func TestFinalSnapshotIndependentOfResult(t *testing.T) {
 	}
 	if !reflect.DeepEqual(final.Panel, want) {
 		t.Error("mutating Close's Result changed the Final snapshot")
+	}
+}
+
+// TestRollingSealedDeltasExact pins the seal hand-off to the shards' own
+// panels: the collector builds each snapshot by adding up the shards'
+// week-range deltas, and once the horizon has passed the span end that sum
+// must equal, value for value, the Final panel Close sums from the shard
+// accumulators. One trailing scan packet past the span end carries the
+// horizon there before Close; its flow books no week.
+func TestRollingSealedDeltasExact(t *testing.T) {
+	const weeks = 4
+	packets := testStream(t, weeks, 50)
+	last := timeseries.WeekOf(testConfig(1, weeks).End)
+	trailer := honeypot.Packet{
+		Time:   last.Next().Start.Add(honeypot.FlowGap),
+		Victim: netip.MustParseAddr("10.200.0.1"),
+		Proto:  protocols.DNS,
+		Size:   64,
+	}
+	stream := append(packets[:len(packets):len(packets)], trailer)
+	for _, unordered := range []bool{false, true} {
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("unordered=%v/shards=%d", unordered, shards), func(t *testing.T) {
+				cfg := rollingConfig(shards, weeks)
+				cfg.Unordered = unordered
+				in, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				log := collectSnapshots(t, in)
+				var src *Source
+				if unordered {
+					src = in.RegisterSource()
+				}
+				for _, p := range stream {
+					if src != nil {
+						src.Advance(p.Time) // ordered feed: the promise is exact
+					}
+					mustIngest(t, in, p)
+				}
+				// Deliver the trailer's watermark to every shard now, not
+				// at the next WatermarkEvery multiple.
+				in.broadcastWatermark()
+				if src != nil {
+					src.Close()
+				}
+				if _, err := in.Close(); err != nil {
+					t.Fatal(err)
+				}
+				snaps := log()
+				if len(snaps) < 2 {
+					t.Fatalf("only %d snapshots published", len(snaps))
+				}
+				final, sealed := snaps[len(snaps)-1], snaps[len(snaps)-2]
+				if !final.Final || sealed.Final || !sealed.Sealed || sealed.Through.Before(last) {
+					t.Fatalf("the last week did not seal before Close: snapshot %d sealed=%v through %v, want through %v",
+						sealed.Seq, sealed.Sealed, sealed.Through, last)
+				}
+				if final.Stats.Attacks == 0 {
+					t.Fatal("degenerate stream")
+				}
+				if !reflect.DeepEqual(sealed.Panel, final.Panel) {
+					t.Error("summed seal deltas differ from the Final panel")
+				}
+				// Every flow but the trailer's closed before the seal, so
+				// the counter deltas add up to the final counts less one scan.
+				want := final.Stats
+				want.Flows--
+				want.Scans--
+				got := sealed.Stats
+				if got.Flows != want.Flows || got.Attacks != want.Attacks || got.Scans != want.Scans ||
+					got.Unattributed != want.Unattributed || got.OutOfSpan != want.OutOfSpan {
+					t.Errorf("sealed flow counters %+v, want %+v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestRollingHandoffEmptyBeforeSpan feeds a rolling pipeline 100k packets
+// from the weeks before its span: every attack flow is out of span, so no
+// shard may mark a week booked for them — a seal hands over only weeks of
+// the panel's own attacks.
+func TestRollingHandoffEmptyBeforeSpan(t *testing.T) {
+	const n = 100_000
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            7,
+		Start:           testStart.AddDate(0, 0, -28),
+		Weeks:           4,
+		Sensors:         6,
+		BaselineAttacks: 2000,
+		Market:          &scenario.MarketDynamics{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Packets) < n {
+		t.Fatalf("generated %d packets, want at least %d", len(run.Packets), n)
+	}
+	in, err := New(rollingConfig(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range run.Packets[:n] {
+		if !p.Time.Before(testStart) {
+			t.Fatalf("packet at %v is not before the span start %v", p.Time, testStart)
+		}
+		mustIngest(t, in, p)
+	}
+	res, err := in.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Attacks == 0 || res.Stats.OutOfSpan != res.Stats.Attacks {
+		t.Fatalf("want every attack out of span, got %+v", res.Stats)
+	}
+	for _, s := range in.shards {
+		if s.acc.lo <= s.acc.hi {
+			t.Errorf("shard %d: out-of-span attacks marked weeks %d..%d booked", s.index, s.acc.lo, s.acc.hi)
+		}
 	}
 }

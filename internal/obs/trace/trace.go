@@ -67,11 +67,13 @@ const (
 	NameIngestApply
 	// NameWatermark covers one watermark broadcast across all shards.
 	NameWatermark
-	// NameWeekSeal covers a shard sealing (cloning) its partial
-	// aggregate at a week boundary.
+	// NameWeekSeal covers a shard building its week-range delta for the
+	// rolling collector at a week boundary; its value is the number of
+	// in-span attacks booked since the shard's last seal.
 	NameWeekSeal
-	// NameSnapshotPublish covers merging sealed shard partials and
-	// publishing the resulting snapshot.
+	// NameSnapshotPublish covers the rolling collector's turn for the
+	// seal that advanced the frontier: cloning the last published panel,
+	// adding the deltas held since and publishing the resulting snapshot.
 	NameSnapshotPublish
 	// NameServeQuery covers one HTTP query against the serve API.
 	NameServeQuery

@@ -32,54 +32,76 @@ type Panel struct {
 
 // NewPanel returns a zero panel of the given span with a series for every
 // country in geo.Countries, every protocol in protocols.All and every
-// (country, protocol) pair.
+// (country, protocol) pair. All series share one block (see block).
 func NewPanel(start Week, weeks int) *Panel {
+	countries, protos := geo.Countries(), protocols.All()
+	n := 1 + len(protos) + len(countries)*(1+len(protos))
+	b := newBlock(n, n*weeks)
 	p := &Panel{
 		Start:           start,
 		Weeks:           weeks,
-		Global:          NewSeries(start, weeks),
-		ByCountry:       make(map[string]*Series),
-		ByProtocol:      make(map[protocols.Protocol]*Series, protocols.Count()),
-		CountryProtocol: make(map[string]map[protocols.Protocol]*Series),
+		Global:          b.next(start, weeks),
+		ByCountry:       make(map[string]*Series, len(countries)),
+		ByProtocol:      make(map[protocols.Protocol]*Series, len(protos)),
+		CountryProtocol: make(map[string]map[protocols.Protocol]*Series, len(countries)),
 	}
-	for _, c := range geo.Countries() {
-		p.ByCountry[c] = NewSeries(start, weeks)
-		cp := make(map[protocols.Protocol]*Series, protocols.Count())
-		for _, proto := range protocols.All() {
-			cp[proto] = NewSeries(start, weeks)
+	for _, c := range countries {
+		p.ByCountry[c] = b.next(start, weeks)
+		cp := make(map[protocols.Protocol]*Series, len(protos))
+		for _, proto := range protos {
+			cp[proto] = b.next(start, weeks)
 		}
 		p.CountryProtocol[c] = cp
 	}
-	for _, proto := range protocols.All() {
-		p.ByProtocol[proto] = NewSeries(start, weeks)
+	for _, proto := range protos {
+		p.ByProtocol[proto] = b.next(start, weeks)
 	}
 	return p
 }
 
-// Clone returns a deep copy of p that shares no storage with it.
+// Clone returns a deep copy of p that shares no storage with it, laid out
+// on one block like any NewPanel panel. Like Add, it requires p to come
+// from NewPanel: it copies each series into the NewPanel series of the
+// same key.
 func (p *Panel) Clone() *Panel {
-	out := &Panel{
-		Start:           p.Start,
-		Weeks:           p.Weeks,
-		Global:          p.Global.Clone(),
-		ByCountry:       make(map[string]*Series, len(p.ByCountry)),
-		ByProtocol:      make(map[protocols.Protocol]*Series, len(p.ByProtocol)),
-		CountryProtocol: make(map[string]map[protocols.Protocol]*Series, len(p.CountryProtocol)),
-	}
+	out := NewPanel(p.Start, p.Weeks)
+	copy(out.Global.Values, p.Global.Values)
 	for c, s := range p.ByCountry {
-		out.ByCountry[c] = s.Clone()
+		copy(out.ByCountry[c].Values, s.Values)
 	}
 	for proto, s := range p.ByProtocol {
-		out.ByProtocol[proto] = s.Clone()
+		copy(out.ByProtocol[proto].Values, s.Values)
 	}
 	for c, cp := range p.CountryProtocol {
-		m := make(map[protocols.Protocol]*Series, len(cp))
 		for proto, s := range cp {
-			m[proto] = s.Clone()
+			copy(out.CountryProtocol[c][proto].Values, s.Values)
 		}
-		out.CountryProtocol[c] = m
 	}
 	return out
+}
+
+// block carves a panel's series out of two allocations, one []Series and
+// one []float64, instead of two per series. Each Values slice is cut with
+// a full slice expression (cap == len), so an append reallocates instead
+// of spilling into the neighbouring series.
+type block struct {
+	series []Series
+	values []float64
+}
+
+// newBlock allocates room for n series holding values counts in total.
+func newBlock(n, values int) *block {
+	return &block{series: make([]Series, n), values: make([]float64, values)}
+}
+
+// next hands out the block's next series, spanning weeks from start.
+func (b *block) next(start Week, weeks int) *Series {
+	s := &b.series[0]
+	b.series = b.series[1:]
+	s.StartWeek = start
+	s.Values = b.values[:weeks:weeks]
+	b.values = b.values[weeks:]
+	return s
 }
 
 // Add sums other into p week by week. Both panels must come from NewPanel

@@ -1,9 +1,11 @@
 package timeseries
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"booters/internal/geo"
 	"booters/internal/protocols"
@@ -105,4 +107,119 @@ func TestPanelAdd(t *testing.T) {
 		}
 	}()
 	p.Add(NewPanel(start, 3))
+}
+
+// named lists every series of p under a stable name.
+func named(p *Panel) map[string]*Series {
+	out := map[string]*Series{"global": p.Global}
+	for c, s := range p.ByCountry {
+		out["country "+c] = s
+	}
+	for proto, s := range p.ByProtocol {
+		out["protocol "+proto.String()] = s
+	}
+	for c, cp := range p.CountryProtocol {
+		for proto, s := range cp {
+			out["breakdown "+c+"/"+proto.String()] = s
+		}
+	}
+	return out
+}
+
+// numbered returns a panel whose every value is distinct, so a write
+// landing in the wrong series shows.
+func numbered(start Week, weeks int) *Panel {
+	p := NewPanel(start, weeks)
+	v := 0.0
+	for _, s := range named(p) {
+		for i := range s.Values {
+			v++
+			s.Values[i] = v
+		}
+	}
+	return p
+}
+
+// overlaps reports whether two float slices share any backing storage.
+func overlaps(a, b []float64) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(float64(0))
+	a0, b0 := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b))*size && b0 < a0+uintptr(cap(a))*size
+}
+
+func TestPanelCloneSharesNoStorage(t *testing.T) {
+	p := numbered(WeekOf(d(2018, time.October, 1)), 6)
+	c := p.Clone()
+	if !reflect.DeepEqual(c, p) {
+		t.Fatal("clone differs from the original")
+	}
+	for name, s := range named(c) {
+		for srcName, src := range named(p) {
+			if s == src || overlaps(s.Values, src.Values) {
+				t.Fatalf("clone's %s shares storage with the source's %s", name, srcName)
+			}
+		}
+	}
+}
+
+// values copies every series' values of p, keyed as named does.
+func values(p *Panel) map[string][]float64 {
+	out := make(map[string][]float64)
+	for name, s := range named(p) {
+		out[name] = append([]float64(nil), s.Values...)
+	}
+	return out
+}
+
+// TestPanelSeriesIsolated checks the one-block layout of both NewPanel
+// and Clone: every series has cap == len, and writing to or appending to
+// one series changes no neighbour in the block and nothing in the source.
+func TestPanelSeriesIsolated(t *testing.T) {
+	src := numbered(WeekOf(d(2018, time.October, 1)), 4)
+	srcWant := values(src)
+	for _, build := range []struct {
+		name string
+		make func() *Panel
+	}{
+		{"new", func() *Panel { return numbered(src.Start, src.Weeks) }},
+		{"clone", src.Clone},
+	} {
+		t.Run(build.name, func(t *testing.T) {
+			p := build.make()
+			want := values(p)
+			for name, s := range named(p) {
+				if cap(s.Values) != len(s.Values) {
+					t.Fatalf("%s: cap %d, len %d", name, cap(s.Values), len(s.Values))
+				}
+				s.Values[len(s.Values)-1] = -1
+				s.Values = append(s.Values, -2)
+				s.Values[0] = -3
+				want[name] = append([]float64(nil), s.Values...)
+				if got := values(p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("writing %s changed another series", name)
+				}
+				if !reflect.DeepEqual(values(src), srcWant) {
+					t.Fatalf("writing %s changed the source panel", name)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkPanelClone(b *testing.B) {
+	for _, weeks := range []int{104, 400} {
+		b.Run(fmt.Sprintf("weeks=%d", weeks), func(b *testing.B) {
+			p := numbered(WeekOf(d(2017, time.January, 2)), weeks)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c := p.Clone(); c.Weeks != weeks {
+					b.Fatal("bad clone")
+				}
+			}
+		})
+	}
 }
