@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"booters/internal/dataset"
 	"booters/internal/geo"
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
@@ -155,7 +154,7 @@ var (
 const paperScaleWeeks = 4
 
 // paperScalePackets builds (once) a stream at the paper's weekly attack
-// volume, dataset.DefaultConfig's GlobalScale (45,000 attacks a week),
+// volume, scenario.PaperGlobalScale (45,000 attacks a week),
 // over paperScaleWeeks. Each attack is the smallest flow the classifier
 // books, AttackThreshold+1 packets at one sensor, so the stream carries
 // as many bookings per packet as it can: shard work per booking is at
@@ -165,7 +164,7 @@ const paperScaleWeeks = 4
 func paperScalePackets(b *testing.B) []honeypot.Packet {
 	b.Helper()
 	paperScaleOnce.Do(func() {
-		perWeek := int(dataset.DefaultConfig(DefaultSeed).GlobalScale)
+		perWeek := int(scenario.PaperGlobalScale)
 		tbl := geo.NewTable()
 		countries, protos := geo.Countries(), protocols.All()
 		rng := rand.New(rand.NewPCG(uint64(DefaultSeed), 0))

@@ -1,15 +1,17 @@
 package booters
 
 // The benchmark harness regenerates every table and figure in the paper's
-// evaluation section (DESIGN.md's experiment index maps each exhibit to its
-// bench). Run with:
+// evaluation section: one bench per internal/core exhibit, named after it
+// (BenchmarkTable1GlobalModel runs "Table 1"). Run with:
 //
 //	go test -bench=. -benchmem
 //
 // Each benchmark executes the full reproduction path for its exhibit —
 // dataset slicing, model fitting and check evaluation — against a panel and
 // environment generated once per process. Ablation benchmarks at the end
-// time the design alternatives DESIGN.md calls out.
+// time the modelling choices the paper argues for: the NB2 family over
+// Poisson, seasonal dummies, the movable Easter term and the
+// likelihood-searched window durations.
 
 import (
 	"sync"
@@ -17,7 +19,6 @@ import (
 	"time"
 
 	"booters/internal/core"
-	"booters/internal/dataset"
 	"booters/internal/glm"
 	"booters/internal/honeypot"
 	"booters/internal/its"
@@ -84,7 +85,7 @@ func BenchmarkRobustnessPlacebo(b *testing.B)         { runExperiment(b, "Robust
 // panel plus the market simulation behind the self-report data).
 func BenchmarkPanelGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := dataset.Generate(dataset.DefaultConfig(DefaultSeed)); err != nil {
+		if _, err := GeneratePanel(DefaultSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +104,8 @@ func BenchmarkGlobalModelEndToEnd(b *testing.B) {
 	}
 }
 
-// --- ablation benches (DESIGN.md §6) ------------------------------------
+// --- ablation benches: the paper's modelling choices, each against its
+// simpler alternative ----------------------------------------------------
 
 // ablationSeries returns the global model-window series.
 func ablationSeries(b *testing.B) *timeseries.Series {

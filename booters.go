@@ -30,7 +30,11 @@
 //   - internal/geo         — victim-IP country attribution
 //   - internal/market      — agent-based booter market simulator
 //   - internal/scrape      — self-report collection and forgery screens
-//   - internal/dataset     — the calibrated synthetic dataset generator
+//   - internal/dataset     — the weekly attack and self-report panels,
+//     their CSV exports and loader, the §3 coverage exhibit
+//   - internal/scenario    — the one world model: the paper's calibrated
+//     world (GeneratePaper) and the workload catalog, each with a
+//     Manifest of its ground truth
 //   - internal/interventions — the catalogue of §2 police actions
 //   - internal/report      — table and figure renderers
 //   - internal/core        — the paper's model definitions (Table 1
@@ -53,6 +57,7 @@ import (
 	"booters/internal/core"
 	"booters/internal/dataset"
 	"booters/internal/its"
+	"booters/internal/scenario"
 	"booters/internal/timeseries"
 )
 
@@ -62,9 +67,11 @@ const DefaultSeed int64 = 20191021 // IMC'19 began October 21, 2019
 
 // GeneratePanel builds the reproduction dataset: the five-year weekly panel
 // of reflected-UDP attack counts (global / per country / per protocol) plus
-// the simulated booter self-report panel.
+// the simulated booter self-report panel. Its planted ground truth is the
+// manifest scenario.GeneratePaper returns beside the same panel.
 func GeneratePanel(seed int64) (*dataset.Panel, error) {
-	return dataset.Generate(dataset.DefaultConfig(seed))
+	p, _, err := scenario.GeneratePaper(seed, false)
+	return p, err
 }
 
 // Table1Interventions returns the five globally significant interventions

@@ -14,7 +14,6 @@ import (
 
 	"booters/internal/cli"
 	"booters/internal/core"
-	"booters/internal/dataset"
 	"booters/internal/glm"
 	"booters/internal/its"
 )
@@ -41,11 +40,7 @@ func main() {
 	family, err := parseFamily(*familyFlag)
 	cli.Check(err)
 
-	panel, err := dataset.Generate(dataset.DefaultConfig(*seed))
-	if err != nil {
-		log.Fatal(err)
-	}
-	env, err := core.NewEnvFromPanel(panel)
+	env, err := core.NewEnv(*seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +50,7 @@ func main() {
 		from, to := core.ModelWindow()
 		spec := env.Global.Spec
 		spec.Family = family
-		m, err := its.Fit(panel.Global.Slice(from, to), spec)
+		m, err := its.Fit(env.Panel.Global.Slice(from, to), spec)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,9 +1,9 @@
 // Command bootergen generates the reproduction's synthetic datasets and
 // writes them as CSV: the weekly global/per-country/per-protocol panel and
-// the booter self-report panel. With -scenario it instead generates a
-// named (or config-file) scenario workload, replays it through the batch
-// pipeline, and writes the same CSVs plus the scenario's ground-truth
-// manifest. To record a scenario to an on-disk spool instead, use
+// the booter self-report panel, next to the paper world's ground-truth
+// manifest. With -scenario it instead generates a named (or config-file)
+// scenario workload, replays it through the batch pipeline, and writes
+// the same CSVs plus the scenario's manifest. To record a scenario to an on-disk spool instead, use
 // booteringest -scenario NAME -record DIR: it spools the delivery stream
 // a live sensor would see (a scenario's hostile twin included) next to
 // the manifest.
@@ -30,8 +30,10 @@ import (
 const usageText = `bootergen generates the reproduction's synthetic datasets and writes them
 as CSV: the weekly global, per-country and per-protocol attack panel from
 the honeypot side, and the booter self-report panel from the scraping
-side. The files feed external analyses or the externaldata example's
-load-your-own-data workflow.
+side. manifest.json records the paper world's planted truth: the
+per-country intervention effects, the planted weekly expectation and its
+no-intervention counterfactual. The files feed external analyses or the
+externaldata example's load-your-own-data workflow.
 
 -scenario NAME|FILE swaps the paper-calibrated dataset for a scenario
 workload (a catalog name, or a JSON config per docs/SCENARIOS.md): the
@@ -63,68 +65,57 @@ func main() {
 		return
 	}
 	cli.Check(cli.Only(fs, sc.Spec == "", "the paper-calibrated dataset (the scenario config fixes the workload)", "seed"))
+	var (
+		p   *dataset.Panel
+		m   *scenario.Manifest
+		err error
+	)
+	if sc.Spec != "" {
+		p, m, err = replayScenario(sc)
+	} else {
+		p, m, err = scenario.GeneratePaper(*seed, false)
+	}
+	cli.Check(err)
+	cli.Check(os.MkdirAll(*out, 0o755))
+	write(p, m, *out)
+}
+
+// replayScenario generates the scenario, replays its clean stream
+// through the batch pipeline, verifies the panel and the intervention fit
+// against the manifest, and returns the panel with the manifest.
+func replayScenario(sc *cli.Workload) (*dataset.Panel, *scenario.Manifest, error) {
 	logs, err := obs.NewLog(os.Stderr, "")
 	cli.Check(err)
-	if sc.Spec != "" {
-		run, err := sc.Generate(logs.Logger("gen"))
-		cli.Check(err)
-		cli.Check(os.MkdirAll(*out, 0o755))
-		runScenario(run, *out)
-		return
-	}
-
-	cli.Check(os.MkdirAll(*out, 0o755))
-	p, err := dataset.Generate(dataset.DefaultConfig(*seed))
+	run, err := sc.Generate(logs.Logger("gen"))
 	cli.Check(err)
-	writeCSVs(p, *out)
-	fmt.Printf("wrote %s (%d weeks), %s (%d booters), %s\n",
-		filepath.Join(*out, "weekly_panel.csv"), p.Weeks,
-		filepath.Join(*out, "self_report.csv"), len(p.SelfReport.Sites),
-		filepath.Join(*out, "market_churn.csv"))
-}
-
-// runScenario replays the scenario's clean stream through the batch
-// pipeline, verifies the panel and the intervention fit against the
-// manifest, and writes the CSVs and the ground-truth manifest.
-func runScenario(run *scenario.Run, out string) {
-	res, err := ingest.Batch(ingest.Config{
-		Shards: 1,
-		Start:  run.Config.Start,
-		End:    run.Config.End(),
-	}, run.Packets)
+	res, err := ingest.Batch(ingest.Config{Shards: 1, Start: run.Config.Start, End: run.Config.End()}, run.Packets)
 	cli.Check(err)
-	m := run.Manifest
-	cli.Check(cli.Verify(os.Stdout, m, res.Global))
+	cli.Check(cli.Verify(os.Stdout, run.Manifest, res.Global))
 	p, err := booters.ScenarioPanel(run, res)
-	cli.Check(err)
-
-	writeCSVs(p, out)
-	manifestPath := filepath.Join(out, scenario.ManifestFile)
-	cli.Check(m.WriteFile(manifestPath))
-	fmt.Printf("wrote %s (%d weeks), %s\n",
-		filepath.Join(out, "weekly_panel.csv"), p.Weeks, manifestPath)
-	if p.SelfReport != nil {
-		fmt.Printf("wrote %s (%d booters from %d scrape events), %s\n",
-			filepath.Join(out, "self_report.csv"), len(p.SelfReport.Sites), len(run.Scrape),
-			filepath.Join(out, "market_churn.csv"))
-	}
+	return p, run.Manifest, err
 }
 
-// writeCSVs writes the panel's CSV exports; the self-report files are
-// skipped when the panel has no self-report side.
-func writeCSVs(p *dataset.Panel, out string) {
-	writeFile(filepath.Join(out, "weekly_panel.csv"), func(f *os.File) error {
+// write writes the panel's CSV exports and the ground-truth manifest; the
+// self-report files are skipped when the panel has no self-report side.
+func write(p *dataset.Panel, m *scenario.Manifest, out string) {
+	panelPath := filepath.Join(out, "weekly_panel.csv")
+	writeFile(panelPath, func(f *os.File) error {
 		return dataset.WritePanelCSV(f, p)
 	})
+	manifestPath := filepath.Join(out, scenario.ManifestFile)
+	cli.Check(m.WriteFile(manifestPath))
+	fmt.Printf("wrote %s (%d weeks), %s\n", panelPath, p.Weeks, manifestPath)
 	if p.SelfReport == nil {
 		return
 	}
-	writeFile(filepath.Join(out, "self_report.csv"), func(f *os.File) error {
+	srPath, churnPath := filepath.Join(out, "self_report.csv"), filepath.Join(out, "market_churn.csv")
+	writeFile(srPath, func(f *os.File) error {
 		return dataset.WriteSelfReportCSV(f, p.SelfReport)
 	})
-	writeFile(filepath.Join(out, "market_churn.csv"), func(f *os.File) error {
+	writeFile(churnPath, func(f *os.File) error {
 		return dataset.WriteChurnCSV(f, p.SelfReport)
 	})
+	fmt.Printf("wrote %s (%d booters), %s\n", srPath, len(p.SelfReport.Sites), churnPath)
 }
 
 // writeFile creates path, runs the writer, and fails the run on any error.

@@ -34,8 +34,8 @@ func main() {
 	}
 	fmt.Printf("exported %d weeks of CSV (%d bytes)\n", source.Weeks, buf.Len())
 
-	// 2. Load it back as external data (ground-truth fields are absent,
-	// exactly as they would be for real measurements).
+	// 2. Load it back as external data: like real measurements, a loaded
+	// panel carries no planted truth and no self-report side.
 	panel, err := dataset.LoadPanelCSV(&buf)
 	if err != nil {
 		log.Fatal(err)

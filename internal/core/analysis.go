@@ -17,19 +17,12 @@ import (
 // durations from Table 2's "Overall" column, Webstresser lagged a
 // fortnight).
 func Table1Interventions() []its.Intervention {
-	at := func(name string) interventions.Event {
-		ev, ok := interventions.ByName(name)
-		if !ok {
-			panic(fmt.Sprintf("core: intervention %q missing from catalogue", name))
-		}
-		return ev
-	}
 	return []its.Intervention{
-		{Name: "Xmas2018", Start: at("Xmas2018").Date, Weeks: 10},
-		{Name: "Webstresser", Start: at("Webstresser").Date, Weeks: 3, LagWeeks: 2},
-		{Name: "Mirai", Start: at("Mirai").Date, Weeks: 8},
-		{Name: "HackForums", Start: at("HackForums").Date, Weeks: 13},
-		{Name: "vDOS", Start: at("vDOS").Date, Weeks: 3},
+		{Name: "Xmas2018", Start: interventions.Date("Xmas2018"), Weeks: 10},
+		{Name: "Webstresser", Start: interventions.Date("Webstresser"), Weeks: 3, LagWeeks: 2},
+		{Name: "Mirai", Start: interventions.Date("Mirai"), Weeks: 8},
+		{Name: "HackForums", Start: interventions.Date("HackForums"), Weeks: 13},
+		{Name: "vDOS", Start: interventions.Date("vDOS"), Weeks: 3},
 	}
 }
 

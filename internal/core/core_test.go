@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
+
+	"booters/internal/dataset"
 )
 
 var (
@@ -112,5 +115,62 @@ func TestCheckFailureRendering(t *testing.T) {
 	}
 	if !strings.Contains(md, "0 / 1") {
 		t.Error("pass count missing")
+	}
+}
+
+// TestExhibitsOnLoadedPanel runs every exhibit on a panel loaded from CSV,
+// the load-your-own-data workflow: the panel has no planted truth and no
+// self-report side. No exhibit may panic. The self-report exhibits
+// return an error, and Table 1 runs without the planted-truth comparison.
+func TestExhibitsOnLoadedPanel(t *testing.T) {
+	var buf bytes.Buffer
+	if err := dataset.WritePanelCSV(&buf, testEnv(t).Panel); err != nil {
+		t.Fatal(err)
+	}
+	panel, err := dataset.LoadPanelCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnvFromPanel(panel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Manifest != nil {
+		t.Fatal("a loaded panel's env carries a manifest")
+	}
+	needsSelfReport := map[string]bool{"Figure 7": true, "Figure 8": true, "Section 3": true}
+	for _, exp := range All() {
+		t.Run(exp.ID, func(t *testing.T) {
+			res, err := exp.Run(env)
+			if needsSelfReport[exp.ID] {
+				if err == nil {
+					t.Error("ran on a panel with no self-report data")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range res.Checks {
+				if strings.Contains(c.Measured, "planted truth") {
+					t.Errorf("%s compared against planted truth the panel does not have: %q", c.Name, c.Measured)
+				}
+			}
+		})
+	}
+}
+
+// TestFigure7NeedsTheMarket runs Figure 7 on a self-report panel collected
+// from a scrape-event stream, which carries no market simulation: the
+// exhibit must report an error, not dereference the missing market.
+func TestFigure7NeedsTheMarket(t *testing.T) {
+	env := *testEnv(t)
+	panel := *env.Panel
+	sr := *panel.SelfReport
+	sr.Market = nil
+	panel.SelfReport = &sr
+	env.Panel = &panel
+	if _, err := RunOne(&env, "Figure 7"); err == nil {
+		t.Error("Figure 7 ran without the market simulation")
 	}
 }

@@ -7,21 +7,28 @@ import (
 	"booters/internal/dataset"
 	"booters/internal/geo"
 	"booters/internal/its"
+	"booters/internal/scenario"
 )
 
-// NewEnv generates the panel for the given seed and fits the shared global
-// and per-country models once.
+// NewEnv generates the paper's world for the given seed and fits the
+// shared global and per-country models once. The env carries the world's
+// manifest, so Table 1 is checked against the planted truth.
 func NewEnv(seed int64) (*Env, error) {
-	panel, err := dataset.Generate(dataset.DefaultConfig(seed))
+	panel, man, err := scenario.GeneratePaper(seed, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: generate panel: %w", err)
 	}
-	return NewEnvFromPanel(panel)
+	env, err := NewEnvFromPanel(panel)
+	if env != nil {
+		env.Manifest = man
+	}
+	return env, err
 }
 
 // NewEnvFromPanel fits the shared models on an existing panel: the
 // Table 1 global model and one per-country model for each Table 2
-// country.
+// country. The env has no manifest: a loaded panel carries no planted
+// truth.
 func NewEnvFromPanel(panel *dataset.Panel) (*Env, error) {
 	global, err := FitGlobal(panel)
 	if err != nil {

@@ -54,8 +54,8 @@ func WritePanelCSV(w io.Writer, p *Panel) error {
 // assembled in the same format). Unknown columns are ignored; missing
 // country or protocol columns load as zero series, as does the
 // country-by-protocol breakdown, which the format does not carry. The
-// self-report panel and ground-truth fields are not part of the CSV format
-// and are left nil.
+// self-report panel is not part of the CSV format and is left nil, and a
+// loaded panel has no planted truth.
 func LoadPanelCSV(r io.Reader) (*Panel, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()

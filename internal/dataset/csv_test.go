@@ -1,4 +1,4 @@
-package dataset
+package dataset_test
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"booters/internal/dataset"
 	"booters/internal/geo"
 	"booters/internal/protocols"
 )
@@ -13,10 +14,10 @@ import (
 func TestPanelCSVRoundTrip(t *testing.T) {
 	orig := genPanel(t, 55, true)
 	var buf bytes.Buffer
-	if err := WritePanelCSV(&buf, orig); err != nil {
+	if err := dataset.WritePanelCSV(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPanelCSV(&buf)
+	loaded, err := dataset.LoadPanelCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +53,10 @@ func TestPanelCSVRoundTrip(t *testing.T) {
 // of the clone leaves the loaded panel as it was.
 func TestLoadedPanelClones(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePanelCSV(&buf, genPanel(t, 55, true)); err != nil {
+	if err := dataset.WritePanelCSV(&buf, genPanel(t, 55, true)); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPanelCSV(&buf)
+	loaded, err := dataset.LoadPanelCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestLoadPanelCSVErrors(t *testing.T) {
 		"ragged quoting": "week,global\n\"2016-06-06,5\n",
 	}
 	for name, csv := range cases {
-		if _, err := LoadPanelCSV(strings.NewReader(csv)); err == nil {
+		if _, err := dataset.LoadPanelCSV(strings.NewReader(csv)); err == nil {
 			t.Errorf("%s: LoadPanelCSV accepted %q", name, csv)
 		}
 	}
@@ -99,7 +100,7 @@ func TestLoadPanelCSVErrors(t *testing.T) {
 
 func TestLoadPanelCSVIgnoresUnknownColumns(t *testing.T) {
 	in := "week,global,XX,notes\n2016-06-06,100,5,hello\n2016-06-13,110,6,world\n"
-	p, err := LoadPanelCSV(strings.NewReader(in))
+	p, err := dataset.LoadPanelCSV(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,33 +1,39 @@
-package dataset
+// Property tests of the paper world's panels, as generated by
+// scenario.GeneratePaper, and of the planted truth its manifest records.
+package dataset_test
 
 import (
 	"math"
 	"testing"
 	"time"
 
+	"booters/internal/dataset"
 	"booters/internal/geo"
 	"booters/internal/protocols"
+	"booters/internal/scenario"
 	"booters/internal/stats"
 	"booters/internal/timeseries"
 )
 
-func genPanel(t *testing.T, seed int64, noise bool) *Panel {
+// genWorld generates the paper world for seed, with or without
+// observation noise.
+func genWorld(t *testing.T, seed int64, noise bool) (*dataset.Panel, *scenario.Manifest) {
 	t.Helper()
-	cfg := DefaultConfig(seed)
-	cfg.DisableNoise = !noise
-	p, err := Generate(cfg)
+	p, m, err := scenario.GeneratePaper(seed, !noise)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p, m
+}
+
+func genPanel(t *testing.T, seed int64, noise bool) *dataset.Panel {
+	t.Helper()
+	p, _ := genWorld(t, seed, noise)
 	return p
 }
 
-func TestGenerateValidation(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.GlobalScale = 0
-	if _, err := Generate(cfg); err == nil {
-		t.Error("accepted zero scale")
-	}
+func mkdate(y int, m time.Month, d int) time.Time {
+	return time.Date(y, m, d, 0, 0, 0, 0, time.UTC)
 }
 
 func TestPanelInternalConsistency(t *testing.T) {
@@ -69,19 +75,19 @@ func TestPanelInternalConsistency(t *testing.T) {
 }
 
 func TestNoiseFreeMatchesTrueMu(t *testing.T) {
-	p := genPanel(t, 6, false)
+	p, m := genWorld(t, 6, false)
 	for w := 0; w < p.Weeks; w++ {
-		if math.Abs(p.Global.Values[w]-p.TrueMu[w]) > 1e-6*p.TrueMu[w] {
-			t.Fatalf("week %d: noise-free global %.2f != TrueMu %.2f", w, p.Global.Values[w], p.TrueMu[w])
+		if math.Abs(p.Global.Values[w]-m.PlantedMu[w]) > 1e-6*m.PlantedMu[w] {
+			t.Fatalf("week %d: noise-free global %.2f != TrueMu %.2f", w, p.Global.Values[w], m.PlantedMu[w])
 		}
 	}
 }
 
 func TestGroundTruthEffectWindows(t *testing.T) {
-	p := genPanel(t, 7, false)
+	_, m := genWorld(t, 7, false)
 	// Inside the Xmas2018 window the planted effect is strongly negative.
 	start := timeseries.WeekOf(mkdate(2018, time.December, 19))
-	eff, ok := p.GroundTruthEffect(start, 8)
+	eff, ok := m.GroundTruthEffect(start, 8)
 	if !ok {
 		t.Fatal("window should be inside panel")
 	}
@@ -89,53 +95,53 @@ func TestGroundTruthEffectWindows(t *testing.T) {
 		t.Errorf("Xmas2018 planted window effect = %.1f%%, want around -30%%", eff)
 	}
 	// A quiet period has ~zero effect.
-	quiet, ok := p.GroundTruthEffect(timeseries.WeekOf(mkdate(2017, time.June, 5)), 6)
+	quiet, ok := m.GroundTruthEffect(timeseries.WeekOf(mkdate(2017, time.June, 5)), 6)
 	if !ok || math.Abs(quiet) > 0.5 {
 		t.Errorf("quiet window effect = %.2f%%, want ~0", quiet)
 	}
 	// Out-of-range windows are rejected.
-	if _, ok := p.GroundTruthEffect(timeseries.WeekOf(mkdate(2025, time.January, 1)), 4); ok {
+	if _, ok := m.GroundTruthEffect(timeseries.WeekOf(mkdate(2025, time.January, 1)), 4); ok {
 		t.Error("accepted out-of-range window")
 	}
-	if _, ok := p.GroundTruthEffect(start, 0); ok {
+	if _, ok := m.GroundTruthEffect(start, 0); ok {
 		t.Error("accepted zero-length window")
 	}
 }
 
 func TestSeasonalMultiplierMatchesTable1(t *testing.T) {
 	// December is high season (+0.091 in Table 1), June low (-0.134).
-	if SeasonalMultiplier(time.December) <= 1 {
+	if scenario.SeasonalMultiplier(time.December) <= 1 {
 		t.Error("December multiplier should exceed 1")
 	}
-	if SeasonalMultiplier(time.June) >= 1 {
+	if scenario.SeasonalMultiplier(time.June) >= 1 {
 		t.Error("June multiplier should be below 1")
 	}
-	if SeasonalMultiplier(time.January) != 1 {
+	if scenario.SeasonalMultiplier(time.January) != 1 {
 		t.Error("January is the reference month")
 	}
 }
 
 func TestEffectForFallbacks(t *testing.T) {
-	truth := PlantedTruth()
-	var xmas PlantedIntervention
-	for _, iv := range truth {
+	_, m := genWorld(t, 1, false)
+	var xmas scenario.InjectedEffect
+	for _, iv := range m.Effects {
 		if iv.Name == "Xmas2018" {
 			xmas = iv
 		}
 	}
 	// Listed country.
-	us := EffectFor(xmas, geo.US)
-	if us.Percent != -49 {
-		t.Errorf("US effect = %v", us.Percent)
+	us := xmas.Country(geo.US)
+	if us.Pct != -49 {
+		t.Errorf("US effect = %v", us.Pct)
 	}
 	// Unlisted country falls back to the default.
-	au := EffectFor(xmas, geo.AU)
-	if au.Percent != -32 {
-		t.Errorf("AU fallback effect = %v, want -32", au.Percent)
+	au := xmas.Country(geo.AU)
+	if au.Pct != -32 {
+		t.Errorf("AU fallback effect = %v, want -32", au.Pct)
 	}
 	// China is never affected.
-	cn := EffectFor(xmas, geo.CN)
-	if cn.Percent != 0 || cn.Weeks != 0 {
+	cn := xmas.Country(geo.CN)
+	if cn.Pct != 0 || cn.Weeks != 0 {
 		t.Errorf("CN effect = %+v, want none", cn)
 	}
 }
@@ -212,8 +218,8 @@ func TestSelfReportPanelShape(t *testing.T) {
 
 func TestCountryCorrelationShape(t *testing.T) {
 	p := genPanel(t, 11, true)
-	from := timeseries.WeekOf(ModelStart)
-	to := timeseries.WeekOf(SpanEnd)
+	from := timeseries.WeekOf(dataset.ModelStart)
+	to := timeseries.WeekOf(dataset.SpanEnd)
 	slice := func(c string) []float64 { return p.ByCountry[c].Slice(from, to).Values }
 	// Western countries correlate strongly; China does not (Figure 4).
 	if r := stats.Correlation(slice(geo.US), slice(geo.DE)); r < 0.7 {

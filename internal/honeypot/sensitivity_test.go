@@ -46,7 +46,8 @@ func replayStream(gap time.Duration, seed int64) (attacks, scans int) {
 func TestGapSensitivity(t *testing.T) {
 	// A longer quiet gap merges more bursts into fewer flows; a shorter
 	// one splits them. Total classified events must be monotone
-	// non-increasing in the gap (the DESIGN.md §6 sensitivity claim).
+	// non-increasing in the gap, so the paper's 15-minute FlowGap is a
+	// point on a monotone curve rather than a knife edge.
 	gaps := []time.Duration{time.Minute, 5 * time.Minute, FlowGap, time.Hour}
 	prev := 1 << 30
 	for _, gap := range gaps {

@@ -4,7 +4,10 @@
 // operation, and the NCA's targeted advertising campaign.
 package interventions
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Kind classifies an intervention by the mechanism it works through, which
 // is how the paper's discussion (§6) groups them.
@@ -166,6 +169,18 @@ func Modelled() []Event {
 		out = append(out, byName[n])
 	}
 	return out
+}
+
+// Date returns the catalogued date of the named event: the one table of
+// intervention dates that models and generators read. It panics when the
+// name is not catalogued, since callers name events of the fixed §2
+// catalogue.
+func Date(name string) time.Time {
+	ev, ok := ByName(name)
+	if !ok {
+		panic(fmt.Sprintf("interventions: %q is not catalogued", name))
+	}
+	return ev.Date
 }
 
 // ByName returns the catalogued event with the given name and whether it

@@ -94,3 +94,17 @@ func TestEveryEventDescribed(t *testing.T) {
 		}
 	}
 }
+
+func TestDateReadsTheCatalogue(t *testing.T) {
+	for _, ev := range Catalogue() {
+		if got := Date(ev.Name); !got.Equal(ev.Date) {
+			t.Errorf("Date(%s) = %v, want %v", ev.Name, got, ev.Date)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Date(nonsense) returned instead of panicking")
+		}
+	}()
+	Date("nonsense")
+}

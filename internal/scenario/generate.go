@@ -280,11 +280,16 @@ func pickProtocol(rng *rand.Rand, country string, t time.Time) protocols.Protoco
 	all := protocols.All()
 	weights := make([]float64, len(all))
 	for i, p := range all {
-		if country == geo.CN {
-			weights[i] = p.ChinaPopularity(t)
-		} else {
-			weights[i] = p.Popularity(t)
-		}
+		weights[i] = popularity(p, country, t)
 	}
 	return all[pickIndex(rng, weights)]
+}
+
+// popularity is protocol p's weight in attacks on country at time t: the
+// China-specific mix for Chinese victims, the global mix otherwise.
+func popularity(p protocols.Protocol, country string, t time.Time) float64 {
+	if country == geo.CN {
+		return p.ChinaPopularity(t)
+	}
+	return p.Popularity(t)
 }

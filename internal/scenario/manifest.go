@@ -37,9 +37,43 @@ type InjectedEffect struct {
 	// ExpectedMeanPct is the percentage-change form, 100*(exp(coef)-1).
 	ExpectedMeanPct float64 `json:"expected_mean_pct"`
 	// CoefTolerance is the recovery assertion bound on the coefficient;
-	// 0 means the effect's shape is not analytic (market mode) and no
-	// recovery is asserted.
+	// 0 means the effect's shape is not analytic (market mode, the paper
+	// world) and no recovery is asserted.
 	CoefTolerance float64 `json:"coef_tolerance,omitempty"`
+	// Countries is the paper world's planted effect on each victim
+	// country, one row per country.
+	Countries []CountryEffect `json:"countries,omitempty"`
+	// ProtocolsHit names the protocols whose share of a country's attacks
+	// the paper world suppresses while a drop is active (Figure 6).
+	ProtocolsHit []string `json:"protocols_hit,omitempty"`
+}
+
+// CountryEffect is an intervention's planted effect on one victim
+// country's expected weekly attacks: Pct percent over the window
+// [Week, Week+Weeks). Weeks 0 plants no effect.
+type CountryEffect struct {
+	// Country is a geo country code.
+	Country string `json:"country"`
+	// Week is the onset in scenario weeks.
+	Week int `json:"week"`
+	// Weeks is the window length.
+	Weeks int `json:"weeks"`
+	// Pct is the planted percentage change (negative = drop).
+	Pct float64 `json:"pct"`
+}
+
+// Active reports whether scenario week w lies in the effect's window.
+func (ce CountryEffect) Active(w int) bool { return w >= ce.Week && w < ce.Week+ce.Weeks }
+
+// Country returns the effect's planted row for country c, or no effect
+// when c has no row.
+func (e InjectedEffect) Country(c string) CountryEffect {
+	for _, ce := range e.Countries {
+		if ce.Country == c {
+			return ce
+		}
+	}
+	return CountryEffect{Country: c}
 }
 
 // MitigationTruth is the per-victim mitigation ground truth: what an
@@ -116,6 +150,12 @@ type Manifest struct {
 	Hostile *HostileTruth `json:"hostile,omitempty"`
 	// SelfReport carries the scrape-side truth, when configured.
 	SelfReport *SelfReportTruth `json:"self_report,omitempty"`
+	// PlantedMu is the paper world's noise-free planted global weekly
+	// expectation.
+	PlantedMu []float64 `json:"planted_mu,omitempty"`
+	// CounterfactualMu is the paper world's global weekly expectation with
+	// every intervention effect removed.
+	CounterfactualMu []float64 `json:"counterfactual_mu,omitempty"`
 }
 
 // buildManifest records the run's ground truth.
@@ -256,6 +296,28 @@ func (m *Manifest) PlannedSeries() *timeseries.Series {
 	s := timeseries.NewSeries(m.StartWeek(), m.Weeks)
 	copy(s.Values, m.PlannedWeekly)
 	return s
+}
+
+// GroundTruthEffect returns the planted percentage change in global
+// expected attacks over the window [start, start+weeks),
+// sum(PlantedMu)/sum(CounterfactualMu)-1: the exact quantity an unbiased
+// global intervention estimate should recover for a dummy spanning that
+// window. The second return is false if the window lies outside the span
+// or the manifest records no planted expectation.
+func (m *Manifest) GroundTruthEffect(start timeseries.Week, weeks int) (float64, bool) {
+	i := (&timeseries.Series{StartWeek: m.StartWeek(), Values: m.PlantedMu}).Index(start)
+	if i < 0 || weeks <= 0 || i+weeks > len(m.PlantedMu) || len(m.CounterfactualMu) != len(m.PlantedMu) {
+		return 0, false
+	}
+	var planted, counterfactual float64
+	for w := i; w < i+weeks; w++ {
+		planted += m.PlantedMu[w]
+		counterfactual += m.CounterfactualMu[w]
+	}
+	if counterfactual == 0 {
+		return 0, false
+	}
+	return 100 * (planted/counterfactual - 1), true
 }
 
 // VerifyPanel checks that got — a pipeline's weekly global attack series

@@ -26,8 +26,12 @@
 // It is the repo's only packet-stream generator: the commands'
 // -seed/-weeks/-attacks stream is a Config with Market set, and the
 // tests and benches build their streams the same way, so every
-// generated stream carries a Manifest to verify against. See
-// docs/SCENARIOS.md for the config format and manifest schema.
+// generated stream carries a Manifest to verify against. The paper's own
+// world (GeneratePaper) lives here too: a weekly panel drawn directly
+// from a calibrated demand model, with no packets, whose Manifest
+// records the planted per-country effects and the planted and
+// counterfactual weekly expectations. See docs/SCENARIOS.md for the
+// config format and manifest schema.
 package scenario
 
 import (
@@ -315,7 +319,7 @@ func (cfg Config) withDefaults() (Config, error) {
 	if sr := cfg.SelfReport; sr != nil {
 		if sr.Share <= 0 {
 			sr2 := *sr
-			sr2.Share = 0.8
+			sr2.Share = booterShareOfDemand
 			cfg.SelfReport = &sr2
 		} else if sr.Share > 1 {
 			return cfg, fmt.Errorf("scenario: SelfReport.Share %v outside (0, 1]", sr.Share)

@@ -32,15 +32,13 @@ type ScrapeEvent struct {
 
 // generateSelfReport runs the scrape side of a scenario: a market
 // simulation (seeded from the scenario, takedowns mapped to supply
-// shocks) serves the configured share of planned demand; each provider's
-// weekly counter observation — replayed through its counter style:
-// inflated, wiping, rounded — is emitted as a ScrapeEvent and collected
-// into the reference self-report panel.
+// shocks) serves the configured share of planned demand, and each
+// provider's weekly counter observation is emitted as a ScrapeEvent next
+// to the reference self-report panel.
 func generateSelfReport(cfg Config, planned []float64, run *Run) error {
-	sr := cfg.SelfReport
-	mcfg := market.DefaultConfig(cfg.Weeks, cfg.Seed+1)
+	var shocks []market.Shock
 	for _, td := range cfg.Takedowns {
-		mcfg.Shocks = append(mcfg.Shocks, market.Shock{
+		shocks = append(shocks, market.Shock{
 			Week:             td.Week,
 			KillLargest:      1,
 			KillFraction:     0.25 * td.DropPct / 100,
@@ -49,38 +47,53 @@ func generateSelfReport(cfg Config, planned []float64, run *Run) error {
 			EntryWeeks:       3,
 		})
 	}
-	sim, err := market.New(mcfg)
+	demand := make([]float64, cfg.Weeks)
+	for w := range demand {
+		demand[w] = planned[w] * cfg.SelfReport.Share * selfReportDemandScale
+	}
+	sr, err := selfReportPanel(timeseries.WeekOf(cfg.Start), cfg.Seed, shocks, demand)
 	if err != nil {
 		return err
 	}
-	for w := 0; w < cfg.Weeks; w++ {
-		if _, err := sim.Step(planned[w] * sr.Share * selfReportDemandScale); err != nil {
-			return err
-		}
-	}
-
-	// Each provider's weekly counter, replayed through its counter style
-	// — the same scraper dataset.Generate's self-report panel uses.
-	sites := scrape.Observe(sim, cfg.Seed)
 
 	// Emit the event stream in week-major order, sites in provider order.
-	events := make([]ScrapeEvent, 0, cfg.Weeks*len(sites))
+	events := make([]ScrapeEvent, 0, cfg.Weeks*len(sr.Sites))
 	for w := 0; w < cfg.Weeks; w++ {
-		for _, h := range sites {
+		for _, h := range sr.Sites {
 			o := h.Obs[w]
 			events = append(events, ScrapeEvent{Week: w, Site: h.Name, Up: o.Up, Total: o.Total})
 		}
 	}
-
 	run.Scrape = events
-	run.SelfReport = &dataset.SelfReportPanel{
-		Start:  timeseries.WeekOf(cfg.Start),
-		Weeks:  cfg.Weeks,
-		Sites:  sites,
-		Churn:  scrape.ChurnSeries(sites, cfg.Weeks),
-		Market: sim,
-	}
+	run.SelfReport = sr
 	return nil
+}
+
+// selfReportPanel is the one self-report generator, for the paper world
+// and the catalog alike: a market simulation from start (seeded seed+1,
+// with the given supply shocks) is offered demand[w] in week w, and the
+// scraper collects every provider's weekly counter observation,
+// replayed through its counter style (inflated, wiping, rounded).
+func selfReportPanel(start timeseries.Week, seed int64, shocks []market.Shock, demand []float64) (*dataset.SelfReportPanel, error) {
+	mcfg := market.DefaultConfig(len(demand), seed+1)
+	mcfg.Shocks = shocks
+	sim, err := market.New(mcfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range demand {
+		if _, err := sim.Step(d); err != nil {
+			return nil, err
+		}
+	}
+	sites := scrape.Observe(sim, seed)
+	return &dataset.SelfReportPanel{
+		Start:  start,
+		Weeks:  len(demand),
+		Sites:  sites,
+		Churn:  scrape.ChurnSeries(sites, len(demand)),
+		Market: sim,
+	}, nil
 }
 
 // ScrapeCollector accumulates a streaming scrape source (ScrapeEvents in

@@ -9,13 +9,18 @@ import (
 	"testing"
 
 	"booters/internal/dataset"
+	"booters/internal/scenario"
 )
 
 // plantedSeries returns the paper world's planted global expectation and
 // its no-intervention counterfactual for the panel generated from seed.
 func plantedSeries(t *testing.T, seed int64, p *dataset.Panel) (mu, counterfactual []float64) {
 	t.Helper()
-	return p.TrueMu, p.NoInterventionMu
+	_, m, err := scenario.GeneratePaper(seed, false)
+	if err != nil {
+		t.Fatalf("GeneratePaper(%d): %v", seed, err)
+	}
+	return m.PlantedMu, m.CounterfactualMu
 }
 
 // writeBits hashes the IEEE-754 bit pattern of every value, in order.

@@ -1,12 +1,33 @@
 package booters
 
 import (
+	"sync"
 	"testing"
 
 	"booters/internal/protocols"
+	"booters/internal/scenario"
 	"booters/internal/stats"
 	"booters/internal/timeseries"
 )
+
+var (
+	manifestOnce sync.Once
+	manifestVal  *scenario.Manifest
+	manifestErr  error
+)
+
+// testManifest returns the planted ground truth of the default paper
+// world, the panel testPanel returns.
+func testManifest(t *testing.T) *scenario.Manifest {
+	t.Helper()
+	manifestOnce.Do(func() {
+		_, manifestVal, manifestErr = scenario.GeneratePaper(DefaultSeed, false)
+	})
+	if manifestErr != nil {
+		t.Fatalf("GeneratePaper: %v", manifestErr)
+	}
+	return manifestVal
+}
 
 // correlation is a test-local alias for the stats implementation.
 func correlation(a, b []float64) float64 { return stats.Correlation(a, b) }
