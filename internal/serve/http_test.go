@@ -15,7 +15,9 @@ import (
 	"booters/internal/geo"
 	"booters/internal/ingest"
 	"booters/internal/obs/trace"
+	"booters/internal/protocols"
 	"booters/internal/spool"
+	"booters/internal/timeseries"
 )
 
 // getJSON fetches url and decodes the response body (which must be valid
@@ -532,4 +534,57 @@ func TestHealthzStallRule(t *testing.T) {
 		t.Fatal("Close did not publish a Final snapshot")
 	}
 	check(t1.Add(100*DefaultStallAfter), true, "final snapshot")
+}
+
+// TestTopGoldenBodies pins the exact /v1/top bodies over a hand-built
+// snapshot: ties in attack count order countries by code and protocols
+// by their declaration order (NTP before LDAP, TIME before SSDP), zero
+// rows rank last in the same orders, a k past the row count returns
+// every row, and no k means 10.
+func TestTopGoldenBodies(t *testing.T) {
+	p := timeseries.NewPanel(timeseries.WeekOf(testStart), 3)
+	book := func(s *timeseries.Series, weekly ...float64) { copy(s.Values, weekly) }
+	book(p.ByCountry[geo.UK], 7)
+	book(p.ByCountry[geo.US], 5, 0, 2)
+	book(p.ByCountry[geo.CN], 1, 1, 1)
+	book(p.ByCountry[geo.DE], 0, 3)
+	book(p.ByCountry[geo.RU], 0, 0, 1)
+	book(p.ByProtocol[protocols.DNS], 2, 2, 2)
+	book(p.ByProtocol[protocols.LDAP], 4)
+	book(p.ByProtocol[protocols.NTP], 0, 4)
+	book(p.ByProtocol[protocols.SSDP], 1, 1)
+	book(p.ByProtocol[protocols.Time], 0, 0, 2)
+	srv := New(Config{})
+	srv.Publish(&ingest.Snapshot{Seq: 1, Sealed: true, Final: true, Panel: p})
+
+	row := func(key string, n int) string { return fmt.Sprintf(`{"key":%q,"attacks":%d}`, key, n) }
+	countries := []string{
+		row("UK", 7), row("US", 7), row("CN", 3), row("DE", 3), row("RU", 1),
+		row("AU", 0), row("CA", 0), row("FR", 0), row("NL", 0), row("PL", 0), row("SA", 0),
+	}
+	protos := []string{
+		row("DNS", 6), row("NTP", 4), row("LDAP", 4), row("TIME", 2), row("SSDP", 2),
+		row("QOTD", 0), row("CHARGEN", 0), row("PORTMAP", 0), row("MSSQL", 0), row("MDNS", 0),
+	}
+	body := func(by string, rows []string) string {
+		return `{"by":"` + by + `","rows":[` + strings.Join(rows, ",") + "]}\n"
+	}
+	for _, tc := range []struct{ query, want string }{
+		{"by=country&k=20", body("country", countries)},
+		{"by=country&k=3", body("country", countries[:3])},
+		{"k=1", body("country", countries[:1])},
+		{"", body("country", countries[:10])},
+		{"by=protocol&k=50", body("protocol", protos)},
+		{"by=protocol&k=4", body("protocol", protos[:4])},
+		{"by=protocol", body("protocol", protos)},
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/top?"+tc.query, nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%q: code %d", tc.query, rec.Code)
+		}
+		if got := rec.Body.String(); got != tc.want {
+			t.Errorf("%q:\n got %s\nwant %s", tc.query, got, tc.want)
+		}
+	}
 }
