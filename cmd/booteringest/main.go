@@ -4,14 +4,14 @@
 // the booter-market simulator shapes with supply shocks and churn), or
 // pre-recorded in an on-disk spool — through the sharded ingestion
 // pipeline, then reports throughput, the weekly attack series verified
-// against the scenario manifest, and whatever extra sinks were attached.
+// against the scenario manifest, and the panel's top victim countries and
+// protocols.
 //
 // Usage:
 //
 //	booteringest [-seed N] [-shards N] [-weeks N] [-attacks N] [-wire]
 //	             [-record DIR [-compress CODEC] | -replay DIR | -spool-info DIR]
-//	             [-from T] [-to T] [-replay-workers N]
-//	             [-sinks topk,ndjson] [-topk K] [-ndjson FILE]
+//	             [-from T] [-to T] [-replay-workers N] [-ndjson FILE]
 //	             [-shed POLICY] [-queue N] [-pprof ADDR] [-progress DUR]
 //
 // -record DIR generates the stream (the market scenario or the -scenario
@@ -28,13 +28,12 @@
 // order-tolerant pipeline, with the spool trailers' low-watermark driving
 // flow expiry during a replay. -spool-info DIR prints a spool's
 // MANIFEST/segment index (records, time range, codec, bytes/packet, torn
-// segments) without replaying it. -sinks attaches extra consumers (a
-// country/protocol top-K ranking, an NDJSON flow stream) next to the
-// built-in weekly panel. -shed picks the overload policy for full shard
-// queues: block (lossless backpressure, default), drop-newest or
-// drop-oldest, with dropped packets accounted per sensor. -wire replays
-// wire-format datagrams through the protocol decode path instead of
-// pre-decoded packets.
+// segments) without replaying it. -ndjson FILE streams every closed flow
+// to FILE as newline-delimited JSON next to the weekly panel. -shed picks
+// the overload policy for full shard queues: block (lossless
+// backpressure, default), drop-newest or drop-oldest, with dropped
+// packets accounted per sensor. -wire replays wire-format datagrams
+// through the protocol decode path instead of pre-decoded packets.
 //
 // The run is fully instrumented through internal/obs: -progress DUR emits
 // a one-line structured status report (packets, late, queue depth,
@@ -49,7 +48,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"booters"
@@ -59,13 +57,14 @@ import (
 	"booters/internal/obs"
 	"booters/internal/scenario"
 	"booters/internal/spool"
+	"booters/internal/timeseries"
 )
 
 const usageText = `booteringest replays a reflected-UDP packet stream through the sharded
 streaming ingestion pipeline and reports throughput, the weekly attack
-series and any attached sinks. The stream is a generated scenario — by
-default the market scenario of -seed/-weeks/-attacks, or a -scenario
-workload — whose panel is verified against the scenario manifest,
+series and the top victim countries and protocols. The stream is a
+generated scenario — by default the market scenario of
+-seed/-weeks/-attacks, or a -scenario workload — whose panel is verified against the scenario manifest,
 recorded once to an on-disk spool (-record DIR, optionally compressed
 with -compress lz4), or replayed from such a spool at disk speed
 (-replay DIR, panel span sized from the spool index, verified against
@@ -73,15 +72,15 @@ the manifest.json the recording leaves next to the segments), whole or
 bounded to a time window (-from/-to, pruning segments via the spool
 index) with -replay-workers concurrent segment readers, delivered in
 recorded order. Reordered scenario streams and recordings run through
-the order-tolerant pipeline.
+the order-tolerant pipeline. -ndjson FILE also streams every closed flow
+to FILE as newline-delimited JSON.
 -spool-info DIR prints a spool's segment index without replaying.
 
 Usage:
 
   booteringest [-seed N] [-shards N] [-weeks N] [-attacks N] [-wire]
                [-record DIR [-compress CODEC] | -replay DIR | -spool-info DIR]
-               [-from T] [-to T] [-replay-workers N]
-               [-sinks topk,ndjson] [-topk K] [-ndjson FILE]
+               [-from T] [-to T] [-replay-workers N] [-ndjson FILE]
                [-shed POLICY] [-queue N] [-pprof ADDR] [-progress DUR]
 
 Times for -from/-to parse as RFC 3339 ("2018-10-01T00:00:00Z") or as a
@@ -103,9 +102,7 @@ func main() {
 	spoolInfo := flag.String("spool-info", "", "print a spool directory's segment index and exit (no replay)")
 	fromFlag := flag.String("from", "", "replay only datagrams at or after this time")
 	toFlag := flag.String("to", "", "replay only datagrams before this time")
-	sinksFlag := flag.String("sinks", "", "extra sinks, comma-separated: topk, ndjson")
-	topKFlag := flag.Int("topk", 5, "rows kept by the topk sink")
-	ndjsonPath := flag.String("ndjson", "flows.ndjson", "output file for the ndjson sink")
+	ndjsonPath := flag.String("ndjson", "", "stream every closed flow to this file as NDJSON (empty: off)")
 	shedFlag := flag.String("shed", "block", "overload policy: block, drop-newest or drop-oldest")
 	queue := flag.Int("queue", 0, "per-shard queue depth in batches (0 = default)")
 	prof := cli.ProfileFlags(fs)
@@ -122,7 +119,7 @@ func main() {
 			"the market-driven stream (a scenario or a spool fixes the workload)", "seed", "weeks", "attacks"),
 		cli.Only(fs, rep.Dir != "", "-replay (the generated stream is not windowed)", "from", "to", "replay-workers"),
 		cli.Only(fs, pipeline, "a pipeline run (not -record or -spool-info)",
-			"shards", "wire", "sinks", "topk", "ndjson", "shed", "queue"),
+			"shards", "wire", "ndjson", "shed", "queue"),
 		cli.Only(fs, rec.Dir != "", "-record", "compress"),
 	)
 	logs, err := obs.NewLog(os.Stderr, "")
@@ -185,26 +182,15 @@ func main() {
 		return
 	}
 
-	// Build the pipeline with any extra sinks.
+	// Build the pipeline with the NDJSON sink when asked for.
 	var sinks []ingest.Sink
-	var topk *ingest.TopKSink
 	var ndjson *ingest.NDJSONSink
 	var ndjsonFile *os.File
-	for _, name := range strings.Split(*sinksFlag, ",") {
-		switch strings.TrimSpace(name) {
-		case "":
-		case "topk":
-			topk = ingest.NewTopKSink(*topKFlag)
-			sinks = append(sinks, topk)
-		case "ndjson":
-			f, err := os.Create(*ndjsonPath)
-			cli.Check(err)
-			ndjsonFile = f
-			ndjson = ingest.NewNDJSONSink(f)
-			sinks = append(sinks, ndjson)
-		default:
-			log.Fatalf("unknown sink %q (want topk or ndjson)", name)
-		}
+	if *ndjsonPath != "" {
+		f, err := os.Create(*ndjsonPath)
+		cli.Check(err)
+		ndjsonFile, ndjson = f, ingest.NewNDJSONSink(f)
+		sinks = append(sinks, ndjson)
 	}
 	// Mitigation scenarios carry a per-victim cap; attach the what-if
 	// sink so the run answers it and the manifest can check the answer.
@@ -307,59 +293,43 @@ func main() {
 		fmt.Println()
 	}
 
-	// Weekly series: global plus the largest country columns.
-	type countryTotal struct {
-		code  string
-		total float64
-	}
-	var totals []countryTotal
-	for c, s := range res.ByCountry {
-		totals = append(totals, countryTotal{c, s.Total()})
-	}
-	sort.Slice(totals, func(i, j int) bool {
-		if totals[i].total != totals[j].total {
-			return totals[i].total > totals[j].total
-		}
-		return totals[i].code < totals[j].code
-	})
-	top := totals
-	if len(top) > 4 {
-		top = top[:4]
-	}
-
+	// Weekly series: global plus the four heaviest country columns.
+	top := res.TopCountries(4)
 	fmt.Printf("\n%-12s %8s", "week", "attacks")
-	for _, ct := range top {
-		fmt.Printf(" %6s", ct.code)
+	for _, row := range top {
+		fmt.Printf(" %6s", row.Key)
 	}
 	fmt.Println()
 	for w := 0; w < res.Weeks; w++ {
 		fmt.Printf("%-12s %8.0f", res.Global.Week(w), res.Global.Values[w])
-		for _, ct := range top {
-			fmt.Printf(" %6.0f", res.ByCountry[ct.code].Values[w])
+		for _, row := range top {
+			fmt.Printf(" %6.0f", res.ByCountry[row.Key].Values[w])
 		}
 		fmt.Println()
 	}
 
-	if topk != nil {
-		fmt.Printf("\ntop %d victim countries (attacks): ", *topKFlag)
-		for i, row := range topk.TopCountries() {
-			if i > 0 {
-				fmt.Print(", ")
-			}
-			fmt.Printf("%s %d", row.Country, row.Attacks)
-		}
-		fmt.Printf("\ntop %d protocols (attacks):        ", *topKFlag)
-		for i, row := range topk.TopProtocols() {
-			if i > 0 {
-				fmt.Print(", ")
-			}
-			fmt.Printf("%v %d", row.Proto, row.Attacks)
-		}
-		fmt.Println()
-	}
+	// The Table 3 cut over the panel span, as /v1/top serves it.
+	fmt.Println()
+	printTop(fmt.Sprintf("top %d victim countries (attacks): ", topRows), res.TopCountries(topRows))
+	printTop(fmt.Sprintf("top %d protocols (attacks):        ", topRows), res.TopProtocols(topRows))
 	if ndjson != nil {
 		fmt.Printf("\nstreamed %d flow lines to %s\n", ndjson.Lines(), *ndjsonPath)
 	}
+}
+
+// topRows is the length of the printed country and protocol rankings.
+const topRows = 5
+
+// printTop prints one ranking on one line after label.
+func printTop(label string, rows []timeseries.Ranked) {
+	fmt.Print(label)
+	for i, row := range rows {
+		if i > 0 {
+			fmt.Print(", ")
+		}
+		fmt.Printf("%s %d", row.Key, row.Attacks)
+	}
+	fmt.Println()
 }
 
 // printSpoolInfo renders a spool directory's index — what the MANIFEST

@@ -2,6 +2,7 @@ package booters
 
 import (
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -148,8 +149,7 @@ func TestSpoolRecordReplayFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	topk := ingest.NewTopKSink(3)
-	in, err := NewIngestor(3, topk)
+	in, err := NewIngestor(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,16 +171,15 @@ func TestSpoolRecordReplayFacade(t *testing.T) {
 	if gt, wt := got.Global.Total(), want.Global.Total(); gt != wt {
 		t.Errorf("replayed global total: got %v want %v", gt, wt)
 	}
-	ranked := topk.TopCountries()
+	ranked := got.TopCountries(3)
 	if len(ranked) != 3 {
-		t.Fatalf("top-K countries: got %d rows want 3", len(ranked))
+		t.Fatalf("top countries: got %d rows want 3", len(ranked))
 	}
-	var total int
-	for _, row := range ranked {
-		total += row.Attacks
+	if ranked[0].Attacks == 0 {
+		t.Error("replayed panel ranks no attacks")
 	}
-	if total == 0 {
-		t.Error("top-K sink saw no attacks during replay")
+	if direct := want.TopCountries(3); !reflect.DeepEqual(ranked, direct) {
+		t.Errorf("replayed top countries %v, direct run %v", ranked, direct)
 	}
 }
 

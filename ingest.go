@@ -20,9 +20,10 @@ import (
 // goroutines, then Close it and pass the result through PanelFromIngest to
 // run the paper's models on the ingested series.
 //
-// Optional sinks (ingest.NewTopKSink, ingest.NewNDJSONSink, or your own
-// ingest.Sink) receive every closed flow alongside the built-in weekly
-// panel; each must be a fresh instance. For order-tolerant flow tables,
+// Optional sinks (ingest.NewNDJSONSink, ingest.NewMitigationSink, or
+// your own ingest.Sink) receive every closed flow after the weekly panel
+// has booked it; each must be a fresh instance. The country and protocol
+// rankings are read from the result's panel (TopCountries, TopProtocols). For order-tolerant flow tables,
 // rolling snapshots (Serve), metrics or another span, build the
 // pipeline from an ingest.Config with ingest.New instead.
 func NewIngestor(shards int, sinks ...ingest.Sink) (*ingest.Ingestor, error) {

@@ -467,15 +467,17 @@ func runFigure6(env *Env) (*Result, error) {
 		fmt.Sprintf("LDAP total 2016 %.3g -> 2018 %.3g", ldap2016, ldap2018), ldap2018 > 3*ldap2016)
 
 	// HackForums drop concentrated in CHARGEN and NTP.
-	drop := protocolWindowDrop(env.Panel, protocols.CHARGEN, mkdate(2016, 10, 28), 13)
-	dropNTP := protocolWindowDrop(env.Panel, protocols.NTP, mkdate(2016, 10, 28), 13)
-	dropLDAP := protocolWindowDrop(env.Panel, protocols.LDAP, mkdate(2016, 10, 28), 13)
+	hackForums := interventions.Date("HackForums")
+	drop := protocolWindowDrop(env.Panel, protocols.CHARGEN, hackForums, 13)
+	dropNTP := protocolWindowDrop(env.Panel, protocols.NTP, hackForums, 13)
+	dropLDAP := protocolWindowDrop(env.Panel, protocols.LDAP, hackForums, 13)
 	res.check("HackForums drop lands in CHARGEN and NTP", "drop largely in CHARGEN and NTP",
 		fmt.Sprintf("CHARGEN %.0f%%, NTP %.0f%%, LDAP %.0f%%", drop, dropNTP, dropLDAP),
 		drop < dropLDAP && dropNTP < dropLDAP)
 	// Xmas2018 drop concentrated in LDAP (and DNS).
-	xm := protocolWindowDrop(env.Panel, protocols.LDAP, mkdate(2018, 12, 19), 10)
-	xmSSDP := protocolWindowDrop(env.Panel, protocols.SSDP, mkdate(2018, 12, 19), 10)
+	xmas := interventions.Date("Xmas2018")
+	xm := protocolWindowDrop(env.Panel, protocols.LDAP, xmas, 10)
+	xmSSDP := protocolWindowDrop(env.Panel, protocols.SSDP, xmas, 10)
 	res.check("Xmas2018 drop lands in LDAP", "drop largely in LDAP, and to a lesser extent DNS",
 		fmt.Sprintf("LDAP %.0f%% vs SSDP %.0f%%", xm, xmSSDP), xm < xmSSDP)
 
@@ -541,7 +543,7 @@ func runFigure7(env *Env, sr *dataset.SelfReportPanel) (*Result, error) {
 	// Compare the post-Xmas plateau to the level before the Mirai drop
 	// (the eight weeks immediately before Xmas2018 are already suppressed
 	// by the Mirai window).
-	xmasIdx := timeseries.WeeksBetween(sr.Start, timeseries.WeekOf(mkdate(2018, 12, 19)))
+	xmasIdx := timeseries.WeeksBetween(sr.Start, timeseries.WeekOf(interventions.Date("Xmas2018")))
 	preMean := stats.Mean(total.Values[xmasIdx-16 : xmasIdx-8])
 	postMean := stats.Mean(total.Values[xmasIdx+1 : xmasIdx+7])
 	res.check("visible drop after Xmas2018", "initial large drop, then a reduced plateau",
@@ -581,8 +583,8 @@ func runFigure8(env *Env, sr *dataset.SelfReportPanel) (*Result, error) {
 	}
 	res.Rendered = "deaths sparkline: " + report.Sparkline(deaths) + "\n" + tbl.String()
 
-	webIdx := timeseries.WeeksBetween(sr.Start, timeseries.WeekOf(mkdate(2018, 4, 24)))
-	xmasIdx := timeseries.WeeksBetween(sr.Start, timeseries.WeekOf(mkdate(2018, 12, 19)))
+	webIdx := timeseries.WeeksBetween(sr.Start, timeseries.WeekOf(interventions.Date("Webstresser")))
+	xmasIdx := timeseries.WeeksBetween(sr.Start, timeseries.WeekOf(interventions.Date("Xmas2018")))
 	var background float64
 	n := 0
 	for i, c := range sr.Churn {

@@ -19,9 +19,12 @@
 // low-watermark) and still expire flows safely via the order-tolerant
 // interval-merge aggregator.
 //
-// Closed flows fan out to any number of Sinks — the weekly-panel
-// accumulator is built in; TopKSink, NDJSONSink and MitigationSink ship
-// alongside — via per-shard branches, so multi-sink runs add no locks to
+// Each shard books its closed flows into its own weekly-panel
+// accumulator, and Close sums those into the Result; the panel is also
+// where the country and protocol rankings are read from
+// (timeseries.Panel.TopCountries). Closed flows additionally fan out to
+// any number of Sinks — NDJSONSink and MitigationSink ship with the
+// package — via per-shard branches, so multi-sink runs add no locks to
 // the per-packet hot path. A branch borrows each flow for the length of
 // Consume only: the shard recycles it into its flow table afterwards.
 // Overload behaviour is configurable: a full shard queue either blocks
@@ -184,8 +187,9 @@ type Config struct {
 	// Shed is the overload policy for full shard queues; the zero value is
 	// ShedBlock (lossless backpressure).
 	Shed ShedPolicy
-	// Sinks are additional consumers of closed flows, fanned out alongside
-	// the built-in weekly-panel sink. Each must be a fresh instance.
+	// Sinks are additional consumers of closed flows, fanned out after
+	// each shard has booked the flow into its weekly panel. Each must be
+	// a fresh instance.
 	Sinks []Sink
 	// Metrics, when non-nil, registers the pipeline's instrument families
 	// (see docs/METRICS.md) on the given registry and keeps them live.
@@ -203,7 +207,7 @@ type Config struct {
 	Trace *trace.Tracer
 
 	// geo attributes victims to countries; withDefaults fills it, and the
-	// panel and top-K sinks read it.
+	// panel accumulators read it.
 	geo *geo.Table
 	// testBeforeEnvelope, when set by tests, runs on a shard worker before
 	// each envelope is processed — the hook slow-consumer tests use to park
@@ -244,7 +248,6 @@ func (cfg Config) withDefaults() (Config, error) {
 type Ingestor struct {
 	cfg    Config
 	shards []*shard
-	panel  *panelSink
 	sinks  *sinkSet
 	roll   *roller
 	m      *pipelineMetrics
@@ -295,9 +298,10 @@ type envelope struct {
 	enqNs      int64
 }
 
-// shard is one worker: a private flow table plus its input queue. Only the
-// shard's goroutine touches agg, branches and sinkErr; producers touch
-// mu/pending/ch and the shed ledger (which the lock also guards).
+// shard is one worker: a private flow table and panel accumulator plus
+// its input queue. Only the shard's goroutine touches agg, acc, branches
+// and sinkErr; producers touch mu/pending/ch and the shed ledger (which
+// the lock also guards).
 type shard struct {
 	mu      sync.Mutex
 	pending []honeypot.Packet
@@ -315,6 +319,7 @@ type shard struct {
 	maxTime int64
 
 	agg      flowTable
+	acc      *accumulator // the shard's weekly panel; Close sums them
 	branches []SinkBranch
 	sinkErr  error
 	// late counts packets the flow table rejected as behind the horizon.
@@ -323,10 +328,9 @@ type shard struct {
 	late atomic.Uint64
 
 	// Rolling-emission state, touched only by the shard's worker: the
-	// shard's own panel accumulator, the last week it sealed and what
-	// its seals have handed the collector so far.
+	// last week it sealed and what its seals have handed the collector so
+	// far.
 	index       int
-	acc         *accumulator
 	rollSealed  bool
 	rollThrough timeseries.Week
 	rollSent    sent
@@ -343,8 +347,8 @@ func New(cfg Config) (*Ingestor, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := &Ingestor{cfg: cfg, panel: &panelSink{}}
-	in.sinks, err = openSinks(&in.cfg, cfg.Shards, in.panel)
+	in := &Ingestor{cfg: cfg}
+	in.sinks, err = openSinks(&in.cfg, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +364,7 @@ func New(cfg Config) (*Ingestor, error) {
 			agg:      agg,
 			branches: in.sinks.branches[i],
 			index:    i,
-			acc:      in.panel.branches[i],
+			acc:      newAccumulator(&in.cfg),
 		}
 		in.shards = append(in.shards, s)
 	}
@@ -378,20 +382,21 @@ func New(cfg Config) (*Ingestor, error) {
 }
 
 // run is a shard worker: drain batches into the flow table, classify each
-// closed flow once and fan it out to every sink branch the shard owns, and
-// flush everything at shutdown.
+// closed flow once, book it into the shard's panel and fan it out to every
+// sink branch the shard owns, and flush everything at shutdown.
 func (in *Ingestor) run(s *shard) {
 	defer in.wg.Done()
 	drain := func(flows []*honeypot.Flow) {
 		for _, f := range flows {
 			c := honeypot.Classify(f)
+			s.acc.Consume(f, c)
 			for _, b := range s.branches {
 				if err := b.Consume(f, c); err != nil && s.sinkErr == nil {
 					s.sinkErr = err
 				}
 			}
-			// Every branch is done with the flow; recycle it into the
-			// shard's flow table.
+			// The panel and every branch are done with the flow; recycle
+			// it into the shard's flow table.
 			s.agg.Recycle(f)
 		}
 		if len(flows) > 0 {
@@ -893,7 +898,11 @@ func (in *Ingestor) Close() (*Result, error) {
 	if err := in.sinks.flush(); err != nil && sinkErr == nil {
 		sinkErr = err
 	}
-	res := in.panel.res
+	sum := in.shards[0].acc
+	for _, s := range in.shards[1:] {
+		sum.add(s.acc)
+	}
+	res := &Result{Panel: sum.panel, Stats: sum.stats}
 	res.Stats.Packets = in.packets.Load() - late - shed
 	res.Stats.UnknownPort = in.unknown.Load()
 	res.Stats.Malformed = in.malformed.Load()

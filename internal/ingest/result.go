@@ -52,12 +52,12 @@ type Result struct {
 	Stats Stats
 }
 
-// accumulator folds closed flows into a shard-local weekly panel; it is
-// panelSink's branch type, so shards own one each, accumulation needs no
-// locks, and Flush sums them. Of stats it keeps only the flow counters
-// (Flows, Attacks, Scans, Unattributed, OutOfSpan). lo and hi bound the
-// week indices booked since the last rolling seal (lo > hi: none), so a
-// seal hands over only those weeks (see rolling.go).
+// accumulator folds closed flows into a shard-local weekly panel: every
+// shard owns one, so accumulation needs no locks, and Close sums them. Of
+// stats it keeps only the flow counters (Flows, Attacks, Scans,
+// Unattributed, OutOfSpan). lo and hi bound the week indices booked
+// since the last rolling seal (lo > hi: none), so a seal hands over only
+// those weeks (see rolling.go).
 type accumulator struct {
 	tbl    *geo.Table
 	panel  *timeseries.Panel
@@ -74,12 +74,12 @@ func newAccumulator(cfg *Config) *accumulator {
 
 // Consume books one closed flow: count it, and for attacks credit the
 // week of the first packet globally, per protocol, and per attributed
-// country. The returned error is always nil.
-func (a *accumulator) Consume(f *honeypot.Flow, c honeypot.Classification) error {
+// country.
+func (a *accumulator) Consume(f *honeypot.Flow, c honeypot.Classification) {
 	a.stats.Flows++
 	if c != honeypot.Attack {
 		a.stats.Scans++
-		return nil
+		return
 	}
 	a.stats.Attacks++
 	// All of the panel's series share one start and span, so the week
@@ -89,7 +89,7 @@ func (a *accumulator) Consume(f *honeypot.Flow, c honeypot.Classification) error
 	w := p.Global.IndexOfTime(f.First)
 	if w < 0 {
 		a.stats.OutOfSpan++
-		return nil
+		return
 	}
 	a.lo, a.hi = min(a.lo, w), max(a.hi, w)
 	p.Global.Values[w]++
@@ -97,24 +97,21 @@ func (a *accumulator) Consume(f *honeypot.Flow, c honeypot.Classification) error
 	countries, ok := a.tbl.Lookup(f.Key.Victim)
 	if !ok {
 		a.stats.Unattributed++
-		return nil
+		return
 	}
 	for _, c := range countries {
 		p.ByCountry[c].Values[w]++
 		p.CountryProtocol[c][f.Key.Proto].Values[w]++
 	}
-	return nil
 }
 
-// add sums the others' panels and flow counters into a. All accumulators
-// of a run come from one Config, so their panels are aligned by
-// construction, and addition is order-independent, so a sum over shards
-// is deterministic for any shard count.
-func (a *accumulator) add(others ...*accumulator) {
-	for _, o := range others {
-		a.panel.Add(o.panel)
-		a.stats.addFlows(o.stats)
-	}
+// add sums o's panel and flow counters into a. All accumulators of a run
+// come from one Config, so their panels are aligned by construction, and
+// addition is order-independent, so a sum over shards is deterministic
+// for any shard count.
+func (a *accumulator) add(o *accumulator) {
+	a.panel.Add(o.panel)
+	a.stats.addFlows(o.stats)
 }
 
 // addFlows adds d's flow counters (Flows, Attacks, Scans, Unattributed,
@@ -150,8 +147,8 @@ func Batch(cfg Config, packets []honeypot.Packet) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	panel := &panelSink{}
-	sinks, err := openSinks(&cfg, 1, panel)
+	acc := newAccumulator(&cfg)
+	sinks, err := openSinks(&cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -165,6 +162,7 @@ func Batch(cfg Config, packets []honeypot.Packet) (*Result, error) {
 	var sinkErr error
 	for _, f := range agg.Flush() {
 		c := honeypot.Classify(f)
+		acc.Consume(f, c)
 		for _, b := range sinks.branches[0] {
 			if err := b.Consume(f, c); err != nil && sinkErr == nil {
 				sinkErr = err
@@ -174,7 +172,7 @@ func Batch(cfg Config, packets []honeypot.Packet) (*Result, error) {
 	if err := sinks.flush(); err != nil && sinkErr == nil {
 		sinkErr = err
 	}
-	res := panel.res
+	res := &Result{Panel: acc.panel, Stats: acc.stats}
 	res.Stats.Packets = uint64(len(packets)) - late
 	res.Stats.Late = late
 	return res, sinkErr

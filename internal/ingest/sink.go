@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"booters/internal/geo"
 	"booters/internal/honeypot"
-	"booters/internal/protocols"
 	"booters/internal/timeseries"
 )
 
@@ -24,9 +21,9 @@ import (
 // the shard hot path. Open is called once, before any flow closes, and
 // returns one SinkBranch per shard; branch i is then driven only by shard
 // i's worker goroutine, so a branch needs no internal synchronisation.
-// Cross-branch state (a shared output stream, a global ranking) is either
-// merged once in Flush, after every worker has stopped, or handed between
-// goroutines over channels the sink owns (as NDJSONSink does).
+// Cross-branch state (a shared output stream, a merged what-if series) is
+// either merged once in Flush, after every worker has stopped, or handed
+// between goroutines over channels the sink owns (as NDJSONSink does).
 //
 // A Sink instance serves a single run: Open a fresh one per Ingestor or
 // Batch call.
@@ -37,7 +34,7 @@ type Sink interface {
 	Open(cfg *Config, shards int) ([]SinkBranch, error)
 	// Flush completes the run: it is called once after every branch has
 	// received its final flow and all shard workers have stopped. Merged
-	// views (rankings, totals) become valid when Flush returns.
+	// views (totals, line counts) become valid when Flush returns.
 	Flush() error
 }
 
@@ -57,17 +54,17 @@ type SinkBranch interface {
 // errSinkReused is returned when a Sink's Open is called twice.
 var errSinkReused = errors.New("ingest: sink already opened (a sink instance serves one run)")
 
-// sinkSet wires a run's sinks: the implicit panel sink first, then the
-// caller's Config.Sinks, with branches transposed per shard.
+// sinkSet wires a run's Config.Sinks, with branches transposed per shard.
 type sinkSet struct {
 	sinks    []Sink
 	branches [][]SinkBranch // [shard][sink]
 }
 
-// openSinks opens every sink for a run with the given shard count and
-// transposes their branches so shard i can range over branches[i].
-func openSinks(cfg *Config, shards int, sinks ...Sink) (*sinkSet, error) {
-	sinks = append(sinks, cfg.Sinks...)
+// openSinks opens every sink of cfg.Sinks for a run with the given shard
+// count and transposes their branches so shard i can range over
+// branches[i].
+func openSinks(cfg *Config, shards int) (*sinkSet, error) {
+	sinks := cfg.Sinks
 	ss := &sinkSet{sinks: sinks, branches: make([][]SinkBranch, shards)}
 	for i := range ss.branches {
 		ss.branches[i] = make([]SinkBranch, 0, len(sinks))
@@ -93,7 +90,7 @@ func openSinks(cfg *Config, shards int, sinks ...Sink) (*sinkSet, error) {
 }
 
 // flush flushes every sink in registration order and returns the first
-// error, so a failing export sink never prevents the panel from merging.
+// error, so one failing sink never prevents the others from flushing.
 func (ss *sinkSet) flush() error {
 	var first error
 	for _, s := range ss.sinks {
@@ -102,160 +99,6 @@ func (ss *sinkSet) flush() error {
 		}
 	}
 	return first
-}
-
-// panelSink is the weekly-panel accumulator expressed as a Sink: each
-// branch folds closed flows into a shard-local panel and Flush sums them
-// into a Result. Every run opens one ahead of Config.Sinks; Close and
-// Batch return its Result.
-type panelSink struct {
-	branches []*accumulator
-	res      *Result
-}
-
-// Open allocates one span-aligned accumulator per shard.
-func (ps *panelSink) Open(cfg *Config, shards int) ([]SinkBranch, error) {
-	if ps.branches != nil {
-		return nil, errSinkReused
-	}
-	ps.branches = make([]*accumulator, shards)
-	out := make([]SinkBranch, shards)
-	for i := range ps.branches {
-		ps.branches[i] = newAccumulator(cfg)
-		out[i] = ps.branches[i]
-	}
-	return out, nil
-}
-
-// Flush sums the shard accumulators in place into the first and wraps
-// that sum as the Result.
-func (ps *panelSink) Flush() error {
-	sum := ps.branches[0]
-	sum.add(ps.branches[1:]...)
-	ps.res = &Result{Panel: sum.panel, Stats: sum.stats}
-	return nil
-}
-
-// CountryCount is one row of TopKSink's country ranking.
-type CountryCount struct {
-	// Country is the ISO-style code from internal/geo.
-	Country string
-	// Attacks is the number of attack flows attributed to the country.
-	Attacks int
-}
-
-// ProtocolCount is one row of TopKSink's protocol ranking.
-type ProtocolCount struct {
-	// Proto is the amplification protocol.
-	Proto protocols.Protocol
-	// Attacks is the number of attack flows over the protocol.
-	Attacks int
-}
-
-// TopKSink ranks victim countries and amplification protocols by attack
-// volume over the whole run — the paper's Table 3 cut, computed online.
-// Scans are ignored; a multi-attributed victim credits every candidate
-// country, exactly as the weekly country series do.
-type TopKSink struct {
-	k        int
-	branches []*topKBranch
-
-	countries []CountryCount
-	protos    []ProtocolCount
-}
-
-// NewTopKSink returns a sink keeping the k heaviest countries and
-// protocols; k <= 0 means 10.
-func NewTopKSink(k int) *TopKSink {
-	if k <= 0 {
-		k = 10
-	}
-	return &TopKSink{k: k}
-}
-
-// Open allocates one counting branch per shard.
-func (s *TopKSink) Open(cfg *Config, shards int) ([]SinkBranch, error) {
-	if s.branches != nil {
-		return nil, errSinkReused
-	}
-	s.branches = make([]*topKBranch, shards)
-	out := make([]SinkBranch, shards)
-	for i := range s.branches {
-		s.branches[i] = &topKBranch{
-			tbl:        cfg.geo,
-			byCountry:  make(map[string]int),
-			byProtocol: make(map[protocols.Protocol]int),
-		}
-		out[i] = s.branches[i]
-	}
-	return out, nil
-}
-
-// Flush merges the shard counts and fixes the rankings.
-func (s *TopKSink) Flush() error {
-	byCountry := make(map[string]int)
-	byProtocol := make(map[protocols.Protocol]int)
-	for _, b := range s.branches {
-		for c, n := range b.byCountry {
-			byCountry[c] += n
-		}
-		for p, n := range b.byProtocol {
-			byProtocol[p] += n
-		}
-	}
-	for c, n := range byCountry {
-		s.countries = append(s.countries, CountryCount{Country: c, Attacks: n})
-	}
-	sort.Slice(s.countries, func(i, j int) bool {
-		if s.countries[i].Attacks != s.countries[j].Attacks {
-			return s.countries[i].Attacks > s.countries[j].Attacks
-		}
-		return s.countries[i].Country < s.countries[j].Country
-	})
-	for p, n := range byProtocol {
-		s.protos = append(s.protos, ProtocolCount{Proto: p, Attacks: n})
-	}
-	sort.Slice(s.protos, func(i, j int) bool {
-		if s.protos[i].Attacks != s.protos[j].Attacks {
-			return s.protos[i].Attacks > s.protos[j].Attacks
-		}
-		return s.protos[i].Proto < s.protos[j].Proto
-	})
-	if len(s.countries) > s.k {
-		s.countries = s.countries[:s.k]
-	}
-	if len(s.protos) > s.k {
-		s.protos = s.protos[:s.k]
-	}
-	return nil
-}
-
-// TopCountries returns the k heaviest victim countries, descending by
-// attack count with ties broken by code; valid after the run completes.
-func (s *TopKSink) TopCountries() []CountryCount { return s.countries }
-
-// TopProtocols returns the k heaviest protocols; valid after the run.
-func (s *TopKSink) TopProtocols() []ProtocolCount { return s.protos }
-
-// topKBranch counts attacks per country and protocol for one shard.
-type topKBranch struct {
-	tbl        *geo.Table
-	byCountry  map[string]int
-	byProtocol map[protocols.Protocol]int
-}
-
-// Consume books one closed flow into the shard-local counts.
-func (b *topKBranch) Consume(f *honeypot.Flow, c honeypot.Classification) error {
-	if c != honeypot.Attack {
-		return nil
-	}
-	b.byProtocol[f.Key.Proto]++
-	if countries, ok := b.tbl.Lookup(f.Key.Victim); ok {
-		for _, cc := range countries {
-			b.byCountry[cc]++
-		}
-	}
-	return nil
 }
 
 // ndjsonFlushBytes is the branch buffer size that triggers a hand-off to

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,6 +17,8 @@ import (
 	"booters/internal/geo"
 	"booters/internal/honeypot"
 	"booters/internal/protocols"
+	"booters/internal/scenario"
+	"booters/internal/timeseries"
 )
 
 // sinkTestConfig is testConfig plus a queue deep enough that no batch or
@@ -30,39 +34,40 @@ func sinkTestConfig(shards, weeks int, shed ShedPolicy, sinks ...Sink) Config {
 
 // TestSinksMatchBatchAcrossShedModes is the fan-out equivalence guarantee:
 // for every shedding mode and several shard counts, a streaming run with
-// the top-K and NDJSON sinks registered produces the same panel, the same
-// rankings and the same flow lines as the single-threaded batch reference.
+// the mitigation, NDJSON and flow-log sinks registered produces the same
+// panel, the same admitted/mitigated split and the same flow lines as the
+// single-threaded batch reference.
 func TestSinksMatchBatchAcrossShedModes(t *testing.T) {
-	packets := testStream(t, 3, 90)
+	packets := withVictimPool(t, testStream(t, 3, 90), 3)
+	const perVictimWeekly = 3
 
-	wantTopK := NewTopKSink(5)
+	wantMitigation := NewMitigationSink(perVictimWeekly)
 	var wantNDJSON bytes.Buffer
 	wantFlows := &flowLog{}
-	want, err := Batch(sinkTestConfig(1, 3, ShedBlock, wantTopK, NewNDJSONSink(&wantNDJSON), wantFlows), packets)
+	want, err := Batch(sinkTestConfig(1, 3, ShedBlock, wantMitigation, NewNDJSONSink(&wantNDJSON), wantFlows), packets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Stats.Attacks == 0 || want.Stats.Scans == 0 {
 		t.Fatalf("degenerate batch reference: %+v", want.Stats)
 	}
-	if len(wantTopK.TopCountries()) == 0 || len(wantTopK.TopProtocols()) == 0 {
-		t.Fatal("batch top-K sink is empty")
+	if m := wantMitigation.Result(); m.AttacksAdmitted == 0 || m.AttacksMitigated == 0 {
+		t.Fatalf("degenerate mitigation reference: %d admitted, %d mitigated", m.AttacksAdmitted, m.AttacksMitigated)
 	}
 
 	for _, shed := range []ShedPolicy{ShedBlock, ShedDropNewest, ShedDropOldest} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%v/shards=%d", shed, shards), func(t *testing.T) {
-				topk := NewTopKSink(5)
+				mitigation := NewMitigationSink(perVictimWeekly)
 				var ndjson bytes.Buffer
 				gotFlows := &flowLog{}
-				got := runStream(t, sinkTestConfig(shards, 3, shed, topk, NewNDJSONSink(&ndjson), gotFlows), packets)
+				got := runStream(t, sinkTestConfig(shards, 3, shed, mitigation, NewNDJSONSink(&ndjson), gotFlows), packets)
 				compareResults(t, want, got)
 				compareFlows(t, wantFlows, gotFlows)
-				if !reflect.DeepEqual(topk.TopCountries(), wantTopK.TopCountries()) {
-					t.Errorf("top countries: got %v want %v", topk.TopCountries(), wantTopK.TopCountries())
-				}
-				if !reflect.DeepEqual(topk.TopProtocols(), wantTopK.TopProtocols()) {
-					t.Errorf("top protocols: got %v want %v", topk.TopProtocols(), wantTopK.TopProtocols())
+				if g, w := mitigation.Result(), wantMitigation.Result(); !reflect.DeepEqual(g, w) {
+					t.Errorf("mitigation: got %d admitted / %d mitigated (%v / %v), want %d / %d (%v / %v)",
+						g.AttacksAdmitted, g.AttacksMitigated, g.Admitted.Values, g.Mitigated.Values,
+						w.AttacksAdmitted, w.AttacksMitigated, w.Admitted.Values, w.Mitigated.Values)
 				}
 				if got, want := sortedLines(ndjson.String()), sortedLines(wantNDJSON.String()); !reflect.DeepEqual(got, want) {
 					t.Errorf("ndjson lines differ: got %d lines want %d", len(got), len(want))
@@ -70,6 +75,27 @@ func TestSinksMatchBatchAcrossShedModes(t *testing.T) {
 			})
 		}
 	}
+}
+
+// withVictimPool merges into packets a second weeks-long stream whose
+// attacks fall on a pool of 30 victims, several a week each, so a
+// per-victim cap both admits and mitigates.
+func withVictimPool(t *testing.T, packets []honeypot.Packet, weeks int) []honeypot.Packet {
+	t.Helper()
+	run, err := scenario.Generate(scenario.Config{
+		Seed:            6,
+		Start:           testStart,
+		Weeks:           weeks,
+		Sensors:         6,
+		BaselineAttacks: 120,
+		VictimPool:      30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := append(slices.Clone(packets), run.Packets...)
+	slices.SortFunc(merged, honeypot.ComparePackets)
+	return merged
 }
 
 // sortedLines splits NDJSON output into a sorted line multiset (line order
@@ -80,13 +106,14 @@ func sortedLines(s string) []string {
 	return lines
 }
 
-// TestTopKSinkRanking cross-checks the sink's online ranking against an
-// independent recount over the logged flows, and the k-truncation.
-func TestTopKSinkRanking(t *testing.T) {
+// TestPanelRankingMatchesFlowRecount cross-checks the panel's country
+// and protocol rankings against an independent recount over the logged
+// in-span attack flows, ties and k-truncation included.
+func TestPanelRankingMatchesFlowRecount(t *testing.T) {
 	packets := testStream(t, 2, 120)
-	topk := NewTopKSink(3)
 	flows := &flowLog{}
-	if _, err := Batch(sinkTestConfig(1, 2, ShedBlock, topk, flows), packets); err != nil {
+	res, err := Batch(sinkTestConfig(1, 2, ShedBlock, flows), packets)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -95,7 +122,7 @@ func TestTopKSinkRanking(t *testing.T) {
 	byProto := make(map[protocols.Protocol]int)
 	for i := range flows.flows {
 		f := &flows.flows[i]
-		if honeypot.Classify(f) != honeypot.Attack {
+		if honeypot.Classify(f) != honeypot.Attack || res.Global.IndexOfTime(f.First) < 0 {
 			continue
 		}
 		byProto[f.Key.Proto]++
@@ -105,27 +132,31 @@ func TestTopKSinkRanking(t *testing.T) {
 			}
 		}
 	}
+	// The expected rankings cover every key of the panel, zero rows too:
+	// descending by count, ties by country code or protocol order.
+	var wantCountries, wantProtos []timeseries.Ranked
+	for _, c := range geo.Countries() {
+		wantCountries = append(wantCountries, timeseries.Ranked{Key: c, Attacks: byCountry[c]})
+	}
+	sort.Slice(wantCountries, func(i, j int) bool {
+		a, b := wantCountries[i], wantCountries[j]
+		return a.Attacks > b.Attacks || a.Attacks == b.Attacks && a.Key < b.Key
+	})
+	for _, p := range protocols.All() {
+		wantProtos = append(wantProtos, timeseries.Ranked{Key: p.String(), Attacks: byProto[p]})
+	}
+	sort.SliceStable(wantProtos, func(i, j int) bool { return wantProtos[i].Attacks > wantProtos[j].Attacks })
 
-	countries := topk.TopCountries()
-	if len(countries) != 3 {
-		t.Fatalf("top countries: got %d rows want 3", len(countries))
-	}
-	for i, row := range countries {
-		if byCountry[row.Country] != row.Attacks {
-			t.Errorf("country %s: sink says %d, recount says %d", row.Country, row.Attacks, byCountry[row.Country])
+	for _, k := range []int{1, 3, len(wantCountries), 50} {
+		if got, want := res.TopCountries(k), wantCountries[:min(k, len(wantCountries))]; !reflect.DeepEqual(got, want) {
+			t.Errorf("TopCountries(%d): got %v want %v", k, got, want)
 		}
-		if i > 0 && row.Attacks > countries[i-1].Attacks {
-			t.Errorf("country ranking not descending at %d", i)
+		if got, want := res.TopProtocols(k), wantProtos[:min(k, len(wantProtos))]; !reflect.DeepEqual(got, want) {
+			t.Errorf("TopProtocols(%d): got %v want %v", k, got, want)
 		}
 	}
-	protos := topk.TopProtocols()
-	if len(protos) == 0 || len(protos) > 3 {
-		t.Fatalf("top protocols: got %d rows", len(protos))
-	}
-	for _, row := range protos {
-		if byProto[row.Proto] != row.Attacks {
-			t.Errorf("protocol %v: sink says %d, recount says %d", row.Proto, row.Attacks, byProto[row.Proto])
-		}
+	if len(res.TopCountries(0)) != 10 {
+		t.Errorf("TopCountries(0): got %d rows want 10", len(res.TopCountries(0)))
 	}
 }
 
@@ -195,34 +226,14 @@ func TestSinkErrorSurvivesClose(t *testing.T) {
 	}
 }
 
-// TestExtraPanelSink registers a second, explicit panel sink and checks it
-// agrees with the pipeline's built-in one.
-func TestExtraPanelSink(t *testing.T) {
-	packets := testStream(t, 2, 60)
-	extra := &panelSink{}
-	res := runStream(t, sinkTestConfig(2, 2, ShedBlock, extra), packets)
-	dup := extra.res
-	if dup == nil {
-		t.Fatal("extra panel sink has no result after Close")
-	}
-	compareSeries(t, "extra panel global", res.Global, dup.Global)
-	if dup.Stats.Attacks != res.Stats.Attacks || dup.Stats.Flows != res.Stats.Flows {
-		t.Errorf("extra panel stats: got %+v want %+v", dup.Stats, res.Stats)
-	}
-}
-
-// TestSinkOpenFailureUnwinds checks that when a later sink's Open fails,
-// the sinks already opened are flushed — in particular NDJSONSink's
+// TestSinkOpenFailureUnwinds checks that when a later sink's Open fails
+// (here a MitigationSink without a positive cap), the sinks already opened are flushed — in particular NDJSONSink's
 // writer goroutine stops instead of leaking.
 func TestSinkOpenFailureUnwinds(t *testing.T) {
-	used := NewTopKSink(1)
-	if _, err := used.Open(&Config{}, 1); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	ndjson := NewNDJSONSink(&buf)
-	if _, err := New(sinkTestConfig(2, 1, ShedBlock, ndjson, used)); err == nil {
-		t.Fatal("New with a used sink: want error")
+	if _, err := New(sinkTestConfig(2, 1, ShedBlock, ndjson, NewMitigationSink(0))); err == nil {
+		t.Fatal("New with a zero mitigation cap: want error")
 	}
 	select {
 	case <-ndjson.done:
@@ -234,16 +245,17 @@ func TestSinkOpenFailureUnwinds(t *testing.T) {
 
 // TestSinkReuseRejected checks that a sink instance cannot serve two runs.
 func TestSinkReuseRejected(t *testing.T) {
-	sink := NewTopKSink(3)
-	cfg := sinkTestConfig(1, 1, ShedBlock, sink)
-	in, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(cfg); err == nil {
-		t.Error("New with a used sink: want error")
+	for _, sink := range []Sink{NewMitigationSink(3), NewNDJSONSink(io.Discard)} {
+		cfg := sinkTestConfig(1, 1, ShedBlock, sink)
+		in, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New with a used %T: want error", sink)
+		}
 	}
 }

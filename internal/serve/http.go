@@ -337,42 +337,31 @@ func (s *Server) handleTop(dst []byte, r *http.Request) ([]byte, error) {
 	if by == "" {
 		by = "country"
 	}
+	var rank func(int) ([]timeseries.Ranked, error)
+	switch by {
+	case "country":
+		rank = s.eng.TopCountries
+	case "protocol":
+		rank = s.eng.TopProtocols
+	default:
+		return nil, &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf("serve: bad by %q (want country or protocol)", by)}
+	}
+	rows, err := rank(k)
+	if err != nil {
+		return nil, err
+	}
 	dst = append(dst, `{"by":`...)
 	dst = appendJSONString(dst, by)
 	dst = append(dst, `,"rows":[`...)
-	switch by {
-	case "country":
-		rows, err := s.eng.TopCountries(k)
-		if err != nil {
-			return nil, err
+	for i, row := range rows {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		for i, row := range rows {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"key":`...)
-			dst = appendJSONString(dst, row.Country)
-			dst = append(dst, `,"attacks":`...)
-			dst = strconv.AppendInt(dst, int64(row.Attacks), 10)
-			dst = append(dst, '}')
-		}
-	case "protocol":
-		rows, err := s.eng.TopProtocols(k)
-		if err != nil {
-			return nil, err
-		}
-		for i, row := range rows {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"key":`...)
-			dst = appendJSONString(dst, row.Proto.String())
-			dst = append(dst, `,"attacks":`...)
-			dst = strconv.AppendInt(dst, int64(row.Attacks), 10)
-			dst = append(dst, '}')
-		}
-	default:
-		return nil, &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf("serve: bad by %q (want country or protocol)", by)}
+		dst = append(dst, `{"key":`...)
+		dst = appendJSONString(dst, row.Key)
+		dst = append(dst, `,"attacks":`...)
+		dst = strconv.AppendInt(dst, int64(row.Attacks), 10)
+		dst = append(dst, '}')
 	}
 	dst = append(dst, "]}\n"...)
 	return dst, nil

@@ -19,7 +19,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -273,55 +272,24 @@ func (e *Engine) Series(country, proto string) (*timeseries.Series, error) {
 }
 
 // TopCountries ranks victim countries by booked attacks in the current
-// snapshot, descending with ties broken by code; k <= 0 means 10.
-func (e *Engine) TopCountries(k int) ([]ingest.CountryCount, error) {
-	snap := e.store.Load()
-	if snap == nil {
-		return nil, ErrNoSnapshot
-	}
-	if k <= 0 {
-		k = 10
-	}
-	rows := make([]ingest.CountryCount, 0, len(snap.ByCountry))
-	for c, s := range snap.ByCountry {
-		rows = append(rows, ingest.CountryCount{Country: c, Attacks: int(s.Total())})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Attacks != rows[j].Attacks {
-			return rows[i].Attacks > rows[j].Attacks
-		}
-		return rows[i].Country < rows[j].Country
-	})
-	if len(rows) > k {
-		rows = rows[:k]
-	}
-	return rows, nil
+// snapshot (see timeseries.Panel.TopCountries); k <= 0 means 10.
+func (e *Engine) TopCountries(k int) ([]timeseries.Ranked, error) {
+	return e.top((*timeseries.Panel).TopCountries, k)
 }
 
 // TopProtocols ranks amplification protocols by booked attacks in the
-// current snapshot; k <= 0 means 10.
-func (e *Engine) TopProtocols(k int) ([]ingest.ProtocolCount, error) {
+// current snapshot (see timeseries.Panel.TopProtocols); k <= 0 means 10.
+func (e *Engine) TopProtocols(k int) ([]timeseries.Ranked, error) {
+	return e.top((*timeseries.Panel).TopProtocols, k)
+}
+
+// top applies one of the panel's rankings to the current snapshot.
+func (e *Engine) top(rank func(*timeseries.Panel, int) []timeseries.Ranked, k int) ([]timeseries.Ranked, error) {
 	snap := e.store.Load()
 	if snap == nil {
 		return nil, ErrNoSnapshot
 	}
-	if k <= 0 {
-		k = 10
-	}
-	rows := make([]ingest.ProtocolCount, 0, len(snap.ByProtocol))
-	for p, s := range snap.ByProtocol {
-		rows = append(rows, ingest.ProtocolCount{Proto: p, Attacks: int(s.Total())})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Attacks != rows[j].Attacks {
-			return rows[i].Attacks > rows[j].Attacks
-		}
-		return rows[i].Proto < rows[j].Proto
-	})
-	if len(rows) > k {
-		rows = rows[:k]
-	}
-	return rows, nil
+	return rank(snap.Panel, k), nil
 }
 
 // SpoolInfo loads the configured spool directory's segment index (see

@@ -147,7 +147,7 @@ func TestEngineQueriesMatchSnapshot(t *testing.T) {
 			t.Errorf("top countries not descending: %v", top)
 		}
 	}
-	if got := top[0].Attacks; got != int(res.ByCountry[top[0].Country].Total()) {
+	if got := top[0].Attacks; got != int(res.ByCountry[top[0].Key].Total()) {
 		t.Errorf("top country count: got %d", got)
 	}
 	protosTop, err := eng.TopProtocols(0)

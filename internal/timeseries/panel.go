@@ -1,6 +1,9 @@
 package timeseries
 
 import (
+	"cmp"
+	"slices"
+
 	"booters/internal/geo"
 	"booters/internal/protocols"
 )
@@ -125,4 +128,45 @@ func (p *Panel) Add(other *Panel) {
 			add(p.CountryProtocol[c][proto], s)
 		}
 	}
+}
+
+// Ranked is one row of a panel ranking: a country code or protocol name
+// and the attacks booked to it over the whole panel span.
+type Ranked struct {
+	Key     string
+	Attacks int
+}
+
+// TopCountries ranks victim countries by attacks over the panel span —
+// the paper's Table 3 cut — descending, with ties broken by code. A
+// multi-attributed attack counts for every candidate country, as in
+// ByCountry. k <= 0 means 10.
+func (p *Panel) TopCountries(k int) []Ranked {
+	return top(p.ByCountry, k, func(c string) string { return c })
+}
+
+// TopProtocols ranks amplification protocols by attacks over the panel
+// span, descending, with ties broken in declaration order (see
+// protocols.All). k <= 0 means 10.
+func (p *Panel) TopProtocols(k int) []Ranked {
+	return top(p.ByProtocol, k, protocols.Protocol.String)
+}
+
+// top ranks the series by total, descending with ties in key order, and
+// keeps the first k rows (k <= 0 means 10).
+func top[K cmp.Ordered](series map[K]*Series, k int, name func(K) string) []Ranked {
+	if k <= 0 {
+		k = 10
+	}
+	keys := make([]K, 0, len(series))
+	for key := range series {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	rows := make([]Ranked, len(keys))
+	for i, key := range keys {
+		rows[i] = Ranked{Key: name(key), Attacks: int(series[key].Total())}
+	}
+	slices.SortStableFunc(rows, func(a, b Ranked) int { return cmp.Compare(b.Attacks, a.Attacks) })
+	return rows[:min(k, len(rows))]
 }
