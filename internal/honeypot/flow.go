@@ -66,6 +66,10 @@ type Flow struct {
 	TotalPackets int
 	// TotalBytes is the byte volume across all sensors.
 	TotalBytes int
+
+	// lastNs is Last as Unix nanoseconds, kept by the ordered Aggregator
+	// so its per-packet gap test compares int64s.
+	lastNs int64
 }
 
 // MaxSensorPackets returns the largest per-sensor packet count.
@@ -146,13 +150,21 @@ func (e *StaleError) Error() string {
 // received more packets since its entry was pushed is re-keyed when the
 // stale entry surfaces — which keeps the per-packet cost at O(1) plus an
 // amortised O(log n) per flow closure rather than O(n) per packet.
+//
+// The stream clock is kept as Unix nanoseconds: Offer converts the
+// packet's timestamp once and every comparison after that (staleness,
+// the quiet gap, the expiry bar) is an int64 compare, not a time.Time
+// method call.
 type Aggregator struct {
 	open      map[FlowKey]*Flow
 	completed []*Flow
-	lastTime  time.Time
-	gap       time.Duration
-	exp       expiryHeap
-	free      flowFreeList
+	// head is the stream head — the newest packet or Advance instant — as
+	// Unix nanoseconds; started is false until the first one.
+	head    int64
+	started bool
+	gap     int64 // the quiet gap in nanoseconds
+	exp     expiryHeap
+	free    flowFreeList
 }
 
 // flowFreeList recycles Flow structs (and their per-sensor count maps)
@@ -266,33 +278,40 @@ func NewAggregatorWithGap(gap time.Duration) *Aggregator {
 	if gap <= 0 {
 		panic("honeypot: aggregator gap must be positive")
 	}
-	return &Aggregator{open: make(map[FlowKey]*Flow), gap: gap}
+	return &Aggregator{open: make(map[FlowKey]*Flow), gap: int64(gap)}
 }
 
 // Watermark returns the aggregator's staleness bar: one quiet gap behind
 // the stream head, the oldest timestamp Offer still accepts. It is the
 // zero time until the first packet or Advance.
 func (a *Aggregator) Watermark() time.Time {
-	if a.lastTime.IsZero() {
+	if !a.started {
 		return time.Time{}
 	}
-	return a.lastTime.Add(-a.gap)
+	return time.Unix(0, a.head-a.gap).UTC()
+}
+
+// advanceHead moves the stream head forward to ns (Unix nanoseconds).
+func (a *Aggregator) advanceHead(ns int64) {
+	if !a.started || ns > a.head {
+		a.head = ns
+		a.started = true
+	}
 }
 
 // Offer adds one packet to the aggregator, first closing any flows whose
 // quiet gap has elapsed as of the packet's timestamp. Packets behind the
 // watermark are rejected with a StaleError.
 func (a *Aggregator) Offer(p Packet) error {
-	if w := a.Watermark(); !w.IsZero() && p.Time.Before(w) {
-		return &StaleError{PacketTime: p.Time, Watermark: w}
+	ns := p.Time.UnixNano()
+	if a.started && ns < a.head-a.gap {
+		return &StaleError{PacketTime: p.Time, Watermark: a.Watermark()}
 	}
-	if p.Time.After(a.lastTime) {
-		a.lastTime = p.Time
-	}
-	a.expire(p.Time)
+	a.advanceHead(ns)
+	a.expire(ns)
 	key := FlowKey{Victim: p.Victim, Proto: p.Proto}
 	f, ok := a.open[key]
-	if !ok || p.Time.Sub(f.Last) >= a.gap {
+	if !ok || ns-f.lastNs >= a.gap {
 		if ok {
 			// Quiet gap elapsed for exactly this key: close the old flow.
 			// Its heap entry is left behind and discarded when it
@@ -301,12 +320,11 @@ func (a *Aggregator) Offer(p Packet) error {
 		}
 		f = a.free.take()
 		f.Key = key
-		f.First = p.Time
+		f.First, f.Last, f.lastNs = p.Time, p.Time, ns
 		a.open[key] = f
-		a.exp.push(expiryEntry{last: p.Time.UnixNano(), key: key})
-	}
-	if p.Time.After(f.Last) {
-		f.Last = p.Time
+		a.exp.push(expiryEntry{last: ns, key: key})
+	} else if ns > f.lastNs {
+		f.Last, f.lastNs = p.Time, ns
 	}
 	f.PacketsBySensor[p.Sensor]++
 	f.TotalPackets++
@@ -315,11 +333,12 @@ func (a *Aggregator) Offer(p Packet) error {
 }
 
 // expire closes every open flow whose last packet is at least one quiet gap
-// before now, by draining the expiry heap only as far as the watermark
-// reaches. Every open flow holds at least one heap entry keyed at or
-// before its live Last, so nothing expirable can hide below the top.
-func (a *Aggregator) expire(now time.Time) {
-	bar := now.Add(-a.gap).UnixNano()
+// before now (Unix nanoseconds), by draining the expiry heap only as far
+// as the watermark reaches. Every open flow holds at least one heap entry
+// keyed at or before its live Last, so nothing expirable can hide below
+// the top.
+func (a *Aggregator) expire(now int64) {
+	bar := now - a.gap
 	for len(a.exp) > 0 {
 		top := a.exp[0]
 		if top.last > bar {
@@ -330,11 +349,11 @@ func (a *Aggregator) expire(now time.Time) {
 			a.exp.pop() // flow already closed by its key's next packet
 			continue
 		}
-		if last := f.Last.UnixNano(); last != top.last {
+		if f.lastNs != top.last {
 			// Stale hint: the flow (or a successor flow on the same key)
 			// received packets since this entry was keyed. Re-key it in
 			// place; Last only grows, so it sinks.
-			a.exp[0].last = last
+			a.exp[0].last = f.lastNs
 			a.exp.siftDown()
 			continue
 		}
@@ -347,10 +366,9 @@ func (a *Aggregator) expire(now time.Time) {
 // Advance closes flows that have been quiet as of the given time without
 // offering a packet (end-of-stream housekeeping).
 func (a *Aggregator) Advance(now time.Time) {
-	if now.After(a.lastTime) {
-		a.lastTime = now
-	}
-	a.expire(now)
+	ns := now.UnixNano()
+	a.advanceHead(ns)
+	a.expire(ns)
 }
 
 // Flush closes all remaining open flows and returns every completed flow in

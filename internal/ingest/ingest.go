@@ -39,6 +39,7 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -259,11 +260,19 @@ type Ingestor struct {
 	srcMu   sync.Mutex
 	sources []*Source
 
-	packets     atomic.Uint64
-	unknown     atomic.Uint64
-	malformed   atomic.Uint64
-	watermark   atomic.Int64 // max packet time flushed to shards, unix nanos
+	// The producers' counters sit on their own cache lines, away from the
+	// fields the shard workers write: packets takes one atomic add per
+	// packet, and a worker touching the same line would stall every one
+	// of those adds (false sharing).
+	_         cacheLinePad
+	packets   atomic.Uint64
+	unknown   atomic.Uint64
+	malformed atomic.Uint64
+	watermark atomic.Int64 // max packet time flushed to shards, unix nanos
+	_         cacheLinePad
+	// flowsClosed is the one Ingestor field the workers write.
 	flowsClosed atomic.Int64
+	_           cacheLinePad
 
 	// traceParent is the newest producer-supplied trace context
 	// (SetTraceParent), adopted as the parent of subsequent batch
@@ -302,6 +311,13 @@ type envelope struct {
 // its input queue. Only the shard's goroutine touches agg, acc, branches
 // and sinkErr; producers touch mu/pending/ch and the shed ledger (which
 // the lock also guards).
+//
+// The producer fields and the worker fields live on separate cache
+// lines. Producers write mu, pending and maxTime on every packet; were
+// the worker's agg/acc/late on the same line, each of its reads in the
+// apply loop would miss and each producer write would wait for the line
+// to come back (false sharing). The trailing pad keeps the next shard's
+// producer fields off this shard's worker line.
 type shard struct {
 	mu      sync.Mutex
 	pending []honeypot.Packet
@@ -317,6 +333,8 @@ type shard struct {
 	// by mu; flushLocked publishes it to the global watermark, keeping the
 	// per-packet path free of the CAS.
 	maxTime int64
+
+	_ cacheLinePad
 
 	agg      flowTable
 	acc      *accumulator // the shard's weekly panel; Close sums them
@@ -339,7 +357,13 @@ type shard struct {
 	// touched only by the worker; week seals adopt it as their parent so
 	// a trace reaches from a sensor batch to the snapshot it unlocked.
 	lastTC trace.Context
+
+	_ cacheLinePad
 }
+
+// cacheLinePad separates fields written by different goroutines onto
+// different 64-byte cache lines.
+type cacheLinePad [64]byte
 
 // New starts an ingestor with cfg.Shards workers.
 func New(cfg Config) (*Ingestor, error) {
@@ -923,19 +947,19 @@ func (in *Ingestor) Shards() int { return len(in.shards) }
 // delivery at or ahead of the source low-watermark.
 func (in *Ingestor) Unordered() bool { return in.cfg.Unordered }
 
-// shardFor maps a victim address to a shard with FNV-1a over the 16-byte
-// form, keeping every flow of a victim on one worker.
+// shardFor maps a victim address to a shard, keeping every flow of a
+// victim on one worker. The two 64-bit halves of the 16-byte form (so an
+// IPv4 address and its IPv4-mapped IPv6 form route alike) are folded and
+// mixed with one multiply by 2^64/φ, whose high bits spread sequential
+// addresses evenly; a multiply-shift then maps the top 32 bits onto
+// [0, n) without a division.
 func shardFor(addr netip.Addr, n int) int {
 	if n == 1 {
 		return 0
 	}
 	b := addr.As16()
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
+	h := (binary.BigEndian.Uint64(b[:8]) ^ binary.BigEndian.Uint64(b[8:])) * 0x9E3779B97F4A7C15
+	return int((h >> 32) * uint64(n) >> 32)
 }
 
 // bufPool recycles packet batches between producers and shard workers.

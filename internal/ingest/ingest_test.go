@@ -2,8 +2,11 @@ package ingest
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
+	"math/rand/v2"
 	"net/netip"
 	"reflect"
 	"slices"
@@ -329,6 +332,11 @@ func TestWatermarkExpiresIdleShards(t *testing.T) {
 	}
 	idle := netip.MustParseAddr("10.0.0.1")
 	busy := netip.MustParseAddr("11.0.0.1")
+	// The test is only meaningful if the two victims land on different
+	// shards: the idle one's flow must close through the broadcast alone.
+	if shardFor(idle, cfg.Shards) == shardFor(busy, cfg.Shards) {
+		t.Fatalf("victims %v and %v share shard %d; pick victims on different shards", idle, busy, shardFor(idle, cfg.Shards))
+	}
 	base := testStart.Add(time.Hour)
 	for i := 0; i < honeypot.AttackThreshold+1; i++ {
 		mustIngest(t, in, honeypot.Packet{
@@ -424,5 +432,49 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Start: testStart, End: testStart.AddDate(0, 0, -7)}); err == nil {
 		t.Error("inverted span: want error")
+	}
+}
+
+// TestShardForDeterministicAndBalanced pins the victim-to-shard routing:
+// it is a pure function of the address, an IPv4 address and its
+// IPv4-mapped IPv6 form route alike, and both sequential IPv4 victims
+// and random IPv6 victims spread within ±2% of an even split.
+func TestShardForDeterministicAndBalanced(t *testing.T) {
+	v4 := netip.MustParseAddr("1.2.3.4")
+	mapped := netip.MustParseAddr("::ffff:1.2.3.4")
+	rng := rand.New(rand.NewPCG(24, 1))
+	const victims = 65536
+	seqV4 := make([]netip.Addr, victims)
+	randV6 := make([]netip.Addr, victims)
+	for i := range victims {
+		seqV4[i] = netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})
+		var b [16]byte
+		binary.BigEndian.PutUint64(b[:8], rng.Uint64())
+		binary.BigEndian.PutUint64(b[8:], rng.Uint64())
+		randV6[i] = netip.AddrFrom16(b)
+	}
+	for _, n := range []int{1, 2, 3, 4} {
+		if a, b := shardFor(v4, n), shardFor(mapped, n); a != b {
+			t.Errorf("n=%d: %v routes to %d but %v to %d", n, v4, a, mapped, b)
+		}
+		for name, addrs := range map[string][]netip.Addr{"sequential IPv4": seqV4, "random IPv6": randV6} {
+			counts := make([]int, n)
+			for _, a := range addrs {
+				s := shardFor(a, n)
+				if s < 0 || s >= n {
+					t.Fatalf("n=%d: %v routed to shard %d", n, a, s)
+				}
+				if again := shardFor(a, n); again != s {
+					t.Fatalf("n=%d: %v routed to %d then %d", n, a, s, again)
+				}
+				counts[s]++
+			}
+			even := float64(victims) / float64(n)
+			for s, c := range counts {
+				if dev := math.Abs(float64(c)-even) / even; dev > 0.02 {
+					t.Errorf("n=%d %s: shard %d holds %d victims, %.2f%% off the even %.0f", n, name, s, c, 100*dev, even)
+				}
+			}
+		}
 	}
 }

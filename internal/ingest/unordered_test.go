@@ -166,6 +166,11 @@ func TestUnorderedWatermarkExpiresIdleShards(t *testing.T) {
 	defer src.Close()
 	idle := netip.MustParseAddr("10.0.0.1")
 	busy := netip.MustParseAddr("11.0.0.1")
+	// The test is only meaningful if the two victims land on different
+	// shards: the idle one's flow must close through the broadcast alone.
+	if shardFor(idle, cfg.Shards) == shardFor(busy, cfg.Shards) {
+		t.Fatalf("victims %v and %v share shard %d; pick victims on different shards", idle, busy, shardFor(idle, cfg.Shards))
+	}
 	base := testStart.Add(time.Hour)
 	for i := 0; i < honeypot.AttackThreshold+1; i++ {
 		tm := base.Add(time.Duration(i) * time.Second)

@@ -163,26 +163,28 @@ func (sr *segmentReader) corrupt(format string, args ...any) error {
 	return &corruptError{path: sr.path, reason: fmt.Sprintf(format, args...)}
 }
 
-// next returns the segment's next datagram, io.EOF at its verified end,
-// or an error wrapping ErrCorrupt. The datagram's payload is borrowed —
-// valid only until the next call to next or close.
-func (sr *segmentReader) next() (ingest.Datagram, error) {
+// next decodes the segment's next datagram into d, returning io.EOF at
+// its verified end or an error wrapping ErrCorrupt. It fills every field
+// of d (a record without payload leaves d.Payload nil), so the caller
+// can reuse one Datagram across calls without copying it. The payload is
+// borrowed — valid only until the next call to next or close.
+func (sr *segmentReader) next(d *ingest.Datagram) error {
 	if sr.done {
-		return ingest.Datagram{}, io.EOF
+		return io.EOF
 	}
 	for sr.off >= len(sr.raw) {
 		if err := sr.readBlock(); err != nil {
-			return ingest.Datagram{}, err
+			return err
 		}
 	}
 	if sr.off+recordHeaderSize > len(sr.raw) {
-		return ingest.Datagram{}, sr.corrupt("record header crosses block boundary")
+		return sr.corrupt("record header crosses block boundary")
 	}
-	d, plen := decodeRecordHeader(sr.raw[sr.off : sr.off+recordHeaderSize])
+	plen := decodeRecordHeader(sr.raw[sr.off:sr.off+recordHeaderSize], d)
 	sr.off += recordHeaderSize
 	if plen > 0 {
 		if sr.off+plen > len(sr.raw) {
-			return ingest.Datagram{}, sr.corrupt("record payload crosses block boundary")
+			return sr.corrupt("record payload crosses block boundary")
 		}
 		// Borrowed: aliases the current block (a mapping slice or the
 		// reused decode buffer), which the next readBlock replaces.
@@ -190,7 +192,7 @@ func (sr *segmentReader) next() (ingest.Datagram, error) {
 		sr.off += plen
 	}
 	sr.records++
-	return d, nil
+	return nil
 }
 
 // readBlock reads the next block frame into sr.raw, or verifies the
@@ -307,21 +309,22 @@ func (sr *segmentReader) close() error {
 	return err
 }
 
-// decodeRecordHeader parses the fixed 32-byte record header, returning the datagram (payload not yet attached) and the
-// payload length.
-func decodeRecordHeader(b []byte) (ingest.Datagram, int) {
-	var d ingest.Datagram
+// decodeRecordHeader parses the fixed 32-byte record header into d and
+// returns the payload length. It overwrites every field of d and leaves
+// Payload nil, so decoding into a reused Datagram never carries the
+// previous record's payload over; the caller attaches the payload.
+func decodeRecordHeader(b []byte, d *ingest.Datagram) int {
+	b = b[:recordHeaderSize]
 	d.Time = time.Unix(0, int64(binary.BigEndian.Uint64(b[0:8]))).UTC()
-	var v16 [16]byte
-	copy(v16[:], b[8:24])
-	addr := netip.AddrFrom16(v16)
+	addr := netip.AddrFrom16([16]byte(b[8:24]))
 	if addr.Is4In6() {
 		addr = addr.Unmap()
 	}
 	d.Victim = addr
 	d.Port = int(binary.BigEndian.Uint16(b[24:26]))
 	d.Sensor = int(binary.BigEndian.Uint32(b[26:30]))
-	return d, int(binary.BigEndian.Uint16(b[30:32]))
+	d.Payload = nil
+	return int(binary.BigEndian.Uint16(b[30:32]))
 }
 
 // Reader replays a spool directory sequentially, crossing segment
@@ -386,8 +389,9 @@ func OpenAt(dir string, offset uint64) (*Reader, error) {
 	}
 	// Decode and discard the remainder inside the segment (and across
 	// unindexed segments, which cannot be skipped without scanning).
+	var d ingest.Datagram
 	for rem > 0 {
-		if _, err := r.sr.next(); err == io.EOF {
+		if err := r.sr.next(&d); err == io.EOF {
 			r.sr.close()
 			r.i++
 			if r.i >= len(r.segs) {
@@ -421,8 +425,9 @@ func (r *Reader) Next() (ingest.Datagram, error) {
 	if r.sr == nil {
 		return ingest.Datagram{}, io.EOF
 	}
+	var d ingest.Datagram
 	for {
-		d, err := r.sr.next()
+		err := r.sr.next(&d)
 		if err == nil {
 			r.n++
 			return d, nil

@@ -54,16 +54,27 @@ func AppendRecord(dst []byte, d ingest.Datagram) ([]byte, error) {
 // consuming anything; the declared length is bounded by the 16-bit header
 // field, so a hostile length can never force a large allocation.
 func DecodeRecord(b []byte) (ingest.Datagram, int, error) {
-	if len(b) < recordHeaderSize {
-		return ingest.Datagram{}, 0, fmt.Errorf("spool: record header needs %d bytes, have %d", recordHeaderSize, len(b))
+	var d ingest.Datagram
+	n, err := decodeRecordInto(b, &d)
+	if err != nil {
+		return ingest.Datagram{}, 0, err
 	}
-	d, plen := decodeRecordHeader(b[:recordHeaderSize])
+	return d, n, nil
+}
+
+// decodeRecordInto is DecodeRecord decoding into a caller-owned datagram,
+// which it overwrites in full; on error d is left in an unspecified state.
+func decodeRecordInto(b []byte, d *ingest.Datagram) (int, error) {
+	if len(b) < recordHeaderSize {
+		return 0, fmt.Errorf("spool: record header needs %d bytes, have %d", recordHeaderSize, len(b))
+	}
+	plen := decodeRecordHeader(b, d)
 	n := recordHeaderSize + plen
 	if len(b) < n {
-		return ingest.Datagram{}, 0, fmt.Errorf("spool: record payload needs %d bytes, have %d", plen, len(b)-recordHeaderSize)
+		return 0, fmt.Errorf("spool: record payload needs %d bytes, have %d", plen, len(b)-recordHeaderSize)
 	}
 	if plen > 0 {
 		d.Payload = b[recordHeaderSize:n:n]
 	}
-	return d, n, nil
+	return n, nil
 }

@@ -217,15 +217,18 @@ func lowMarks(scan []*SegmentInfo) []int64 {
 // scanSegment streams one segment's in-window records through yield. It
 // returns the records read, records filtered by the window, the
 // corruption error met (nil for a clean segment), and the first error
-// yield returned (which aborts the scan).
-func scanSegment(path string, from, to int64, yield func(ingest.Datagram) error) (read, filtered uint64, scanErr, yieldErr error) {
+// yield returned (which aborts the scan). Every record is decoded in
+// place into one Datagram owned by the scan, so yield's pointer — and the
+// payload it carries — is borrowed for the length of the call only.
+func scanSegment(path string, from, to int64, yield func(*ingest.Datagram) error) (read, filtered uint64, scanErr, yieldErr error) {
 	sr, err := openSegmentReader(path)
 	if err != nil {
 		return 0, 0, err, nil
 	}
 	defer sr.close()
+	var d ingest.Datagram
 	for {
-		d, err := sr.next()
+		err := sr.next(&d)
 		if err == io.EOF {
 			return read, filtered, nil, nil
 		}
@@ -237,7 +240,7 @@ func scanSegment(path string, from, to int64, yield func(ingest.Datagram) error)
 			filtered++
 			continue
 		}
-		if err := yield(d); err != nil {
+		if err := yield(&d); err != nil {
 			return read, filtered, nil, err
 		}
 	}
@@ -293,8 +296,8 @@ func segmentSpan(tr *trace.Tracer, lane int) func(read uint64) {
 func (r *replayRun) sequential() error {
 	for i, info := range r.scan {
 		span := segmentSpan(r.opts.Trace, 0)
-		read, filtered, scanErr, yieldErr := scanSegment(idxPath(r.dir, info), r.from, r.to, func(d ingest.Datagram) error {
-			if err := r.fn(d); err != nil {
+		read, filtered, scanErr, yieldErr := scanSegment(idxPath(r.dir, info), r.from, r.to, func(d *ingest.Datagram) error {
+			if err := r.fn(*d); err != nil {
 				return err
 			}
 			r.stats.Records++
@@ -326,17 +329,18 @@ type replayBatch struct {
 	buf  []byte
 }
 
-// add appends d, re-homing its payload into the batch arena.
-func (b *replayBatch) add(d ingest.Datagram) {
+// add appends a copy of *d — the one copy of the record on its way to
+// the sequencer — and re-homes its payload into the batch arena.
+func (b *replayBatch) add(d *ingest.Datagram) {
+	b.recs = append(b.recs, *d)
 	if len(d.Payload) > 0 {
 		n := len(b.buf)
 		b.buf = append(b.buf, d.Payload...)
 		// If the append grew the arena, earlier records still point into
 		// the previous backing array, which stays alive as long as they
 		// do — correct, just briefly less compact until the pool warms.
-		d.Payload = b.buf[n : n+len(d.Payload) : n+len(d.Payload)]
+		b.recs[len(b.recs)-1].Payload = b.buf[n : n+len(d.Payload) : n+len(d.Payload)]
 	}
-	b.recs = append(b.recs, d)
 }
 
 // segTask carries one segment through the parallel replay: a worker
@@ -401,7 +405,7 @@ func (r *replayRun) parallel() error {
 				batch := getBatch()
 				aborted := false
 				span := segmentSpan(r.opts.Trace, lane)
-				t.read, t.filtered, t.scanErr, _ = scanSegment(idxPath(r.dir, t.info), r.from, r.to, func(d ingest.Datagram) error {
+				t.read, t.filtered, t.scanErr, _ = scanSegment(idxPath(r.dir, t.info), r.from, r.to, func(d *ingest.Datagram) error {
 					batch.add(d)
 					if len(batch.recs) == replayBatchLen {
 						select {
@@ -439,8 +443,8 @@ func (r *replayRun) parallel() error {
 	}
 	for i, t := range tasks {
 		for batch := range t.ch {
-			for _, d := range batch.recs {
-				if err := r.fn(d); err != nil {
+			for i := range batch.recs {
+				if err := r.fn(batch.recs[i]); err != nil {
 					return abort(err)
 				}
 				r.stats.Records++

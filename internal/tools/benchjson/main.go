@@ -13,6 +13,7 @@
 //	benchjson -in bench.txt -out /dev/null \
 //	          -assert 'BenchmarkIngestSteadyState:allocs/op<=2' \
 //	          -assert 'BenchmarkSpoolReadSteadyRecord:allocs/op<=2'
+//	benchjson -ab parent.txt,change.txt -metric ns/op -max-delta-pct 3
 //
 // The parser keeps every `value unit` pair a benchmark line reports
 // (ns/op, B/op, allocs/op and custom b.ReportMetric units alike), keyed
@@ -25,6 +26,16 @@
 // an absolute bound: `NAME:METRIC<=VALUE` for cost-like metrics
 // (allocs/op being the motivating case — a budget of 2 must not quietly
 // become 2000), `NAME:METRIC>=VALUE` for throughput floors.
+//
+// -ab parent.txt,change.txt reads two -count runs of the same benchmarks,
+// one per side of a change, and prints a markdown table of every
+// benchmark both files hold: -metric as median [Q1–Q3] per side, the
+// median's relative delta, and each side's median allocs/op. It exits
+// non-zero only when some benchmark's change median is worse than the
+// parent's by more than -max-delta-pct *and* the two quartile ranges do
+// not overlap, so noise inside the runs' own spread never fails it. A
+// metric whose unit ends in "/sec" or "/s" counts as higher-is-better;
+// every other unit as lower-is-better.
 package main
 
 import (
@@ -34,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -81,8 +93,9 @@ func main() {
 	out := flag.String("out", "-", "JSON destination (- = stdout)")
 	note := flag.String("note", "", "freeform provenance note recorded in the JSON")
 	compare := flag.String("compare", "", "two benchmark names A,B to compare (exit 1 on regression)")
-	metric := flag.String("metric", "ns/op", "metric unit for -compare (bigger = worse)")
-	maxDelta := flag.Float64("max-delta-pct", 3, "fail -compare when B is more than this percent worse than A")
+	metric := flag.String("metric", "ns/op", "metric unit for -compare (bigger = worse) and -ab (bigger = better for units ending /sec or /s)")
+	maxDelta := flag.Float64("max-delta-pct", 3, "fail -compare (-ab) when B (the change) is more than this percent worse than A (the parent)")
+	ab := flag.String("ab", "", "two bench output files PARENT,CHANGE to tabulate side by side (exit 1 on a regression beyond noise)")
 	var asserts []string
 	flag.Func("assert", "absolute bound NAME:METRIC<=VALUE or NAME:METRIC>=VALUE (repeatable, exit 1 when violated)", func(s string) error {
 		asserts = append(asserts, s)
@@ -90,6 +103,12 @@ func main() {
 	})
 	flag.Parse()
 
+	if *ab != "" {
+		if err := abMain(os.Stdout, *ab, *metric, *maxDelta); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 	doc, err := parse(*in)
 	if err != nil {
 		log.Fatal(err)
@@ -278,4 +297,112 @@ func gate(doc *Document, compare, metric string, maxDelta float64) error {
 			metric, names[1], delta, names[0], maxDelta)
 	}
 	return nil
+}
+
+// abMain runs -ab: it parses the PARENT,CHANGE pair of files, prints the
+// comparison table to w and returns an error if the gate fails.
+func abMain(w io.Writer, files, metric string, maxDelta float64) error {
+	paths := strings.Split(files, ",")
+	if len(paths) != 2 {
+		return fmt.Errorf("-ab wants exactly two files PARENT,CHANGE, got %q", files)
+	}
+	var docs [2]*Document
+	for i, path := range paths {
+		doc, err := parse(strings.TrimSpace(path))
+		if err != nil {
+			return err
+		}
+		docs[i] = doc
+	}
+	return abReport(w, docs[0], docs[1], metric, maxDelta)
+}
+
+// higherIsBetter reports whether a larger value of unit is an
+// improvement: throughput units ("packets/sec", "1/s") are, costs are not.
+func higherIsBetter(unit string) bool {
+	return strings.HasSuffix(unit, "/sec") || strings.HasSuffix(unit, "/s")
+}
+
+// abReport writes the parent-versus-change table for every benchmark in
+// both documents, sorted by name, and returns an error naming each one
+// whose change median is worse than the parent's by more than maxDelta
+// percent with non-overlapping quartile ranges. Benchmarks present on
+// one side only, or lacking the metric, are listed on stderr and never
+// fail the gate.
+func abReport(w io.Writer, parent, change *Document, metric string, maxDelta float64) error {
+	var names []string
+	for name := range parent.Benchmarks {
+		if _, ok := change.Benchmarks[name]; ok {
+			names = append(names, name)
+		} else {
+			fmt.Fprintf(os.Stderr, "benchjson: %s only in the parent run\n", name)
+		}
+	}
+	for name := range change.Benchmarks {
+		if _, ok := parent.Benchmarks[name]; !ok {
+			fmt.Fprintf(os.Stderr, "benchjson: %s only in the change run\n", name)
+		}
+	}
+	if len(names) == 0 {
+		return fmt.Errorf("-ab: no benchmark appears in both runs")
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "| bench | parent %[1]s | change %[1]s | delta | parent allocs/op | change allocs/op |\n", metric)
+	fmt.Fprintln(w, "| --- | --- | --- | --- | --- | --- |")
+	var failed []string
+	for _, name := range names {
+		p, c := parent.Benchmarks[name], change.Benchmarks[name]
+		pm, pok := p.Metrics[metric]
+		cm, cok := c.Metrics[metric]
+		if !pok || !cok || pm == 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %s has no %s on both sides; not compared\n", name, metric)
+			continue
+		}
+		delta := (cm - pm) / pm * 100
+		worse := delta
+		if higherIsBetter(metric) {
+			worse = -delta
+		}
+		overlap := p.Q1[metric] <= c.Q3[metric] && c.Q1[metric] <= p.Q3[metric]
+		verdict := ""
+		if worse > maxDelta && !overlap {
+			verdict = " REGRESSION"
+			failed = append(failed, name)
+		}
+		fmt.Fprintf(w, "| `%s` | %s | %s | %+.1f%%%s | %s | %s |\n", name,
+			spread(p, metric), spread(c, metric), delta, verdict,
+			allocs(p), allocs(c))
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("%s worse by more than %.2f%% beyond the quartile ranges: %s",
+			metric, maxDelta, strings.Join(failed, ", "))
+	}
+	return nil
+}
+
+// spread renders one side's median [Q1–Q3] of metric.
+func spread(r Result, metric string) string {
+	return fmt.Sprintf("%s [%s–%s]", human(r.Metrics[metric]), human(r.Q1[metric]), human(r.Q3[metric]))
+}
+
+// allocs renders one side's median allocs/op, or "–" without one.
+func allocs(r Result) string {
+	if v, ok := r.Metrics["allocs/op"]; ok {
+		return human(v)
+	}
+	return "–"
+}
+
+// human formats v compactly for a table cell: 3.47M, 28.5k, 1234, 412.3.
+func human(v float64) string {
+	switch a := math.Abs(v); {
+	case a >= 1e6:
+		return strconv.FormatFloat(v/1e6, 'f', 2, 64) + "M"
+	case a >= 1e4:
+		return strconv.FormatFloat(v/1e3, 'f', 1, 64) + "k"
+	case a >= 1e3:
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	default:
+		return strconv.FormatFloat(v, 'g', 4, 64)
+	}
 }

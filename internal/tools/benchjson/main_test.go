@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -144,5 +145,87 @@ func TestWriteIsStable(t *testing.T) {
 	}
 	if !strings.HasSuffix(s, "\n") {
 		t.Error("output missing trailing newline")
+	}
+}
+
+// parseText parses bench output held in a string.
+func parseText(t *testing.T, out string) *Document {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bench.txt")
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := parse(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// benchRuns renders one benchmark's -count samples as bench output.
+func benchRuns(name string, nsPerOp ...float64) string {
+	var b strings.Builder
+	for _, v := range nsPerOp {
+		fmt.Fprintf(&b, "%s-2 \t 10\t %v ns/op\t %v packets/sec\t 5 allocs/op\n", name, v, 1e9/v)
+	}
+	return b.String()
+}
+
+// TestABGate pins -ab's rule: a change fails only when its median is
+// worse by more than the bound and the quartile ranges do not overlap.
+func TestABGate(t *testing.T) {
+	parent := parseText(t, benchRuns("BenchmarkA", 100, 101, 102, 103, 104, 105))
+	for _, tc := range []struct {
+		name   string
+		change []float64
+		metric string
+		ok     bool
+	}{
+		{"same", []float64{100, 101, 102, 103, 104, 105}, "ns/op", true},
+		{"faster", []float64{60, 61, 62, 63, 64, 65}, "ns/op", true},
+		{"slower beyond noise", []float64{120, 121, 122, 123, 124, 125}, "ns/op", false},
+		{"slower but overlapping", []float64{100, 103, 106, 109, 112, 115}, "ns/op", true},
+		{"slower within bound", []float64{103, 104, 105, 106, 107, 108}, "ns/op", true},
+		{"throughput drop beyond noise", []float64{120, 121, 122, 123, 124, 125}, "packets/sec", false},
+		{"throughput gain", []float64{60, 61, 62, 63, 64, 65}, "packets/sec", true},
+	} {
+		change := parseText(t, benchRuns("BenchmarkA", tc.change...))
+		var out strings.Builder
+		err := abReport(&out, parent, change, tc.metric, 3)
+		if tc.ok && err != nil {
+			t.Errorf("%s: unexpected failure %v\n%s", tc.name, err, out.String())
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: regression passed\n%s", tc.name, out.String())
+		}
+	}
+}
+
+// TestABTable checks the printed row: median [Q1–Q3] per side, the
+// median delta and both sides' allocs/op, for benchmarks on both sides.
+func TestABTable(t *testing.T) {
+	parent := parseText(t, benchRuns("BenchmarkA", 100, 200, 400)+benchRuns("BenchmarkOnlyParent", 1))
+	change := parseText(t, benchRuns("BenchmarkA", 50, 100, 200))
+	var out strings.Builder
+	if err := abReport(&out, parent, change, "ns/op", 3); err != nil {
+		t.Fatal(err)
+	}
+	want := "| `BenchmarkA` | 200 [150–300] | 100 [75–150] | -50.0% | 5 | 5 |\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("table:\n%s\nwant row:\n%s", out.String(), want)
+	}
+	if strings.Contains(out.String(), "OnlyParent") {
+		t.Errorf("one-sided benchmark tabulated:\n%s", out.String())
+	}
+	if err := abReport(&out, parent, parseText(t, benchRuns("BenchmarkB", 1)), "ns/op", 3); err == nil {
+		t.Error("runs with no common benchmark compared without error")
+	}
+}
+
+func TestHuman(t *testing.T) {
+	for v, want := range map[float64]string{3.4712e6: "3.47M", 28512: "28.5k", 1234.4: "1234", 412.34: "412.3", 0: "0", 2: "2"} {
+		if got := human(v); got != want {
+			t.Errorf("human(%v) = %q, want %q", v, got, want)
+		}
 	}
 }
