@@ -44,6 +44,10 @@
 // (-exit-after-replay exits instead, for smoke tests); the collector
 // exits.
 //
+// A week seals, and is served as complete, as soon as the pipeline's
+// low-watermark crosses its end plus one quiet gap; -watermark-every N
+// only paces the extra broadcasts that expire quiet flows mid-week.
+//
 // The whole pipeline is instrumented through internal/obs: /v1/metrics
 // serves the Prometheus text exposition (ingest, spool, wire, serving
 // and model-cache families from one registry), -progress DUR emits a
@@ -107,6 +111,10 @@ non-zero unless the final panel equals the planned counts and the
 served fit recovers every injected effect. A local feed keeps serving
 the final panel until interrupt; the collector exits.
 
+A week seals, and is served as complete, as soon as the pipeline's
+low-watermark crosses its end plus one quiet gap; -watermark-every N
+only paces the extra broadcasts that expire quiet flows mid-week.
+
 Usage:
 
   booterserve [-addr HOST:PORT] [-seed N] [-shards N] [-weeks N] [-attacks N]
@@ -150,7 +158,7 @@ func main() {
 	exitAfter := flag.Bool("exit-after-replay", false, "exit after the stream ends instead of serving until interrupt")
 	prof := cli.ProfileFlags(fs)
 	logFlags := cli.LogFlags(fs)
-	wmEvery := flag.Int("watermark-every", 0, "broadcast the pipeline watermark every N packets; smaller N seals weeks sooner at more broadcast cost (0 = library default)")
+	wmEvery := flag.Int("watermark-every", 0, "broadcast the pipeline watermark every N packets to expire quiet flows mid-week; smaller N expires them sooner at more broadcast cost, while weeks seal as soon as the watermark crosses their end plus one quiet gap (0 = library default)")
 	flag.Parse()
 
 	if wl.List(os.Stdout) {

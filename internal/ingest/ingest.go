@@ -42,6 +42,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 	"runtime"
 	"sync"
@@ -163,7 +164,12 @@ type Config struct {
 	// A full queue blocks producers: the pipeline's backpressure.
 	QueueDepth int
 	// WatermarkEvery broadcasts the watermark to all shards after this many
-	// ingested packets; <= 0 means 8192.
+	// ingested packets; <= 0 means 8192. It paces mid-week flow expiry
+	// only: a Rolling pipeline also broadcasts the moment the
+	// low-watermark crosses the next week's seal point (its end plus one
+	// quiet gap), so weeks seal at the crossing whatever N is. Under
+	// ShedDropNewest or ShedDropOldest a full queue may shed that crossing
+	// mark; the week then seals at the next counted broadcast.
 	WatermarkEvery int
 	// Unordered makes every shard use the order-tolerant interval-merge
 	// aggregator (honeypot.MergeAggregator) instead of the ordered fold,
@@ -180,8 +186,9 @@ type Config struct {
 	// spread, not by traffic recency.
 	Unordered bool
 	// Rolling publishes an immutable panel Snapshot each time the
-	// broadcast low-watermark carries the expiry horizon across a week
-	// boundary, and a Final one at Close — the live-serving feed (see
+	// low-watermark carries the expiry horizon across a week boundary
+	// (broadcast at that crossing, see WatermarkEvery), and a Final one
+	// at Close — the live-serving feed (see
 	// rolling.go and internal/serve). Snapshots are read via Snapshot
 	// and OnSnapshot; Close's Result is unaffected.
 	Rolling bool
@@ -256,6 +263,12 @@ type Ingestor struct {
 	wg     sync.WaitGroup
 	bufs   bufPool
 	closed atomic.Bool
+	// nextSeal is the unix-ns instant at which the earliest unsealed week
+	// becomes sealable (its end plus one quiet gap), or MaxInt64 when the
+	// pipeline does not roll. Producers read it once per packet (Ingest)
+	// or per promise (Source.Advance) and write it only at a crossing, so
+	// it sits on this read-mostly line, away from the per-packet counters.
+	nextSeal atomic.Int64
 
 	srcMu   sync.Mutex
 	sources []*Source
@@ -372,6 +385,10 @@ func New(cfg Config) (*Ingestor, error) {
 		return nil, err
 	}
 	in := &Ingestor{cfg: cfg}
+	in.nextSeal.Store(math.MaxInt64)
+	if cfg.Rolling {
+		in.nextSeal.Store(sealPoint(timeseries.WeekOf(cfg.Start)))
+	}
 	in.sinks, err = openSinks(&in.cfg, cfg.Shards)
 	if err != nil {
 		return nil, err
@@ -517,6 +534,7 @@ func (in *Ingestor) Ingest(p honeypot.Packet) error {
 	if in.closed.Load() {
 		return ErrClosed
 	}
+	t := p.Time.UnixNano()
 	idx := shardFor(p.Victim, len(in.shards))
 	s := in.shards[idx]
 	s.mu.Lock()
@@ -528,8 +546,8 @@ func (in *Ingestor) Ingest(p honeypot.Packet) error {
 		s.pending = in.bufs.get(in.cfg.BatchSize)
 	}
 	s.pending = append(s.pending, p)
-	if n := p.Time.UnixNano(); n > s.maxTime {
-		s.maxTime = n
+	if t > s.maxTime {
+		s.maxTime = t
 	}
 	// Count before unlocking: Close flushes under this lock, so a packet it
 	// hands to a worker is always already in the packet count. The same
@@ -542,6 +560,13 @@ func (in *Ingestor) Ingest(p honeypot.Packet) error {
 	s.mu.Unlock()
 	if n%uint64(in.cfg.WatermarkEvery) == 0 {
 		in.broadcastWatermark()
+	}
+	// Sourceless ordered pipelines: the packet's own time is the
+	// low-watermark the broadcast would carry, so a packet at or past the
+	// seal point seals the week now rather than at the next counted
+	// broadcast. Order-tolerant pipelines rely on their sources.
+	if t >= in.nextSeal.Load() && !in.cfg.Unordered {
+		in.sealIngested(t)
 	}
 	return nil
 }
@@ -635,19 +660,29 @@ const sourceUnset = int64(-1 << 63)
 // Advance promises that every packet this source delivers from now on is
 // stamped at or after t. Only the producer that owns the source may call
 // it, and only after the Ingest calls for everything earlier than t have
-// returned. Rewinding (an earlier t) is ignored.
+// returned. Rewinding (an earlier t) is ignored. On a Rolling pipeline,
+// an advance that lifts the low-watermark past the next week's seal point
+// broadcasts the watermark at once, so it may wait for queue space like
+// Ingest does.
 func (s *Source) Advance(t time.Time) {
 	n := t.UnixNano()
 	for {
 		old := s.mark.Load()
-		if n <= old || s.mark.CompareAndSwap(old, n) {
+		if n <= old {
 			return
 		}
+		if s.mark.CompareAndSwap(old, n) {
+			break
+		}
+	}
+	if n >= s.in.nextSeal.Load() {
+		s.in.sealIfCrossed()
 	}
 }
 
 // Close removes the source from the low-watermark set: a finished stream
-// constrains nothing. Closing twice is a no-op.
+// constrains nothing, and a week the source was holding back seals at
+// once. Closing twice is a no-op.
 func (s *Source) Close() {
 	if s.closed.Swap(true) {
 		return
@@ -661,6 +696,9 @@ func (s *Source) Close() {
 		}
 	}
 	in.srcMu.Unlock()
+	// The closed source may have been the one holding the low-watermark
+	// behind a seal point.
+	in.sealIfCrossed()
 }
 
 // lowWatermark returns the instant that is safely behind every packet
@@ -692,6 +730,53 @@ func (in *Ingestor) lowWatermark() (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return time.Unix(0, low).UTC(), true
+}
+
+// sealPoint returns the unix-ns instant at which week w becomes sealable:
+// its end plus one quiet gap, where the expiry horizon leaves it (see
+// sealHorizon).
+func sealPoint(w timeseries.Week) int64 {
+	return w.Next().Start.Add(honeypot.FlowGap).UnixNano()
+}
+
+// sealOnCrossing broadcasts the watermark once the low-watermark low
+// (unix nanos) has reached nextSeal, first moving nextSeal on to the seal
+// point of the week now holding the expiry horizon. The CAS makes
+// concurrent producers broadcast once per crossing; a loser retries
+// against the winner's new seal point, which its own low may also cross.
+func (in *Ingestor) sealOnCrossing(low int64) {
+	for {
+		next := in.nextSeal.Load()
+		if low < next {
+			return
+		}
+		horizon := timeseries.WeekOf(time.Unix(0, low-int64(honeypot.FlowGap)))
+		if in.nextSeal.CompareAndSwap(next, sealPoint(horizon)) {
+			in.broadcastWatermark()
+			return
+		}
+	}
+}
+
+// sealIfCrossed checks the current low-watermark against nextSeal; the
+// source-side crossing check behind Source.Advance and Source.Close.
+func (in *Ingestor) sealIfCrossed() {
+	if mark, ok := in.lowWatermark(); ok {
+		in.sealOnCrossing(mark.UnixNano())
+	}
+}
+
+// sealIngested is Ingest's crossing check, reached once a packet stamped
+// t is at or past nextSeal. Without sources the low-watermark is the
+// newest packet flushed, which the broadcast's own flush lifts to t; with
+// sources their promises rule, and Source.Advance checks those.
+func (in *Ingestor) sealIngested(t int64) {
+	in.srcMu.Lock()
+	sourced := len(in.sources) > 0
+	in.srcMu.Unlock()
+	if !sourced {
+		in.sealOnCrossing(t)
+	}
 }
 
 // broadcastWatermark flushes every shard's pending buffer and enqueues a

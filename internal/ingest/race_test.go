@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"booters/internal/honeypot"
 	"booters/internal/obs"
+	"booters/internal/timeseries"
 )
 
 // TestConcurrentIngest drives the pipeline from many producer goroutines at
@@ -159,5 +161,64 @@ func TestConcurrentScrapeDuringIngest(t *testing.T) {
 	}
 	if got, _ := in.Metrics().Sum("booters_ingest_flows_closed_total"); got != float64(res.Stats.Flows) {
 		t.Errorf("scraped flows total: got %v want %d", got, res.Stats.Flows)
+	}
+}
+
+// TestConcurrentSourcesSealAtCrossings races the seal-point crossing
+// check: producers that each own a source advance it ahead of every
+// packet, so several of them lift the low-watermark past a seal point at
+// about the same time, and nothing but those crossings can seal mid-run.
+// Every week but the last must seal before Close, snapshots must stay
+// monotone and the Final panel must equal the batch reference.
+func TestConcurrentSourcesSealAtCrossings(t *testing.T) {
+	const weeks, producers = 4, 4
+	packets := testStream(t, weeks, 50)
+	want, err := Batch(testConfig(1, weeks), packets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := rollingConfig(3, weeks)
+	cfg.Unordered = true
+	cfg.WatermarkEvery = 1 << 30
+	in, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := collectSnapshots(t, in)
+	srcs := make([]*Source, producers)
+	for g := range srcs {
+		srcs[g] = in.RegisterSource()
+	}
+	var wg sync.WaitGroup
+	for g, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer src.Close()
+			for i := g; i < len(packets); i += producers {
+				src.Advance(packets[i].Time) // each producer's share is in time order
+				if err := in.Ingest(packets[i]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	lastSealed := timeseries.WeekOf(testStart.AddDate(0, 0, 7*(weeks-2)))
+	waitSealed(t, in, lastSealed)
+	res, err := in.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Late != 0 {
+		t.Fatalf("%d late packets under per-producer promises", res.Stats.Late)
+	}
+	snaps := log()
+	for i := 1; i < len(snaps); i++ {
+		snapshotExtends(t, snaps[i-1], snaps[i])
+	}
+	if final := snaps[len(snaps)-1]; !final.Final || !reflect.DeepEqual(final.Panel, want.Panel) {
+		t.Fatal("final snapshot differs from batch")
 	}
 }

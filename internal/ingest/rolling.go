@@ -7,6 +7,16 @@ package ingest
 // quiet gap) across a week boundary — the ROADMAP's "sinks observing week
 // boundaries mid-run" mode that live dashboards need.
 //
+// A week seals at the crossing, not at the next packet-count broadcast
+// (Config.WatermarkEvery): the pipeline keeps the instant at which the
+// earliest unsealed week becomes sealable (its end plus one quiet gap,
+// Ingestor.nextSeal) and broadcasts the watermark as soon as producer
+// progress lifts the low-watermark past it — checked per packet in Ingest
+// for a sourceless ordered pipeline, and in Source.Advance and
+// Source.Close otherwise, so a stream that goes quiet but keeps promising
+// (a heartbeating sensor) still seals. Only the timing moves: the mark is
+// the ordinary low-watermark, and the seal itself (step 1) is unchanged.
+//
 // The protocol is lock-free on the hot path and copy-on-write on the read
 // side:
 //

@@ -462,3 +462,150 @@ func TestRollingHandoffEmptyBeforeSpan(t *testing.T) {
 		}
 	}
 }
+
+// crossingConfig is a rolling pipeline whose packet-count broadcast
+// never fires on a test stream, so only a seal-point crossing (or Close)
+// can seal a week.
+func crossingConfig(shards, weeks int) Config {
+	cfg := rollingConfig(shards, weeks)
+	cfg.WatermarkEvery = 1 << 30
+	return cfg
+}
+
+// weekZeroTraffic ingests 16 packets to distinct victims, six hours apart
+// inside the first test week, advancing src (when non-nil) ahead of each.
+func weekZeroTraffic(t *testing.T, in *Ingestor, src *Source) {
+	t.Helper()
+	for i := 0; i < 16; i++ {
+		p := honeypot.Packet{
+			Time:   testStart.Add(time.Duration(i) * 6 * time.Hour),
+			Victim: netip.AddrFrom4([4]byte{10, 9, byte(i), 1}),
+			Proto:  protocols.DNS,
+			Size:   64,
+		}
+		if src != nil {
+			src.Advance(p.Time)
+		}
+		mustIngest(t, in, p)
+	}
+}
+
+// waitSealed polls the latest snapshot until a mid-run (non-Final) one
+// has sealed through week w, and fails after a few seconds.
+func waitSealed(t *testing.T, in *Ingestor, w timeseries.Week) *Snapshot {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if s := in.Snapshot(); s.Sealed && !s.Final && !s.Through.Before(w) {
+			return s
+		}
+		if time.Now().After(deadline) {
+			s := in.Snapshot()
+			t.Fatalf("no snapshot sealed through %v before Close (latest: seq %d, sealed %v through %v)",
+				w.Start, s.Seq, s.Sealed, s.Through.Start)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRollingSealsAtCrossingOrdered: on a sourceless ordered pipeline,
+// the first packet at week 0's seal point (its end plus one quiet gap)
+// seals week 0, with no packet-count broadcast due.
+func TestRollingSealsAtCrossingOrdered(t *testing.T) {
+	in, err := New(crossingConfig(2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	weekZeroTraffic(t, in, nil)
+	week0 := timeseries.WeekOf(testStart)
+	sealAt := week0.Next().Start.Add(honeypot.FlowGap)
+	mustIngest(t, in, honeypot.Packet{
+		Time: sealAt.Add(-time.Nanosecond), Victim: netip.MustParseAddr("10.9.200.1"), Proto: protocols.DNS, Size: 64,
+	})
+	if s := in.Snapshot(); s.Sealed {
+		t.Fatalf("sealed through %v before the seal point", s.Through.Start)
+	}
+	mustIngest(t, in, honeypot.Packet{
+		Time: sealAt, Victim: netip.MustParseAddr("10.9.200.2"), Proto: protocols.DNS, Size: 64,
+	})
+	if s := waitSealed(t, in, week0); !s.Through.Equal(week0) {
+		t.Fatalf("crossing week 0's seal point sealed through %v, want %v", s.Through.Start, week0.Start)
+	}
+}
+
+// TestRollingSealsOnSourceAdvance: on an order-tolerant pipeline, a
+// source promise past week 0's seal point seals it with no further packet.
+func TestRollingSealsOnSourceAdvance(t *testing.T) {
+	cfg := crossingConfig(2, 3)
+	cfg.Unordered = true
+	in, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	src := in.RegisterSource()
+	defer src.Close()
+	weekZeroTraffic(t, in, src)
+	week0 := timeseries.WeekOf(testStart)
+	src.Advance(week0.Next().Start.Add(honeypot.FlowGap))
+	waitSealed(t, in, week0)
+}
+
+// TestRollingSealsOnLaggingSourceClose: with one source past week 0's
+// seal point and another holding the low-watermark inside week 0,
+// closing the lagging source seals the week.
+func TestRollingSealsOnLaggingSourceClose(t *testing.T) {
+	cfg := crossingConfig(2, 3)
+	cfg.Unordered = true
+	in, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	ahead, lagging := in.RegisterSource(), in.RegisterSource()
+	defer ahead.Close()
+	lagging.Advance(testStart)
+	weekZeroTraffic(t, in, ahead)
+	week0 := timeseries.WeekOf(testStart)
+	ahead.Advance(week0.Next().Start.Add(2 * honeypot.FlowGap))
+	if s := in.Snapshot(); s.Sealed {
+		t.Fatalf("sealed through %v while a source held the watermark in week 0", s.Through.Start)
+	}
+	lagging.Close()
+	waitSealed(t, in, week0)
+}
+
+// TestRollingCrossingWithMidWeekStart: with a panel starting mid-week,
+// the first seal point is the end of the week holding Start plus one
+// gap — not Start plus seven days — and crossing it seals that week.
+func TestRollingCrossingWithMidWeekStart(t *testing.T) {
+	start := time.Date(2018, time.October, 3, 12, 0, 0, 0, time.UTC) // a Wednesday
+	cfg := Config{
+		Shards:         2,
+		Start:          start,
+		End:            start.AddDate(0, 0, 20),
+		Rolling:        true,
+		BatchSize:      16,
+		WatermarkEvery: 1 << 30,
+	}
+	in, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	week0 := timeseries.WeekOf(start)
+	sealAt := week0.Next().Start.Add(honeypot.FlowGap)
+	victim := netip.MustParseAddr("10.1.1.1")
+	// Hourly packets up to just short of the seal point.
+	for at := start; at.Before(sealAt); at = at.Add(time.Hour) {
+		mustIngest(t, in, honeypot.Packet{Time: at, Victim: victim, Proto: protocols.DNS, Size: 64})
+	}
+	if s := in.Snapshot(); s.Sealed {
+		t.Fatalf("sealed through %v before the first seal point", s.Through.Start)
+	}
+	mustIngest(t, in, honeypot.Packet{Time: sealAt, Victim: victim, Proto: protocols.DNS, Size: 64})
+	if s := waitSealed(t, in, week0); !s.Through.Equal(week0) {
+		t.Fatalf("first crossing sealed through %v, want %v", s.Through.Start, week0.Start)
+	}
+}

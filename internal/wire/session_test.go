@@ -8,8 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"booters/internal/honeypot"
 	"booters/internal/ingest"
 	"booters/internal/obs"
+	"booters/internal/spool"
+	"booters/internal/timeseries"
 )
 
 // rawClient drives the protocol frame by frame, for tests that need to
@@ -306,4 +309,67 @@ func sampleValue(reg *obs.Registry, prefix string) float64 {
 		}
 	}
 	return 0
+}
+
+// TestHeartbeatMarksSealQuietSensor is the quiet-sensor story on a
+// rolling pipeline whose packet-count broadcast never fires: a sensor
+// ships records in week 0, then only heartbeats. A heartbeat mark past
+// week 0's seal point (its end plus one quiet gap) must seal the week
+// while the session is still open, without more packets or Close.
+func TestHeartbeatMarksSealQuietSensor(t *testing.T) {
+	cfg := testCfg(1, 2, true)
+	cfg.Rolling = true
+	cfg.WatermarkEvery = 1 << 30
+	in, err := ingest.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := Listen("127.0.0.1:0", CollectorConfig{Ingest: in, Token: "tok"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		col.Close()
+		in.Close()
+	})
+
+	week0 := timeseries.WeekOf(testStart)
+	var recs []ingest.Datagram
+	for _, d := range ingest.Datagrams(testPackets(t, 1, 10)) {
+		if d.Time.Before(week0.Start.AddDate(0, 0, 6)) && len(recs) < 200 {
+			recs = append(recs, d)
+		}
+	}
+	if len(recs) == 0 {
+		t.Fatal("no week-0 records")
+	}
+	c := dialRaw(t, col.Addr().String())
+	c.hello(11, "tok")
+	batch := AppendBatchHeader(nil, BatchHeader{Count: uint32(len(recs))}, ProtocolVersion)
+	for _, d := range recs {
+		if batch, err = spool.AppendRecord(batch, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.send(FrameBatch, batch)
+	if ft, _, err := c.recv(); err != nil || ft != FrameAck {
+		t.Fatalf("batch answered with %v, %v", ft, err)
+	}
+
+	sealAt := week0.Next().Start.Add(honeypot.FlowGap)
+	for _, mark := range []time.Time{sealAt.Add(-time.Minute), sealAt.Add(time.Minute)} {
+		c.send(FrameHeartbeat, AppendHeartbeat(nil, Heartbeat{Mark: mark.UnixNano()}))
+		if ft, _, err := c.recv(); err != nil || ft != FrameAck {
+			t.Fatalf("heartbeat answered with %v, %v", ft, err)
+		}
+	}
+	waitFor(t, "week 0 sealed by heartbeat marks", func() bool {
+		s := in.Snapshot()
+		return s.Sealed && !s.Final && !s.Through.Before(week0)
+	})
+
+	c.send(FrameGoodbye, AppendGoodbye(nil, Goodbye{Final: uint64(len(recs))}))
+	if ft, _, err := c.recv(); err != nil || ft != FrameAck {
+		t.Fatalf("goodbye answered with %v, %v", ft, err)
+	}
 }
