@@ -205,8 +205,9 @@ func paperScalePackets(b *testing.B) []honeypot.Packet {
 // cost grows with attack volume shows here first. Besides throughput it
 // reports, per published snapshot, the seal-to-publish latency (seal-ms:
 // the booters_ingest_seal_publish_seconds histogram's mean) and, from the
-// always-recorded trace spans, the mean shard-side seal (seal-ns,
-// week.seal) and collector-side publish (publish-ns, snapshot.publish).
+// always-recorded trace spans, the mean seal (seal-ns, week.seal: a shard
+// adding its growth into the unpublished panel) and publish (publish-ns,
+// snapshot.publish: the sealing shard's swap and subscriber callbacks).
 func BenchmarkIngestRollingPaperScale(b *testing.B) {
 	packets := paperScalePackets(b)
 	var publishes uint64

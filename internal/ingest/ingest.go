@@ -359,8 +359,8 @@ type shard struct {
 	late atomic.Uint64
 
 	// Rolling-emission state, touched only by the shard's worker: the
-	// last week it sealed and what its seals have handed the collector so
-	// far.
+	// last week it sealed and what its seals have added to the rolling
+	// panel so far.
 	index       int
 	rollSealed  bool
 	rollThrough timeseries.Week

@@ -50,7 +50,7 @@ func newPipelineMetrics(in *Ingestor, reg *obs.Registry) *pipelineMetrics {
 		snapshots: reg.Counter("booters_ingest_snapshots_total",
 			"Rolling panel snapshots published (including the initial and Final ones)."),
 		sealLatency: reg.Histogram("booters_ingest_seal_publish_seconds",
-			"Latency from a shard sealing a week boundary to the merged snapshot publishing."),
+			"Latency from a shard sealing a week boundary to the merged snapshot publishing: from the seal to the subscribers' return, on the sealing shard's worker (the next panel's clone comes after)."),
 		freshness: reg.Histogram("booters_freshness_event_to_queryable_seconds",
 			"Stream-time freshness at snapshot publish: how far the watermark head had advanced past a sealed week's end when that week became queryable."),
 	}

@@ -18,22 +18,24 @@ package ingest
 // the ordinary low-watermark, and the seal itself (step 1) is unchanged.
 //
 // The protocol is lock-free on the hot path and copy-on-write on the read
-// side:
+// side, and has no goroutine of its own:
 //
 //  1. Each shard worker, while processing a watermark envelope it was
-//     already receiving, notices the horizon entered a new week and hands
-//     the collector goroutine a week-range delta: for the weeks its panel
-//     accumulator booked into since its previous seal, how much every
-//     series grew, plus the growth of its flow counters. The delta is the
-//     panel's 132 series times the weeks touched (usually one or two),
-//     however many attacks were booked, and is sent at most once per
-//     boundary, never per packet.
-//  2. The collector holds the deltas received since its last publish.
-//     Whenever the minimum sealed week across all shards advances, it
-//     clones the last published panel, adds the held deltas into the
-//     clone and publishes that as a fresh Snapshot: an atomic pointer
-//     swap plus subscriber callbacks. Readers of Snapshot never take a
-//     lock and never observe a partially applied panel.
+//     already receiving, notices the horizon entered a new week and, under
+//     the roller's one mutex, adds its growth since its previous seal
+//     straight into the roller's unpublished panel (next): for the weeks
+//     its panel accumulator booked into since then, how much every series
+//     grew, plus the growth of its flow counters. That is the panel's 132
+//     series times the weeks touched (usually one or two), however many
+//     attacks were booked, and happens at most once per boundary, never
+//     per packet.
+//  2. If that seal advances the minimum sealed week across all shards, the
+//     same worker, still holding the mutex, publishes next as a fresh
+//     Snapshot: an atomic pointer swap plus subscriber callbacks. Only
+//     then does it clone next into the following unpublished panel, so the
+//     clone is off the seal-to-publish path. Readers of Snapshot never
+//     take a lock and never observe a partially applied panel, and the
+//     mutex serialises publishes, so sequence numbers rise strictly.
 //  3. Close still drains and flushes exactly as before and then publishes
 //     one last Snapshot marked Final, built from the same merged Result the
 //     caller receives — so the final rolling snapshot is byte-identical to
@@ -50,6 +52,7 @@ package ingest
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"booters/internal/geo"
@@ -82,25 +85,7 @@ type Snapshot struct {
 	Stats Stats
 }
 
-// handoff is one shard's week seal as the collector receives it: for the
-// weeks [lo, lo+weeks) the shard booked into since its previous seal, how
-// much every series of its panel grew over that stretch (delta, series by
-// series in seriesOf order, weeks values each), and the growth of its flow
-// counters. sealedAt is the wall-clock instant the shard sealed, the start
-// of the seal-to-publish latency the metrics histogram tracks.
-type handoff struct {
-	lo, weeks int
-	delta     []float64
-	flows     Stats
-	shard     int
-	through   timeseries.Week
-	sealedAt  time.Time
-	// tc is the seal span's trace context (zero without a tracer); the
-	// publish span it unlocks adopts it as parent.
-	tc trace.Context
-}
-
-// sent is what one shard's seals have handed the collector so far: its
+// sent is what one shard's seals have added to the roller so far: its
 // flow counters, and every series of its panel (series, in seriesOf
 // order) as of the seal that last covered each week (values, series by
 // series, Weeks values each). Only the shard's worker touches it.
@@ -127,48 +112,50 @@ func seriesOf(p *timeseries.Panel) []*timeseries.Series {
 	return out
 }
 
-// roller owns rolling emission for one pipeline: the hand-off channel,
-// the collector goroutine, the subscriber list and the sequence counter.
+// roller owns rolling emission for one pipeline: the unpublished panel,
+// the subscriber list and the sequence counter. Shard workers publish
+// through it; it starts no goroutine.
 type roller struct {
-	in   *Ingestor
-	ch   chan *handoff
-	done chan struct{}
+	in *Ingestor
 
+	// subs is the subscriber list, replaced copy-on-write under subMu,
+	// so a publish reads it with one atomic load and no allocation.
 	subMu sync.Mutex
-	subs  []func(*Snapshot)
+	subs  atomic.Pointer[[]func(*Snapshot)]
 
-	// Collector-goroutine state (moved to Close's goroutine only after
-	// done is closed): last is the last published panel, which is never
-	// written again; pending holds the deltas received since it was
-	// published, and flows the flow counters of every delta received.
-	seq     uint64
-	last    *timeseries.Panel
-	pending []*handoff
-	flows   Stats
-	through []timeseries.Week
-	sealed  []bool
-	pubBase timeseries.Week // last published Through
-	pubAny  bool
+	// mu guards everything below and serialises publishes. next is the
+	// unpublished panel: the last published one plus every seal received
+	// since (nextSeries lists its series in seriesOf order). flows holds
+	// the flow counters of every seal received.
+	mu         sync.Mutex
+	next       *timeseries.Panel
+	nextSeries []*timeseries.Series
+	seq        uint64
+	flows      Stats
+	through    []timeseries.Week
+	sealed     []bool
+	pubBase    timeseries.Week // last published Through
+	pubAny     bool
 }
 
-// newRoller gives every shard its record of what it has sent, starts the
-// collector and publishes the initial (unsealed, empty) snapshot so
-// readers always have a panel to serve.
+// newRoller gives every shard its record of what it has added and
+// publishes the initial (unsealed, empty) snapshot so readers always have
+// a panel to serve. No shard worker runs yet, so it needs no lock.
 func newRoller(in *Ingestor, shards int) *roller {
 	r := &roller{
 		in:      in,
-		ch:      make(chan *handoff, shards),
-		done:    make(chan struct{}),
-		last:    newAccumulator(&in.cfg).panel,
+		next:    newAccumulator(&in.cfg).panel,
 		through: make([]timeseries.Week, shards),
 		sealed:  make([]bool, shards),
 	}
+	r.subs.Store(new([]func(*Snapshot)))
 	for _, s := range in.shards {
 		series := seriesOf(s.acc.panel)
 		s.rollSent = sent{series: series, values: make([]float64, len(series)*s.acc.panel.Weeks)}
 	}
-	r.publish(r.snapshot(timeseries.Week{}, false))
-	go r.collect()
+	r.publishNext(timeseries.Week{}, false)
+	// The initial snapshot is empty: a fresh panel stands in for its clone.
+	r.setNext(newAccumulator(&in.cfg).panel)
 	return r
 }
 
@@ -183,8 +170,9 @@ func sealHorizon(mark time.Time, gap time.Duration) timeseries.Week {
 
 // maybeSeal runs on the shard worker after it applied a watermark
 // advance: if the horizon entered a new week since the shard last sealed,
-// hand the collector the shard's growth since its previous seal. The
-// hand-off is taken after Advance closed everything expirable, so it holds
+// add the shard's growth since its previous seal into the unpublished
+// panel, and publish it when that advances the cross-shard frontier. The
+// seal is taken after Advance closed everything expirable, so it holds
 // every booking the sealed weeks can claim from this shard.
 func (r *roller) maybeSeal(s *shard, mark time.Time) {
 	through := sealHorizon(mark, honeypot.FlowGap)
@@ -196,91 +184,86 @@ func (r *roller) maybeSeal(s *shard, mark time.Time) {
 	}
 	s.rollSealed, s.rollThrough = true, through
 	sealedAt := time.Now()
-	h := s.handoff()
-	h.shard, h.through, h.sealedAt = s.index, through, sealedAt
-	if tr := r.in.cfg.Trace; tr != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	attacks := r.addGrowth(s)
+	r.through[s.index], r.sealed[s.index] = through, true
+	tr := r.in.cfg.Trace
+	var sealTC trace.Context
+	if tr != nil {
 		// Week seals are rare and load-bearing, so they are always on
 		// record: parented under the shard's last sampled apply span when
 		// one exists, a forced root otherwise.
-		h.tc = tr.Child(s.lastTC)
-		if !h.tc.Sampled() {
-			h.tc = tr.RootAlways()
+		sealTC = tr.Child(s.lastTC)
+		if !sealTC.Sampled() {
+			sealTC = tr.RootAlways()
 		}
-		tr.Record(trace.NameWeekSeal, s.index, h.tc, s.lastTC.Span,
-			sealedAt.UnixNano(), time.Since(sealedAt).Nanoseconds(), uint64(h.flows.Attacks-h.flows.OutOfSpan))
+		tr.Record(trace.NameWeekSeal, s.index, sealTC, s.lastTC.Span,
+			sealedAt.UnixNano(), time.Since(sealedAt).Nanoseconds(), attacks)
 	}
-	r.ch <- h
+	frontier, ok := r.frontier()
+	if !ok {
+		return // some shard has not sealed its first week yet
+	}
+	if r.pubAny && !r.pubBase.Before(frontier) {
+		return // frontier did not advance
+	}
+	r.pubAny, r.pubBase = true, frontier
+	pubStart := time.Now()
+	r.publishNext(frontier, true)
+	if r.in.m != nil {
+		r.in.m.sealLatency.Observe(time.Since(sealedAt))
+		// Event-time freshness: when the frontier week became
+		// queryable, the stream head had advanced this far past the
+		// week's end — the stream-time wait between an event landing
+		// at the end of the week and that week being servable.
+		if head := r.in.watermark.Load(); head > 0 {
+			if lag := time.Duration(head - frontier.Start.AddDate(0, 0, 7).UnixNano()); lag > 0 {
+				r.in.m.freshness.Observe(lag)
+			}
+		}
+	}
+	if tr != nil {
+		// Like seals, publishes are always recorded, chained under the
+		// seal span that advanced the frontier. The span ends once the
+		// subscribers have returned, before the next panel's clone.
+		tc := tr.Child(sealTC)
+		if !tc.Sampled() {
+			tc = tr.RootAlways()
+		}
+		tr.Record(trace.NameSnapshotPublish, s.index, tc, sealTC.Span,
+			pubStart.UnixNano(), time.Since(pubStart).Nanoseconds(), r.seq)
+	}
+	// Only now, with the subscribers returned, copy the published panel
+	// into the one the following seals add into.
+	r.setNext(r.next.Clone())
 }
 
-// handoff builds the shard's seal: the delta of every series over the
-// weeks booked since the previous seal, and the flow-counter growth. It
-// brings s.rollSent up to date and empties the booked-week range.
-func (s *shard) handoff() *handoff {
+// addGrowth adds the shard's growth since its previous seal into next —
+// for every series, over the weeks booked since then, its current value
+// less the value the previous seal covered — and its flow-counter growth
+// into flows. It brings s.rollSent up to date, empties the booked-week
+// range and returns the in-span attacks booked since the previous seal.
+// The caller holds mu.
+func (r *roller) addGrowth(s *shard) uint64 {
 	a, rec := s.acc, &s.rollSent
-	h := &handoff{flows: flowsSince(a.stats, rec.flows)}
+	flows := flowsSince(a.stats, rec.flows)
 	rec.flows = a.stats
-	if a.lo > a.hi {
-		return h // no week booked since the previous seal
-	}
-	weeks := a.panel.Weeks
-	h.lo, h.weeks = a.lo, a.hi-a.lo+1
-	h.delta = make([]float64, len(rec.series)*h.weeks)
-	for i, ser := range rec.series {
-		cur := ser.Values[a.lo : a.hi+1]
-		old := rec.values[i*weeks+a.lo : i*weeks+a.hi+1]
-		d := h.delta[i*h.weeks : (i+1)*h.weeks]
-		for j, v := range cur {
-			d[j], old[j] = v-old[j], v
-		}
-	}
-	a.lo, a.hi = weeks, -1
-	return h
-}
-
-// collect is the collector goroutine: hold incoming deltas and publish
-// a snapshot with them added whenever the cross-shard sealed frontier
-// advances.
-func (r *roller) collect() {
-	defer close(r.done)
-	for h := range r.ch {
-		recv := time.Now()
-		r.pending = append(r.pending, h)
-		r.flows.addFlows(h.flows)
-		r.through[h.shard], r.sealed[h.shard] = h.through, true
-		frontier, ok := r.frontier()
-		if !ok {
-			continue // some shard has not sealed its first week yet
-		}
-		if r.pubAny && !r.pubBase.Before(frontier) {
-			continue // frontier did not advance
-		}
-		r.pubAny, r.pubBase = true, frontier
-		r.publish(r.snapshot(frontier, true))
-		if r.in.m != nil {
-			r.in.m.sealLatency.Observe(time.Since(h.sealedAt))
-			// Event-time freshness: when the frontier week became
-			// queryable, the stream head had advanced this far past the
-			// week's end — the stream-time wait between an event landing
-			// at the end of the week and that week being servable.
-			if head := r.in.watermark.Load(); head > 0 {
-				if lag := time.Duration(head - frontier.Start.AddDate(0, 0, 7).UnixNano()); lag > 0 {
-					r.in.m.freshness.Observe(lag)
-				}
+	r.flows.addFlows(flows)
+	if a.lo <= a.hi {
+		weeks := a.panel.Weeks
+		for i, ser := range rec.series {
+			cur := ser.Values[a.lo : a.hi+1]
+			old := rec.values[i*weeks+a.lo : i*weeks+a.hi+1]
+			next := r.nextSeries[i].Values[a.lo : a.hi+1]
+			for j, v := range cur {
+				next[j] += v - old[j]
+				old[j] = v
 			}
 		}
-		if tr := r.in.cfg.Trace; tr != nil {
-			// Like seals, publishes are always recorded, chained under the
-			// seal span that advanced the frontier. The span covers the
-			// collector's whole turn: cloning, adding the deltas,
-			// publishing.
-			tc := tr.Child(h.tc)
-			if !tc.Sampled() {
-				tc = tr.RootAlways()
-			}
-			tr.Record(trace.NameSnapshotPublish, h.shard, tc, h.tc.Span,
-				recv.UnixNano(), time.Since(recv).Nanoseconds(), r.seq)
-		}
+		a.lo, a.hi = weeks, -1
 	}
+	return uint64(flows.Attacks - flows.OutOfSpan)
 }
 
 // frontier returns the minimum sealed week across shards, and whether
@@ -298,34 +281,28 @@ func (r *roller) frontier() (timeseries.Week, bool) {
 	return min, true
 }
 
-// snapshot builds a fresh Snapshot: a clone of the last published panel
-// with the pending deltas added. Counters the deltas cannot know are read
-// live from the pipeline's atomics.
-func (r *roller) snapshot(through timeseries.Week, sealedYet bool) *Snapshot {
-	p := r.last.Clone()
-	series := seriesOf(p)
-	for _, h := range r.pending {
-		for i, ser := range series {
-			v := ser.Values[h.lo : h.lo+h.weeks]
-			for j, d := range h.delta[i*h.weeks : (i+1)*h.weeks] {
-				v[j] += d
-			}
-		}
-	}
-	clear(r.pending)
-	r.pending, r.last = r.pending[:0], p
-	snap := &Snapshot{Through: through, Sealed: sealedYet, Panel: p, Stats: r.flows}
+// publishNext publishes the unpublished panel as it stands. Counters the
+// seals cannot know are read live from the pipeline's atomics. The
+// published panel is never written again: setNext a copy before the
+// next seal adds into next.
+func (r *roller) publishNext(through timeseries.Week, sealedYet bool) {
+	snap := &Snapshot{Through: through, Sealed: sealedYet, Panel: r.next, Stats: r.flows}
 	snap.Stats.Packets = r.in.packets.Load()
 	snap.Stats.UnknownPort = r.in.unknown.Load()
 	snap.Stats.Malformed = r.in.malformed.Load()
 	snap.Stats.Late = r.in.Late()
-	return snap
+	r.publish(snap)
+}
+
+// setNext makes p the unpublished panel the following seals add into.
+func (r *roller) setNext(p *timeseries.Panel) {
+	r.next, r.nextSeries = p, seriesOf(p)
 }
 
 // publish stamps the next sequence number, swaps the pipeline's latest
-// pointer and notifies subscribers in registration order. It is called
-// from one goroutine at a time: New (before the collector starts), then
-// the collector, then Close (after the collector has stopped).
+// pointer and notifies subscribers in registration order. Callers hold mu
+// (or, in newRoller, run before any shard worker), so publishes are
+// serialised.
 func (r *roller) publish(snap *Snapshot) {
 	r.seq++
 	snap.Seq = r.seq
@@ -333,21 +310,16 @@ func (r *roller) publish(snap *Snapshot) {
 	if r.in.m != nil {
 		r.in.m.snapshots.Inc()
 	}
-	r.subMu.Lock()
-	subs := make([]func(*Snapshot), len(r.subs))
-	copy(subs, r.subs)
-	r.subMu.Unlock()
-	for _, fn := range subs {
+	for _, fn := range *r.subs.Load() {
 		fn(snap)
 	}
 }
 
-// finish stops the collector (all shard workers have already exited, so
-// nothing is sending) and publishes the Final snapshot cloned from the
-// pipeline's merged Result.
+// finish publishes the Final snapshot cloned from the pipeline's merged
+// Result. Every shard worker has exited, so no seal races it.
 func (r *roller) finish(res *Result) {
-	close(r.ch)
-	<-r.done
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.publish(&Snapshot{
 		Through: res.Global.Week(res.Weeks - 1),
 		Sealed:  true,
@@ -371,9 +343,13 @@ func (in *Ingestor) Rolling() bool { return in.roll != nil }
 func (in *Ingestor) Packets() uint64 { return in.packets.Load() }
 
 // OnSnapshot subscribes fn to every snapshot published from now on,
-// including the Final one. Callbacks run sequentially (publishes are
-// serialised) but on pipeline-internal goroutines: fn must not block for
-// long and must not call back into Close. Subscribing is safe while the
+// including the Final one. Callbacks run sequentially, in registration
+// order, on the worker of the shard whose seal advanced the frontier
+// (Close's goroutine for the Final snapshot) while it holds the publish
+// lock, so every shard that seals meanwhile waits for them. fn must be
+// O(1) and must not block, and it must not call Ingest, IngestDatagram,
+// Source.Advance or Close: each can wait on the very worker running it.
+// It may call OnSnapshot and Snapshot. Subscribing is safe while the
 // pipeline is running; use Snapshot for the current state at subscribe
 // time. It returns ErrNotRolling when the pipeline was not built with
 // Config.Rolling.
@@ -381,8 +357,13 @@ func (in *Ingestor) OnSnapshot(fn func(*Snapshot)) error {
 	if in.roll == nil {
 		return ErrNotRolling
 	}
-	in.roll.subMu.Lock()
-	in.roll.subs = append(in.roll.subs, fn)
-	in.roll.subMu.Unlock()
+	r := in.roll
+	r.subMu.Lock()
+	subs := *r.subs.Load()
+	// The full slice expression makes append copy: a publish may be
+	// ranging over the current list.
+	subs = append(subs[:len(subs):len(subs)], fn)
+	r.subs.Store(&subs)
+	r.subMu.Unlock()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -301,6 +302,112 @@ func TestOnSnapshotRequiresRolling(t *testing.T) {
 	}
 	if in.Rolling() {
 		t.Fatal("Rolling() true on a non-rolling pipeline")
+	}
+}
+
+// TestOnSnapshotFromCallback: a subscriber may call Snapshot and
+// OnSnapshot from inside a publish without deadlocking (publishes hold
+// the roller's lock, subscribing takes only the list's), Snapshot already
+// returns the snapshot being published, and the subscriber added there
+// sees the very next publish.
+func TestOnSnapshotFromCallback(t *testing.T) {
+	const weeks = 4
+	packets := testStream(t, weeks, 40)
+	in, err := New(rollingConfig(2, weeks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var addedAt uint64
+	var late []uint64
+	var once sync.Once
+	if err := in.OnSnapshot(func(s *Snapshot) {
+		if cur := in.Snapshot(); cur != s {
+			t.Errorf("Snapshot() inside the publish of seq %d returned seq %d", s.Seq, cur.Seq)
+		}
+		once.Do(func() {
+			mu.Lock()
+			addedAt = s.Seq
+			mu.Unlock()
+			if err := in.OnSnapshot(func(s *Snapshot) {
+				mu.Lock()
+				late = append(late, s.Seq)
+				mu.Unlock()
+			}); err != nil {
+				t.Error(err)
+			}
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for _, p := range packets {
+			if err := in.Ingest(p); err != nil {
+				done <- err
+				return
+			}
+		}
+		_, err := in.Close()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("pipeline stalled: subscribing from inside a publish deadlocked")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if addedAt == 0 || len(late) == 0 || late[0] != addedAt+1 {
+		t.Fatalf("subscriber added during publish %d saw %v, want from %d on", addedAt, late, addedAt+1)
+	}
+	if final := in.Snapshot(); late[len(late)-1] != final.Seq {
+		t.Fatalf("late subscriber's last snapshot %d, want the Final %d", late[len(late)-1], final.Seq)
+	}
+}
+
+// settledGoroutines returns the goroutine count once two readings 10 ms
+// apart agree (goroutines of an earlier test may still be exiting).
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestRollingStartsOnlyShardWorkers: a rolling pipeline runs on its shard
+// workers alone, since the worker whose seal advances the frontier
+// publishes itself, and Close leaves no goroutine behind.
+func TestRollingStartsOnlyShardWorkers(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		base := settledGoroutines()
+		in, err := New(rollingConfig(shards, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		started := runtime.NumGoroutine() - base
+		if _, err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if started != shards {
+			t.Errorf("shards=%d: New started %d goroutines, want %d", shards, started, shards)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("shards=%d: %d goroutines after Close, %d before New", shards, n, base)
+		}
 	}
 }
 

@@ -67,13 +67,15 @@ const (
 	NameIngestApply
 	// NameWatermark covers one watermark broadcast across all shards.
 	NameWatermark
-	// NameWeekSeal covers a shard building its week-range delta for the
-	// rolling collector at a week boundary; its value is the number of
-	// in-span attacks booked since the shard's last seal.
+	// NameWeekSeal covers a shard adding its week-range growth into the
+	// rolling pipeline's unpublished panel at a week boundary (waiting
+	// for the publish lock included); its value is the number of in-span
+	// attacks booked since the shard's last seal.
 	NameWeekSeal
-	// NameSnapshotPublish covers the rolling collector's turn for the
-	// seal that advanced the frontier: cloning the last published panel,
-	// adding the deltas held since and publishing the resulting snapshot.
+	// NameSnapshotPublish covers the sealing shard publishing the
+	// unpublished panel when its seal advanced the frontier: the atomic
+	// swap and the subscriber callbacks, up to the moment they have
+	// returned (the clone of the next panel comes after it).
 	NameSnapshotPublish
 	// NameServeQuery covers one HTTP query against the serve API.
 	NameServeQuery

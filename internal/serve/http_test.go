@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -222,7 +223,7 @@ func TestHTTPNoSnapshot(t *testing.T) {
 // TestQueryDuringIngest is the serving layer's race test: HTTP and
 // direct-engine readers hammer every query while the pipeline is
 // ingesting and swapping snapshots under them. Run under -race (CI does),
-// this checks the lock-free read path against the collector's publishes;
+// this checks the lock-free read path against the sealing shards' publishes;
 // functionally it checks queries never fail once the first snapshot is in
 // and the totals served only grow.
 func TestQueryDuringIngest(t *testing.T) {
@@ -423,13 +424,32 @@ func TestTraceScrapeDuringHotIngest(t *testing.T) {
 	if _, err := in.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The scrapers may not have finished a sampled query by the time a
+	// fast ingest closes, so poll the recorder while they keep going.
+	want := []string{"week.seal", "snapshot.publish", "ingest.apply", "serve.query"}
+	var seen map[string]int
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		seen = traceSpanCounts(t, hts.URL)
+		if slices.IndexFunc(want, func(n string) bool { return seen[n] == 0 }) < 0 || time.Now().After(deadline) {
+			break
+		}
+	}
 	close(stop)
 	wg.Wait()
 	if failure != nil {
 		t.Fatal(failure)
 	}
+	for _, name := range want {
+		if seen[name] == 0 {
+			t.Errorf("no %s span in /v1/trace after a %d-week run (saw %v)", name, weeks, seen)
+		}
+	}
+}
 
-	out, code := getJSON(t, hts.URL+"/v1/trace")
+// traceSpanCounts fetches /v1/trace and counts its events by span name.
+func traceSpanCounts(t *testing.T, base string) map[string]int {
+	t.Helper()
+	out, code := getJSON(t, base+"/v1/trace")
 	if code != 200 {
 		t.Fatalf("/v1/trace after close: status %d", code)
 	}
@@ -442,11 +462,7 @@ func TestTraceScrapeDuringHotIngest(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"week.seal", "snapshot.publish", "ingest.apply", "serve.query"} {
-		if seen[want] == 0 {
-			t.Errorf("no %s span in /v1/trace after a %d-week run (saw %v)", want, weeks, seen)
-		}
-	}
+	return seen
 }
 
 // TestServerStartAddrClose exercises the real listener path: bind an

@@ -44,7 +44,7 @@ var ErrNoSpool = errors.New("serve: no spool directory configured")
 // whole snapshots in, readers load the current one with a single atomic
 // pointer read and never take a lock. Snapshots carry strictly increasing
 // sequence numbers; Publish ignores stale ones, so racing writers (a live
-// collector and a catch-up seed) cannot move the store backwards.
+// publish and a catch-up seed) cannot move the store backwards.
 type Store struct {
 	cur   atomic.Pointer[ingest.Snapshot]
 	swaps atomic.Uint64
@@ -55,7 +55,9 @@ type Store struct {
 func (st *Store) Load() *ingest.Snapshot { return st.cur.Load() }
 
 // Publish swaps snap in if it is newer than the current snapshot, and
-// reports whether the swap happened.
+// reports whether the swap happened. As an ingest.OnSnapshot subscriber
+// it runs on the sealing shard's worker, so it stays O(1) and
+// allocation-free.
 func (st *Store) Publish(snap *ingest.Snapshot) bool {
 	for {
 		old := st.cur.Load()

@@ -98,6 +98,27 @@ func TestStoreSeqGuard(t *testing.T) {
 	}
 }
 
+// TestStorePublishAllocFree: Publish runs as an ingest.OnSnapshot
+// subscriber on a shard worker while it holds the publish lock, so a swap
+// must stay O(1) and allocation-free.
+func TestStorePublishAllocFree(t *testing.T) {
+	var st Store
+	snaps := [2]*ingest.Snapshot{{Seq: 1}, {Seq: 2}}
+	st.Publish(snaps[0])
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		next := snaps[i%2]
+		next.Seq = st.Load().Seq + 1
+		if !st.Publish(next) {
+			t.Fatal("newer publish rejected")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Store.Publish: %v allocs per swap, want 0", allocs)
+	}
+}
+
 // TestEngineQueriesMatchSnapshot checks each query against the final
 // snapshot's own numbers.
 func TestEngineQueriesMatchSnapshot(t *testing.T) {
