@@ -33,9 +33,15 @@ package ingest
 //     same worker, still holding the mutex, publishes next as a fresh
 //     Snapshot: an atomic pointer swap plus subscriber callbacks. Only
 //     then does it clone next into the following unpublished panel, so the
-//     clone is off the seal-to-publish path. Readers of Snapshot never
-//     take a lock and never observe a partially applied panel, and the
-//     mutex serialises publishes, so sequence numbers rise strictly.
+//     clone is off this publish's path. It still runs under the mutex,
+//     though, so a seal from another shard that arrives during the clone
+//     waits for it (and that shard's worker stops draining its queue
+//     meanwhile): back-to-back seals, as in a fast replay, can put the
+//     previous clone in front of the next publish. The flat-panel item in
+//     ROADMAP.md, a clone as one copy, is what shortens that wait.
+//     Readers of Snapshot never take a lock and never observe a partially
+//     applied panel, and the mutex serialises publishes, so sequence
+//     numbers rise strictly.
 //  3. Close still drains and flushes exactly as before and then publishes
 //     one last Snapshot marked Final, built from the same merged Result the
 //     caller receives — so the final rolling snapshot is byte-identical to
@@ -235,7 +241,8 @@ func (r *roller) maybeSeal(s *shard, mark time.Time) {
 			pubStart.UnixNano(), time.Since(pubStart).Nanoseconds(), r.seq)
 	}
 	// Only now, with the subscribers returned, copy the published panel
-	// into the one the following seals add into.
+	// into the one the following seals add into. This still holds mu, so
+	// a seal arriving meanwhile waits for the copy.
 	r.setNext(r.next.Clone())
 }
 
