@@ -33,8 +33,10 @@ func TestPanelShape(t *testing.T) {
 	if p.Weeks < 240 || p.Weeks > 260 {
 		t.Errorf("panel covers %d weeks, want ~248 (five years)", p.Weeks)
 	}
-	if len(p.ByCountry) != len(geo.Countries()) {
-		t.Errorf("countries = %d, want %d", len(p.ByCountry), len(geo.Countries()))
+	for _, c := range geo.Countries() {
+		if p.Country(c) == nil {
+			t.Errorf("missing country series %s", c)
+		}
 	}
 	// Global series is strictly positive and in a plausible range.
 	for i, v := range p.Global.Values {
@@ -311,8 +313,8 @@ func TestTable3ShareShape(t *testing.T) {
 
 func TestProtocolShapesMatchFigure6(t *testing.T) {
 	p := testPanel(t)
-	ldap := p.ByProtocol[protoByName(t, "LDAP")]
-	ntp := p.ByProtocol[protoByName(t, "NTP")]
+	ldap := p.Protocol(protoByName(t, "LDAP"))
+	ntp := p.Protocol(protoByName(t, "NTP"))
 	// LDAP grows: 2018 total far exceeds 2016 total.
 	y2016 := yearTotal(ldap, 2016)
 	y2018 := yearTotal(ldap, 2018)

@@ -303,7 +303,7 @@ func main() {
 	for w := 0; w < res.Weeks; w++ {
 		fmt.Printf("%-12s %8.0f", res.Global.Week(w), res.Global.Values[w])
 		for _, row := range top {
-			fmt.Printf(" %6.0f", res.ByCountry[row.Key].Values[w])
+			fmt.Printf(" %6.0f", res.Country(row.Key).Values[w])
 		}
 		fmt.Println()
 	}

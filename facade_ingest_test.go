@@ -61,12 +61,12 @@ func TestIngestorFeedsPanel(t *testing.T) {
 		t.Errorf("global total: got %v want %d", got, res.Stats.Attacks)
 	}
 	for _, c := range geo.Table2Countries() {
-		if _, ok := panel.ByCountry[c]; !ok {
+		if panel.Country(c) == nil {
 			t.Errorf("missing country series %s", c)
 		}
 	}
 	for _, p := range protocols.All() {
-		if _, ok := panel.ByProtocol[p]; !ok {
+		if panel.Protocol(p) == nil {
 			t.Errorf("missing protocol series %v", p)
 		}
 	}
@@ -76,19 +76,15 @@ func TestIngestorFeedsPanel(t *testing.T) {
 	// matching the country series so FitCountryModel-style exhibits can
 	// decompose by protocol.
 	for _, c := range geo.Countries() {
-		cp, ok := panel.CountryProtocol[c]
-		if !ok {
-			t.Fatalf("missing country-protocol breakdown for %s", c)
-		}
 		var cpTotal, cTotal float64
 		for _, p := range protocols.All() {
-			s, ok := cp[p]
-			if !ok {
+			s := panel.CountryProtocol(c, p)
+			if s == nil {
 				t.Fatalf("missing breakdown series %s/%v", c, p)
 			}
 			cpTotal += s.Total()
 		}
-		cTotal = panel.ByCountry[c].Total()
+		cTotal = panel.Country(c).Total()
 		if cpTotal != cTotal {
 			t.Errorf("%s breakdown total %v != country total %v", c, cpTotal, cTotal)
 		}

@@ -241,17 +241,8 @@ func TestScenarioHostilePanelEquivalence(t *testing.T) {
 		t.Errorf("classification diverged: hostile %d attacks/%d scans, clean %d/%d",
 			hostile.Stats.Attacks, hostile.Stats.Scans, clean.Stats.Attacks, clean.Stats.Scans)
 	}
-	if !reflect.DeepEqual(hostile.Global, clean.Global) {
-		t.Error("global weekly series diverged under hostile delivery")
-	}
-	if !reflect.DeepEqual(hostile.ByCountry, clean.ByCountry) {
-		t.Error("per-country series diverged under hostile delivery")
-	}
-	if !reflect.DeepEqual(hostile.ByProtocol, clean.ByProtocol) {
-		t.Error("per-protocol series diverged under hostile delivery")
-	}
-	if !reflect.DeepEqual(hostile.CountryProtocol, clean.CountryProtocol) {
-		t.Error("country×protocol series diverged under hostile delivery")
+	if !reflect.DeepEqual(hostile.Panel, clean.Panel) {
+		t.Error("weekly panel diverged under hostile delivery")
 	}
 }
 

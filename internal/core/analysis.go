@@ -50,8 +50,8 @@ func FitGlobal(p *dataset.Panel) (*its.Model, error) {
 // Webstresser window is un-lagged, since the reprisal spike begins
 // immediately.
 func FitCountry(p *dataset.Panel, country string) (*its.Model, error) {
-	series, ok := p.ByCountry[country]
-	if !ok {
+	series := p.Country(country)
+	if series == nil {
 		return nil, fmt.Errorf("core: no series for country %q", country)
 	}
 	ivs := Table1Interventions()
@@ -109,14 +109,7 @@ type NCAComparison struct {
 // slopes of 3.2 (UK) and 5.3 (US) and campaign slopes of -0.1 (UK) versus
 // 6.8 (US): the UK trend flattens while the US keeps rising.
 func AnalyzeNCA(p *dataset.Panel) (*NCAComparison, error) {
-	uk, ok := p.ByCountry[geo.UK]
-	if !ok {
-		return nil, fmt.Errorf("core: no UK series")
-	}
-	us, ok := p.ByCountry[geo.US]
-	if !ok {
-		return nil, fmt.Errorf("core: no US series")
-	}
+	uk, us := p.Country(geo.UK), p.Country(geo.US)
 	nca, ok := interventions.ByName("NCAAds")
 	if !ok {
 		return nil, fmt.Errorf("core: NCAAds missing from catalogue")
@@ -159,9 +152,9 @@ var Table3Years = []int{2015, 2016, 2017, 2018, 2019}
 func CountrySharesAt(p *dataset.Panel, year, month int) map[string]float64 {
 	first := mkdate(year, month, 1)
 	from, to := timeseries.WeekOf(first), timeseries.WeekOf(first.AddDate(0, 1, 0))
-	counts := make(map[string]float64, len(p.ByCountry))
-	for c, s := range p.ByCountry {
-		counts[c] = s.Slice(from, to).Total()
+	counts := make(map[string]float64, len(geo.Countries()))
+	for _, c := range geo.Countries() {
+		counts[c] = p.Country(c).Slice(from, to).Total()
 	}
 	return geo.Shares(counts, p.Global.Slice(from, to).Total())
 }

@@ -298,8 +298,8 @@ func runTable3(env *Env) (*Result, error) {
 	// is checked directly: summing every country's attributions (all
 	// eleven) must exceed the number of unique attacks.
 	var attributed float64
-	for _, s := range env.Panel.ByCountry {
-		attributed += s.Total()
+	for _, c := range geo.Countries() {
+		attributed += env.Panel.Country(c).Total()
 	}
 	ratio := 100 * attributed / env.Panel.Global.Total()
 	res.check("attributions double-count attacks", "shares include double counting (Feb-17 total 108%)",
@@ -372,14 +372,14 @@ func runFigure3(env *Env) (*Result, error) {
 	top := []string{geo.UK, geo.US, geo.FR, geo.DE, geo.AU, geo.CN, geo.CA, geo.SA}
 	series := make(map[string]*timeseries.Series, len(top))
 	for _, c := range top {
-		series[c] = env.Panel.ByCountry[c]
+		series[c] = env.Panel.Country(c)
 	}
 	res.Rendered = report.StackedChart("Figure 3: weekly attacks by victim country (top 8)", top, series, 12)
 
-	usTotal := env.Panel.ByCountry[geo.US].Total()
+	usTotal := env.Panel.Country(geo.US).Total()
 	ok := true
 	for _, c := range top {
-		if c != geo.US && env.Panel.ByCountry[c].Total() > usTotal {
+		if c != geo.US && env.Panel.Country(c).Total() > usTotal {
 			ok = false
 		}
 	}
@@ -394,7 +394,7 @@ func runFigure4(env *Env) (*Result, error) {
 	series := make(map[string]*timeseries.Series, len(names))
 	from, to := ModelWindow()
 	for _, c := range names {
-		series[c] = env.Panel.ByCountry[c].Slice(from, to)
+		series[c] = env.Panel.Country(c).Slice(from, to)
 	}
 	sortedNames, corr := timeseries.CorrelationMatrix(series)
 	res.Rendered = "Figure 4: country-to-country correlation of weekly attack counts\n" +
@@ -456,11 +456,11 @@ func runFigure6(env *Env) (*Result, error) {
 	series := make(map[string]*timeseries.Series, protocols.Count())
 	for _, proto := range protocols.All() {
 		names = append(names, proto.String())
-		series[proto.String()] = env.Panel.ByProtocol[proto]
+		series[proto.String()] = env.Panel.Protocol(proto)
 	}
 	res.Rendered = report.StackedChart("Figure 6: weekly attacks by protocol", names, series, 12)
 
-	ldap := env.Panel.ByProtocol[protocols.LDAP]
+	ldap := env.Panel.Protocol(protocols.LDAP)
 	ldap2016 := yearTotal(ldap, 2016)
 	ldap2018 := yearTotal(ldap, 2018)
 	res.check("LDAP drives the 2017-2018 growth", "LDAP the only protocol with consistent growth",
@@ -482,10 +482,9 @@ func runFigure6(env *Env) (*Result, error) {
 		fmt.Sprintf("LDAP %.0f%% vs SSDP %.0f%%", xm, xmSSDP), xm < xmSSDP)
 
 	// China's narrow protocol mix: NTP+SSDP+LDAP dominate.
-	cn := env.Panel.CountryProtocol[geo.CN]
 	var cnTotal, cnNarrow float64
-	for proto, s := range cn {
-		t := s.Total()
+	for _, proto := range protocols.All() {
+		t := env.Panel.CountryProtocol(geo.CN, proto).Total()
 		cnTotal += t
 		if proto == protocols.NTP || proto == protocols.SSDP || proto == protocols.LDAP {
 			cnNarrow += t
@@ -495,12 +494,11 @@ func runFigure6(env *Env) (*Result, error) {
 		fmt.Sprintf("NTP+SSDP+LDAP share %.0f%%", 100*cnNarrow/cnTotal), cnNarrow/cnTotal > 0.8)
 
 	// UK attacks are dominated by LDAP from mid-2017 on.
-	uk := env.Panel.CountryProtocol[geo.UK]
 	from := timeseries.WeekOf(mkdate(2017, 8, 1))
 	to := timeseries.WeekOf(mkdate(2019, 3, 25))
 	var ukTotal, ukLDAP float64
-	for proto, s := range uk {
-		t := s.Slice(from, to).Total()
+	for _, proto := range protocols.All() {
+		t := env.Panel.CountryProtocol(geo.UK, proto).Slice(from, to).Total()
 		ukTotal += t
 		if proto == protocols.LDAP {
 			ukLDAP += t
@@ -822,7 +820,7 @@ func yearTotal(s *timeseries.Series, year int) float64 {
 // protocolWindowDrop returns the percentage change of a protocol's counts in
 // the window vs the preceding equally long span.
 func protocolWindowDrop(p *dataset.Panel, proto protocols.Protocol, start time.Time, weeks int) float64 {
-	s := p.ByProtocol[proto]
+	s := p.Protocol(proto)
 	w0 := timeseries.WeekOf(start)
 	i := s.Index(w0)
 	if i < weeks || i+weeks > s.Len() {

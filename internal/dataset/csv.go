@@ -35,11 +35,11 @@ func WritePanelCSV(w io.Writer, p *Panel) error {
 		row[1] = strconv.FormatFloat(p.Global.Values[wk], 'f', -1, 64)
 		i := 2
 		for _, c := range geo.Countries() {
-			row[i] = strconv.FormatFloat(p.ByCountry[c].Values[wk], 'f', -1, 64)
+			row[i] = strconv.FormatFloat(p.Country(c).Values[wk], 'f', -1, 64)
 			i++
 		}
 		for _, proto := range protocols.All() {
-			row[i] = strconv.FormatFloat(p.ByProtocol[proto].Values[wk], 'f', -1, 64)
+			row[i] = strconv.FormatFloat(p.Protocol(proto).Values[wk], 'f', -1, 64)
 			i++
 		}
 		if err := cw.Write(row); err != nil {
@@ -111,12 +111,12 @@ func LoadPanelCSV(r io.Reader) (*Panel, error) {
 			return nil, err
 		}
 		for _, c := range geo.Countries() {
-			if p.ByCountry[c].Values[wk], err = parse(row, c, wk); err != nil {
+			if p.Country(c).Values[wk], err = parse(row, c, wk); err != nil {
 				return nil, err
 			}
 		}
 		for _, proto := range protocols.All() {
-			if p.ByProtocol[proto].Values[wk], err = parse(row, proto.String(), wk); err != nil {
+			if p.Protocol(proto).Values[wk], err = parse(row, proto.String(), wk); err != nil {
 				return nil, err
 			}
 		}

@@ -34,14 +34,14 @@ func TestPanelCSVRoundTrip(t *testing.T) {
 	}
 	for _, c := range geo.Countries() {
 		for w := 0; w < orig.Weeks; w += 17 {
-			if loaded.ByCountry[c].Values[w] != orig.ByCountry[c].Values[w] {
+			if loaded.Country(c).Values[w] != orig.Country(c).Values[w] {
 				t.Fatalf("country %s week %d differs", c, w)
 			}
 		}
 	}
 	for _, proto := range protocols.All() {
 		for w := 0; w < orig.Weeks; w += 17 {
-			if loaded.ByProtocol[proto].Values[w] != orig.ByProtocol[proto].Values[w] {
+			if loaded.Protocol(proto).Values[w] != orig.Protocol(proto).Values[w] {
 				t.Fatalf("protocol %v week %d differs", proto, w)
 			}
 		}
@@ -65,16 +65,15 @@ func TestLoadedPanelClones(t *testing.T) {
 		t.Fatal("clone of the loaded panel differs from it")
 	}
 	want := loaded.Clone()
-	for _, s := range c.ByCountry {
-		s.Values[0] = -1
-	}
-	for _, s := range c.ByProtocol {
-		s.Values[len(s.Values)-1] = -1
-	}
-	for _, cp := range c.CountryProtocol {
-		for _, s := range cp {
-			s.Values[1] = -1
+	for _, country := range geo.Countries() {
+		c.Country(country).Values[0] = -1
+		for _, proto := range protocols.All() {
+			c.CountryProtocol(country, proto).Values[1] = -1
 		}
+	}
+	for _, proto := range protocols.All() {
+		s := c.Protocol(proto)
+		s.Values[len(s.Values)-1] = -1
 	}
 	c.Global.Values[2] = -1
 	if !reflect.DeepEqual(loaded.Panel, want) {
@@ -108,7 +107,7 @@ func TestLoadPanelCSVIgnoresUnknownColumns(t *testing.T) {
 		t.Errorf("loaded %d weeks, global[1]=%v", p.Weeks, p.Global.Values[1])
 	}
 	// Missing country columns load as zeros.
-	if p.ByCountry[geo.US].Values[0] != 0 {
+	if p.Country(geo.US).Values[0] != 0 {
 		t.Error("missing country column should load as zero")
 	}
 }

@@ -42,8 +42,8 @@ func TestPanelInternalConsistency(t *testing.T) {
 	// per-country series sum must EXCEED global (double counting).
 	for w := 0; w < p.Weeks; w += 13 {
 		var countrySum float64
-		for _, s := range p.ByCountry {
-			countrySum += s.Values[w]
+		for _, c := range geo.Countries() {
+			countrySum += p.Country(c).Values[w]
 		}
 		if countrySum <= p.Global.Values[w] {
 			t.Errorf("week %d: country sum %.0f <= global %.0f", w, countrySum, p.Global.Values[w])
@@ -53,23 +53,22 @@ func TestPanelInternalConsistency(t *testing.T) {
 	// each country's count).
 	for w := 0; w < p.Weeks; w += 13 {
 		var protoSum float64
-		for _, s := range p.ByProtocol {
-			protoSum += s.Values[w]
+		for _, proto := range protocols.All() {
+			protoSum += p.Protocol(proto).Values[w]
 		}
 		if math.Abs(protoSum-p.Global.Values[w]) > 1e-6*p.Global.Values[w]+1 {
 			t.Errorf("week %d: protocol sum %.0f != global %.0f", w, protoSum, p.Global.Values[w])
 		}
 	}
-	// CountryProtocol marginals match ByCountry for the base countries
+	// CountryProtocol marginals match Country for the base countries
 	// (before dual attribution all mass flows through protocol splits).
-	cn := p.CountryProtocol[geo.CN]
 	for w := 0; w < p.Weeks; w += 31 {
 		var sum float64
-		for _, s := range cn {
-			sum += s.Values[w]
+		for _, proto := range protocols.All() {
+			sum += p.CountryProtocol(geo.CN, proto).Values[w]
 		}
-		if math.Abs(sum-p.ByCountry[geo.CN].Values[w]) > 1 {
-			t.Errorf("week %d: CN protocol marginal %.0f != CN series %.0f", w, sum, p.ByCountry[geo.CN].Values[w])
+		if math.Abs(sum-p.Country(geo.CN).Values[w]) > 1 {
+			t.Errorf("week %d: CN protocol marginal %.0f != CN series %.0f", w, sum, p.Country(geo.CN).Values[w])
 		}
 	}
 }
@@ -148,8 +147,8 @@ func TestEffectForFallbacks(t *testing.T) {
 
 func TestUKFreezeShape(t *testing.T) {
 	p := genPanel(t, 8, false)
-	uk := p.ByCountry[geo.UK]
-	us := p.ByCountry[geo.US]
+	uk := p.Country(geo.UK)
+	us := p.Country(geo.US)
 	// Growth ratio during the freeze (Jan 2018 vs Apr 2018, avoiding
 	// seasonal contamination by comparing the same weeks of the year for
 	// the US).
@@ -169,7 +168,7 @@ func TestUKFreezeShape(t *testing.T) {
 
 func TestChinaSurgeLocalised(t *testing.T) {
 	p := genPanel(t, 9, false)
-	cn := p.ByCountry[geo.CN]
+	cn := p.Country(geo.CN)
 	at := func(y int, m time.Month) float64 {
 		return cn.Values[cn.Index(timeseries.WeekOf(mkdate(y, m, 15)))]
 	}
@@ -220,7 +219,7 @@ func TestCountryCorrelationShape(t *testing.T) {
 	p := genPanel(t, 11, true)
 	from := timeseries.WeekOf(dataset.ModelStart)
 	to := timeseries.WeekOf(dataset.SpanEnd)
-	slice := func(c string) []float64 { return p.ByCountry[c].Slice(from, to).Values }
+	slice := func(c string) []float64 { return p.Country(c).Slice(from, to).Values }
 	// Western countries correlate strongly; China does not (Figure 4).
 	if r := stats.Correlation(slice(geo.US), slice(geo.DE)); r < 0.7 {
 		t.Errorf("corr(US, DE) = %.2f, want strong", r)
@@ -234,7 +233,7 @@ func TestProtocolHitShiftsShares(t *testing.T) {
 	p := genPanel(t, 12, false)
 	// During the Xmas2018 window the LDAP share of global attacks drops
 	// relative to the weeks before.
-	ldap := p.ByProtocol[protocols.LDAP]
+	ldap := p.Protocol(protocols.LDAP)
 	idx := ldap.Index(timeseries.WeekOf(mkdate(2018, time.December, 19)))
 	share := func(i int) float64 { return ldap.Values[i] / p.Global.Values[i] }
 	pre := (share(idx-3) + share(idx-2) + share(idx-1)) / 3

@@ -162,15 +162,15 @@ func compareResults(t *testing.T, want, got *Result) {
 		t.Errorf("stats: got %+v want %+v", got.Stats, want.Stats)
 	}
 	compareSeries(t, "global", want.Global, got.Global)
-	for c, ws := range want.ByCountry {
-		compareSeries(t, "country "+c, ws, got.ByCountry[c])
+	for _, c := range geo.Countries() {
+		compareSeries(t, "country "+c, want.Country(c), got.Country(c))
 	}
-	for p, ws := range want.ByProtocol {
-		compareSeries(t, "protocol "+p.String(), ws, got.ByProtocol[p])
+	for _, p := range protocols.All() {
+		compareSeries(t, "protocol "+p.String(), want.Protocol(p), got.Protocol(p))
 	}
-	for c, cp := range want.CountryProtocol {
-		for p, ws := range cp {
-			compareSeries(t, "country "+c+" protocol "+p.String(), ws, got.CountryProtocol[c][p])
+	for _, c := range geo.Countries() {
+		for _, p := range protocols.All() {
+			compareSeries(t, "country "+c+" protocol "+p.String(), want.CountryProtocol(c, p), got.CountryProtocol(c, p))
 		}
 	}
 }
@@ -221,14 +221,11 @@ func TestCountryProtocolMarginals(t *testing.T) {
 	if res.Stats.Attacks == 0 {
 		t.Fatal("degenerate stream")
 	}
-	for c, ws := range res.ByCountry {
-		cp, ok := res.CountryProtocol[c]
-		if !ok {
-			t.Fatalf("country %s missing from the breakdown", c)
-		}
+	for _, c := range geo.Countries() {
+		ws := res.Country(c)
 		sum := timeseries.NewSeries(ws.StartWeek, ws.Len())
-		for _, s := range cp {
-			if err := sum.AddSeries(s); err != nil {
+		for _, p := range protocols.All() {
+			if err := sum.AddSeries(res.CountryProtocol(c, p)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -310,10 +307,10 @@ func TestIngestDatagramDecode(t *testing.T) {
 	if res.Stats.Attacks != 1 || res.Stats.Flows != 1 {
 		t.Errorf("want one attack flow, got %+v", res.Stats)
 	}
-	if got := res.ByProtocol[protocols.NTP].Total(); got != 1 {
+	if got := res.Protocol(protocols.NTP).Total(); got != 1 {
 		t.Errorf("NTP series total: got %v", got)
 	}
-	if got := res.ByCountry[geo.US].Total(); got != 1 {
+	if got := res.Country(geo.US).Total(); got != 1 {
 		t.Errorf("US series total: got %v", got)
 	}
 }

@@ -93,15 +93,15 @@ func (a *accumulator) Consume(f *honeypot.Flow, c honeypot.Classification) {
 	}
 	a.lo, a.hi = min(a.lo, w), max(a.hi, w)
 	p.Global.Values[w]++
-	p.ByProtocol[f.Key.Proto].Values[w]++
+	p.Protocol(f.Key.Proto).Values[w]++
 	countries, ok := a.tbl.Lookup(f.Key.Victim)
 	if !ok {
 		a.stats.Unattributed++
 		return
 	}
 	for _, c := range countries {
-		p.ByCountry[c].Values[w]++
-		p.CountryProtocol[c][f.Key.Proto].Values[w]++
+		p.Country(c).Values[w]++
+		p.CountryProtocol(c, f.Key.Proto).Values[w]++
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"booters/internal/geo"
 	"booters/internal/honeypot"
 	"booters/internal/protocols"
 	"booters/internal/scenario"
@@ -69,15 +70,15 @@ func snapshotExtends(t *testing.T, prev, next *Snapshot) {
 		t.Fatalf("sealed frontier went backwards: %v after %v", next.Through, prev.Through)
 	}
 	seriesExtends(t, "global", prev.Global, next.Global)
-	for c, s := range prev.ByCountry {
-		seriesExtends(t, "country "+c, s, next.ByCountry[c])
+	for _, c := range geo.Countries() {
+		seriesExtends(t, "country "+c, prev.Country(c), next.Country(c))
 	}
-	for p, s := range prev.ByProtocol {
-		seriesExtends(t, "protocol "+p.String(), s, next.ByProtocol[p])
+	for _, p := range protocols.All() {
+		seriesExtends(t, "protocol "+p.String(), prev.Protocol(p), next.Protocol(p))
 	}
-	for c, cp := range prev.CountryProtocol {
-		for p, s := range cp {
-			seriesExtends(t, "breakdown "+c+"/"+p.String(), s, next.CountryProtocol[c][p])
+	for _, c := range geo.Countries() {
+		for _, p := range protocols.All() {
+			seriesExtends(t, "breakdown "+c+"/"+p.String(), prev.CountryProtocol(c, p), next.CountryProtocol(c, p))
 		}
 	}
 	if next.Stats.Flows < prev.Stats.Flows || next.Stats.Attacks < prev.Stats.Attacks ||
@@ -152,17 +153,8 @@ func TestRollingSnapshotsMonotoneAndFinalMatchesBatch(t *testing.T) {
 				t.Errorf("final Through: got %v want %v", final.Through, res.Global.Week(res.Weeks-1))
 			}
 			// The final snapshot is the batch panel, value for value.
-			if !reflect.DeepEqual(final.Global, want.Global) {
-				t.Error("final global series differs from batch")
-			}
-			if !reflect.DeepEqual(final.ByCountry, want.ByCountry) {
-				t.Error("final country series differ from batch")
-			}
-			if !reflect.DeepEqual(final.ByProtocol, want.ByProtocol) {
-				t.Error("final protocol series differ from batch")
-			}
-			if !reflect.DeepEqual(final.CountryProtocol, want.CountryProtocol) {
-				t.Error("final country-protocol breakdown differs from batch")
+			if !reflect.DeepEqual(final.Panel, want.Panel) {
+				t.Error("final panel differs from batch")
 			}
 			if !statsEqual(final.Stats, want.Stats) {
 				t.Errorf("final stats: got %+v want %+v", final.Stats, want.Stats)
@@ -434,16 +426,14 @@ func TestFinalSnapshotIndependentOfResult(t *testing.T) {
 	final := in.Snapshot()
 	want := final.Clone()
 	res.Global.Values[0] += 1000
-	for _, s := range res.ByCountry {
-		s.Values[0] += 1000
-	}
-	for _, s := range res.ByProtocol {
-		s.Values[0] += 1000
-	}
-	for _, cp := range res.CountryProtocol {
-		for _, s := range cp {
-			s.Values[0] += 1000
+	for _, c := range geo.Countries() {
+		res.Country(c).Values[0] += 1000
+		for _, p := range protocols.All() {
+			res.CountryProtocol(c, p).Values[0] += 1000
 		}
+	}
+	for _, p := range protocols.All() {
+		res.Protocol(p).Values[0] += 1000
 	}
 	if !reflect.DeepEqual(final.Panel, want) {
 		t.Error("mutating Close's Result changed the Final snapshot")

@@ -89,14 +89,14 @@ func GeneratePaper(seed int64, noiseFree bool) (*dataset.Panel, *Manifest, error
 				count = float64(nb.Rand(rng))
 			}
 			globalTrue += mu
-			p.ByCountry[c].Values[w] = count
+			p.Country(c).Values[w] = count
 			p.Global.Values[w] += count
 
 			// Protocol split of the country's count.
 			for proto, sh := range protocolShares(c, mid, m.Effects, w) {
 				v := count * sh
-				p.CountryProtocol[c][proto].Values[w] += v
-				p.ByProtocol[proto].Values[w] += v
+				p.CountryProtocol(c, proto).Values[w] += v
+				p.Protocol(proto).Values[w] += v
 			}
 		}
 		m.PlantedMu[w] = globalTrue
@@ -105,10 +105,10 @@ func GeneratePaper(seed int64, noiseFree bool) (*dataset.Panel, *Manifest, error
 		// Conservative multi-attribution: a slice of US traffic is also
 		// attributed to NL and UK, and of DE to FR, pushing Table 3
 		// column sums above 100% without touching the Global series.
-		us, de := p.ByCountry[geo.US].Values[w], p.ByCountry[geo.DE].Values[w]
-		p.ByCountry[geo.NL].Values[w] += 0.04 * us
-		p.ByCountry[geo.UK].Values[w] += 0.03 * us
-		p.ByCountry[geo.FR].Values[w] += 0.05 * de
+		us, de := p.Country(geo.US).Values[w], p.Country(geo.DE).Values[w]
+		p.Country(geo.NL).Values[w] += 0.04 * us
+		p.Country(geo.UK).Values[w] += 0.03 * us
+		p.Country(geo.FR).Values[w] += 0.05 * de
 	}
 
 	m.PlannedWeekly = slices.Clone(p.Global.Values)

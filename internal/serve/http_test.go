@@ -560,16 +560,16 @@ func TestHealthzStallRule(t *testing.T) {
 func TestTopGoldenBodies(t *testing.T) {
 	p := timeseries.NewPanel(timeseries.WeekOf(testStart), 3)
 	book := func(s *timeseries.Series, weekly ...float64) { copy(s.Values, weekly) }
-	book(p.ByCountry[geo.UK], 7)
-	book(p.ByCountry[geo.US], 5, 0, 2)
-	book(p.ByCountry[geo.CN], 1, 1, 1)
-	book(p.ByCountry[geo.DE], 0, 3)
-	book(p.ByCountry[geo.RU], 0, 0, 1)
-	book(p.ByProtocol[protocols.DNS], 2, 2, 2)
-	book(p.ByProtocol[protocols.LDAP], 4)
-	book(p.ByProtocol[protocols.NTP], 0, 4)
-	book(p.ByProtocol[protocols.SSDP], 1, 1)
-	book(p.ByProtocol[protocols.Time], 0, 0, 2)
+	book(p.Country(geo.UK), 7)
+	book(p.Country(geo.US), 5, 0, 2)
+	book(p.Country(geo.CN), 1, 1, 1)
+	book(p.Country(geo.DE), 0, 3)
+	book(p.Country(geo.RU), 0, 0, 1)
+	book(p.Protocol(protocols.DNS), 2, 2, 2)
+	book(p.Protocol(protocols.LDAP), 4)
+	book(p.Protocol(protocols.NTP), 0, 4)
+	book(p.Protocol(protocols.SSDP), 1, 1)
+	book(p.Protocol(protocols.Time), 0, 0, 2)
 	srv := New(Config{})
 	srv.Publish(&ingest.Snapshot{Seq: 1, Sealed: true, Final: true, Panel: p})
 

@@ -249,27 +249,25 @@ func (e *Engine) Series(country, proto string) (*timeseries.Series, error) {
 	case country == "" && proto == "":
 		return snap.Global, nil
 	case proto == "":
-		s, ok := snap.ByCountry[country]
-		if !ok {
-			return nil, fmt.Errorf("serve: no series for country %q", country)
+		if s := snap.Country(country); s != nil {
+			return s, nil
 		}
-		return s, nil
+		return nil, fmt.Errorf("serve: no series for country %q", country)
 	case country == "":
 		p, ok := protocols.ByName(proto)
 		if !ok {
 			return nil, fmt.Errorf("serve: no series for protocol %q", proto)
 		}
-		return snap.ByProtocol[p], nil
+		return snap.Protocol(p), nil
 	default:
-		cp, ok := snap.CountryProtocol[country]
-		if !ok {
+		if snap.Country(country) == nil {
 			return nil, fmt.Errorf("serve: no series for country %q", country)
 		}
 		p, ok := protocols.ByName(proto)
 		if !ok {
 			return nil, fmt.Errorf("serve: no series for protocol %q", proto)
 		}
-		return cp[p], nil
+		return snap.CountryProtocol(country, p), nil
 	}
 }
 

@@ -141,15 +141,15 @@ func TestEngineQueriesMatchSnapshot(t *testing.T) {
 		t.Errorf("global series: total %v err %v", global.Total(), err)
 	}
 	us, err := eng.Series(geo.US, "")
-	if err != nil || us.Total() != res.ByCountry[geo.US].Total() {
+	if err != nil || us.Total() != res.Country(geo.US).Total() {
 		t.Errorf("US series: err %v", err)
 	}
 	dns, err := eng.Series("", protocols.DNS.String())
-	if err != nil || dns.Total() != res.ByProtocol[protocols.DNS].Total() {
+	if err != nil || dns.Total() != res.Protocol(protocols.DNS).Total() {
 		t.Errorf("DNS series: err %v", err)
 	}
 	cell, err := eng.Series(geo.US, protocols.DNS.String())
-	if err != nil || cell.Total() != res.CountryProtocol[geo.US][protocols.DNS].Total() {
+	if err != nil || cell.Total() != res.CountryProtocol(geo.US, protocols.DNS).Total() {
 		t.Errorf("US/DNS series: err %v", err)
 	}
 	if _, err := eng.Series("XX", ""); err == nil {
@@ -157,6 +157,12 @@ func TestEngineQueriesMatchSnapshot(t *testing.T) {
 	}
 	if _, err := eng.Series("", "nope"); err == nil {
 		t.Error("unknown protocol: want error")
+	}
+	if _, err := eng.Series("XX", protocols.DNS.String()); err == nil {
+		t.Error("unknown country with a protocol: want error")
+	}
+	if _, err := eng.Series(geo.US, "nope"); err == nil {
+		t.Error("country with an unknown protocol: want error")
 	}
 
 	top, err := eng.TopCountries(3)
@@ -168,7 +174,7 @@ func TestEngineQueriesMatchSnapshot(t *testing.T) {
 			t.Errorf("top countries not descending: %v", top)
 		}
 	}
-	if got := top[0].Attacks; got != int(res.ByCountry[top[0].Key].Total()) {
+	if got := top[0].Attacks; got != int(res.Country(top[0].Key).Total()) {
 		t.Errorf("top country count: got %d", got)
 	}
 	protosTop, err := eng.TopProtocols(0)

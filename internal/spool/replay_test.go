@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"booters/internal/geo"
 	"booters/internal/ingest"
 	"booters/internal/obs"
+	"booters/internal/protocols"
 	"booters/internal/scenario"
 )
 
@@ -229,13 +231,13 @@ func TestParallelReplayPanelEquivalence(t *testing.T) {
 						if !reflect.DeepEqual(got.Global.Values, want.Global.Values) {
 							t.Errorf("global series diverged from batch reference")
 						}
-						for c, ws := range want.ByCountry {
-							if !reflect.DeepEqual(got.ByCountry[c].Values, ws.Values) {
+						for _, c := range geo.Countries() {
+							if !reflect.DeepEqual(got.Country(c).Values, want.Country(c).Values) {
 								t.Errorf("country %s series diverged", c)
 							}
 						}
-						for p, ws := range want.ByProtocol {
-							if !reflect.DeepEqual(got.ByProtocol[p].Values, ws.Values) {
+						for _, p := range protocols.All() {
+							if !reflect.DeepEqual(got.Protocol(p).Values, want.Protocol(p).Values) {
 								t.Errorf("protocol %v series diverged", p)
 							}
 						}

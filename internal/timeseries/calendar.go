@@ -52,23 +52,3 @@ func SeasonalNames() []string {
 		"seasonal_10", "seasonal_11", "seasonal_12",
 	}
 }
-
-// IsSchoolHoliday reports whether the week overlaps the simplified school
-// holiday calendar the market simulator uses for demand seasonality: summer
-// (mid-July through August), Christmas/New Year (mid-December through the
-// first week of January), and the Easter window.
-func IsSchoolHoliday(w Week) bool {
-	mid := w.Midpoint()
-	m, d := mid.Month(), mid.Day()
-	switch {
-	case m == time.July && d >= 10:
-		return true
-	case m == time.August:
-		return true
-	case m == time.December && d >= 15:
-		return true
-	case m == time.January && d <= 7:
-		return true
-	}
-	return EasterWindow(w)
-}

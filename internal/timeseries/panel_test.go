@@ -29,46 +29,41 @@ func checkShape(t *testing.T, p *Panel, want float64) {
 			}
 		}
 	}
-	check("global", p.Global)
-	if len(p.ByCountry) != len(geo.Countries()) || len(p.CountryProtocol) != len(geo.Countries()) {
-		t.Fatalf("country maps: %d and %d entries, want %d", len(p.ByCountry), len(p.CountryProtocol), len(geo.Countries()))
-	}
-	if len(p.ByProtocol) != protocols.Count() {
-		t.Fatalf("protocol map: %d entries, want %d", len(p.ByProtocol), protocols.Count())
-	}
-	for _, proto := range protocols.All() {
-		check("protocol "+proto.String(), p.ByProtocol[proto])
-	}
-	for _, c := range geo.Countries() {
-		check("country "+c, p.ByCountry[c])
-		if len(p.CountryProtocol[c]) != protocols.Count() {
-			t.Fatalf("country %s: %d protocols, want %d", c, len(p.CountryProtocol[c]), protocols.Count())
-		}
-		for _, proto := range protocols.All() {
-			check("country "+c+" protocol "+proto.String(), p.CountryProtocol[c][proto])
-		}
+	for _, n := range layout(p) {
+		check(n.name, n.s)
 	}
 }
 
 // fill sets every value of every series in p to v.
 func fill(p *Panel, v float64) {
-	set := func(s *Series) {
-		for i := range s.Values {
-			s.Values[i] = v
+	for _, n := range layout(p) {
+		for i := range n.s.Values {
+			n.s.Values[i] = v
 		}
 	}
-	set(p.Global)
-	for _, s := range p.ByCountry {
-		set(s)
+}
+
+// namedSeries is one series of a panel under a stable name.
+type namedSeries struct {
+	name string
+	s    *Series
+}
+
+// layout lists every series of p through its accessors, in the panel's
+// layout order: global, each protocol, then each country followed by its
+// protocol breakdown.
+func layout(p *Panel) []namedSeries {
+	out := []namedSeries{{"global", p.Global}}
+	for _, proto := range protocols.All() {
+		out = append(out, namedSeries{"protocol " + proto.String(), p.Protocol(proto)})
 	}
-	for _, s := range p.ByProtocol {
-		set(s)
-	}
-	for _, cp := range p.CountryProtocol {
-		for _, s := range cp {
-			set(s)
+	for _, c := range geo.Countries() {
+		out = append(out, namedSeries{"country " + c, p.Country(c)})
+		for _, proto := range protocols.All() {
+			out = append(out, namedSeries{"breakdown " + c + "/" + proto.String(), p.CountryProtocol(c, proto)})
 		}
 	}
+	return out
 }
 
 func TestNewPanelShape(t *testing.T) {
@@ -78,6 +73,42 @@ func TestNewPanelShape(t *testing.T) {
 		t.Fatalf("span: got %v+%d want %v+5", p.Start, p.Weeks, start)
 	}
 	checkShape(t, p, 0)
+
+	// Every accessor returns its own series, and the series lie on the
+	// block in layout order with cap == len.
+	series := layout(p)
+	if want := 1 + protocols.Count() + len(geo.Countries())*(1+protocols.Count()); len(series) != want {
+		t.Fatalf("layout lists %d series, want %d", len(series), want)
+	}
+	if got, want := len(p.Block()), len(series)*p.Weeks; got != want {
+		t.Fatalf("block holds %d values, want %d", got, want)
+	}
+	seen := make(map[*Series]string, len(series))
+	for i, n := range series {
+		if other, ok := seen[n.s]; ok {
+			t.Fatalf("%s and %s are the same series", n.name, other)
+		}
+		seen[n.s] = n.name
+		if cap(n.s.Values) != len(n.s.Values) {
+			t.Fatalf("%s: cap %d, len %d", n.name, cap(n.s.Values), len(n.s.Values))
+		}
+		if &n.s.Values[0] != &p.Block()[i*p.Weeks] {
+			t.Fatalf("%s is not series %d of the block", n.name, i)
+		}
+	}
+
+	// A key outside the layout has no series.
+	if s := p.Country("XX"); s != nil {
+		t.Errorf("unknown country: got a series")
+	}
+	for _, proto := range []protocols.Protocol{-1, protocols.Protocol(protocols.Count())} {
+		if p.Protocol(proto) != nil || p.CountryProtocol(geo.US, proto) != nil {
+			t.Errorf("unknown protocol %d: got a series", proto)
+		}
+	}
+	if s := p.CountryProtocol("XX", protocols.DNS); s != nil {
+		t.Errorf("unknown country with a protocol: got a series")
+	}
 }
 
 func TestPanelCloneIndependent(t *testing.T) {
@@ -111,17 +142,9 @@ func TestPanelAdd(t *testing.T) {
 
 // named lists every series of p under a stable name.
 func named(p *Panel) map[string]*Series {
-	out := map[string]*Series{"global": p.Global}
-	for c, s := range p.ByCountry {
-		out["country "+c] = s
-	}
-	for proto, s := range p.ByProtocol {
-		out["protocol "+proto.String()] = s
-	}
-	for c, cp := range p.CountryProtocol {
-		for proto, s := range cp {
-			out["breakdown "+c+"/"+proto.String()] = s
-		}
+	out := make(map[string]*Series)
+	for _, n := range layout(p) {
+		out[n.name] = n.s
 	}
 	return out
 }
@@ -206,6 +229,19 @@ func TestPanelSeriesIsolated(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// cloneSink keeps TestPanelCloneAllocs' clones escaping, as a rolling
+// pipeline's do, so the panel header is counted too.
+var cloneSink *Panel
+
+// TestPanelCloneAllocs pins the clone cost: the panel, its series headers
+// and its value block, whatever the span.
+func TestPanelCloneAllocs(t *testing.T) {
+	p := numbered(WeekOf(d(2017, time.January, 2)), 400)
+	if allocs := testing.AllocsPerRun(20, func() { cloneSink = p.Clone() }); allocs > 3 {
+		t.Errorf("Clone: %v allocations, want at most 3", allocs)
 	}
 }
 

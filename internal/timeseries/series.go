@@ -1,7 +1,7 @@
-// Package timeseries provides the weekly count-series type and calendar
-// utilities the paper's analysis runs on: daily-to-weekly aggregation,
-// monthly seasonal design columns, the movable date of Easter, and linear
-// trend comparison used for the NCA advertising analysis.
+// Package timeseries provides the weekly count-series type, the weekly
+// attack panel built from it, and the calendar utilities the paper's
+// analysis runs on: week bucketing, monthly seasonal design columns, the
+// movable date of Easter, and the series correlations behind Figure 4.
 package timeseries
 
 import (
@@ -188,22 +188,6 @@ func (s *Series) Rescale(base float64) {
 	for i := range s.Values {
 		s.Values[i] *= f
 	}
-}
-
-// AggregateDaily buckets timestamped daily counts into a weekly series
-// spanning [start, end). Events outside the span are dropped.
-func AggregateDaily(events map[time.Time]float64, start, end time.Time) *Series {
-	sw := WeekOf(start)
-	ew := WeekOf(end)
-	n := int(ew.Start.Sub(sw.Start).Hours()/(24*7)) + 1
-	if n < 1 {
-		n = 1
-	}
-	s := NewSeries(sw, n)
-	for t, v := range events {
-		s.Add(t, v)
-	}
-	return s
 }
 
 // WeeksBetween returns the number of whole weeks from a to b (may be

@@ -118,21 +118,6 @@ func TestSeriesSlice(t *testing.T) {
 	}
 }
 
-func TestAggregateDaily(t *testing.T) {
-	events := map[time.Time]float64{
-		d(2018, time.January, 2): 10, // Tue, week of Jan 1
-		d(2018, time.January, 7): 5,  // Sun, same week
-		d(2018, time.January, 8): 7,  // Mon, next week
-	}
-	s := AggregateDaily(events, d(2018, time.January, 1), d(2018, time.January, 31))
-	if s.Values[0] != 15 {
-		t.Errorf("week 0 = %v, want 15", s.Values[0])
-	}
-	if s.Values[1] != 7 {
-		t.Errorf("week 1 = %v, want 7", s.Values[1])
-	}
-}
-
 func TestRescale(t *testing.T) {
 	s := NewSeries(WeekOf(d(2016, time.June, 6)), 3)
 	s.Values = []float64{50, 100, 200}
@@ -314,17 +299,5 @@ func TestWeeksBetween(t *testing.T) {
 	}
 	if got := WeeksBetween(b, a); got != -4 {
 		t.Errorf("reverse WeeksBetween = %d, want -4", got)
-	}
-}
-
-func TestIsSchoolHoliday(t *testing.T) {
-	if !IsSchoolHoliday(WeekOf(d(2018, time.August, 8))) {
-		t.Error("August should be a school holiday")
-	}
-	if !IsSchoolHoliday(WeekOf(d(2018, time.December, 27))) {
-		t.Error("Christmas should be a school holiday")
-	}
-	if IsSchoolHoliday(WeekOf(d(2018, time.October, 10))) {
-		t.Error("mid-October should not be a school holiday")
 	}
 }

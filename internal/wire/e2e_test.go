@@ -6,10 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"booters/internal/geo"
 	"booters/internal/honeypot"
 	"booters/internal/ingest"
 	"booters/internal/obs"
 	"booters/internal/obs/trace"
+	"booters/internal/protocols"
 	"booters/internal/scenario"
 )
 
@@ -60,25 +62,19 @@ func comparePanels(t *testing.T, want, got *ingest.Result) {
 	if !reflect.DeepEqual(got.Global.Values, want.Global.Values) {
 		t.Errorf("global series diverged")
 	}
-	if len(got.ByCountry) != len(want.ByCountry) {
-		t.Errorf("countries: got %d want %d", len(got.ByCountry), len(want.ByCountry))
-	}
-	for c, ws := range want.ByCountry {
-		g := got.ByCountry[c]
-		if g == nil || !reflect.DeepEqual(g.Values, ws.Values) {
+	for _, c := range geo.Countries() {
+		if !reflect.DeepEqual(got.Country(c).Values, want.Country(c).Values) {
 			t.Errorf("country %s series diverged", c)
 		}
 	}
-	for p, ws := range want.ByProtocol {
-		g := got.ByProtocol[p]
-		if g == nil || !reflect.DeepEqual(g.Values, ws.Values) {
+	for _, p := range protocols.All() {
+		if !reflect.DeepEqual(got.Protocol(p).Values, want.Protocol(p).Values) {
 			t.Errorf("protocol %v series diverged", p)
 		}
 	}
-	for c, cp := range want.CountryProtocol {
-		for p, ws := range cp {
-			g := got.CountryProtocol[c][p]
-			if g == nil || !reflect.DeepEqual(g.Values, ws.Values) {
+	for _, c := range geo.Countries() {
+		for _, p := range protocols.All() {
+			if !reflect.DeepEqual(got.CountryProtocol(c, p).Values, want.CountryProtocol(c, p).Values) {
 				t.Errorf("country %s protocol %v series diverged", c, p)
 			}
 		}
